@@ -42,8 +42,8 @@ from .dma import (
     dma_step,
     enumerate_candidates,
     init_dma,
-    joint_loglik,
     marginal_loglik,
+    modality_logliks,
     update_model_posterior,
 )
 from .particles import (

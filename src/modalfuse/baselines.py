@@ -6,6 +6,9 @@
 * ``ts_step`` -- detect-then-fuse: a running per-modality failure
   probability alpha tempers each likelihood to L^(1-alpha) before
   fusing in a single PF.
+
+PF and TS reweight through the DMA filter's path as one weighting row,
+the all-ones candidate or the tempered row (1 - alpha) @ L.
 """
 
 from __future__ import annotations
@@ -14,41 +17,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dma import joint_loglik, marginal_loglik
-from .particles import (
-    ParticleSet,
-    WeightCollapse,
-    estimate_mean,
-    propagate,
-    residual_resample,
-    reweight,
-    uniform_log_weights,
-)
+from . import dma
+from .particles import ParticleSet, logsumexp, propagate
 
 TS_SMOOTHING = 0.5
-
-
-def _reweight_or_reset(prop: ParticleSet, log_lik):
-    """Reweight, falling back to uniform weights on total collapse."""
-    try:
-        return reweight(prop, log_lik), None
-    except WeightCollapse:
-        return ParticleSet(prop.states, uniform_log_weights(prop.n)), "weight_collapse"
+# log_pi of a single weighting row: the mixture is an exact identity
+ONE_ROW = np.zeros(1)
 
 
 def pf_step(particles: ParticleSet, frame, transition, models, rng, trace=None):
     """One bootstrap-PF step; returns (particles, estimate).
 
-    Propagate, reweight with the joint log-likelihood of all present
-    modalities (lost ones contribute nothing), estimate, resample.
+    Propagate, reweight with the all-ones candidate (every present
+    modality useful, lost ones contribute nothing), estimate, resample.
+    If every particle's likelihood underflows, the weights stay as they
+    were and the step is flagged.
     """
     prop = propagate(particles, transition, rng)
-    upd, flag = _reweight_or_reset(prop, joint_loglik(frame, prop.states, models))
-    estimate = estimate_mean(upd)
-    resampled = residual_resample(upd, rng)
+    log_g, log_w = dma.candidate_reweight(prop, frame, models, np.ones((1, len(models)), dtype=np.int64))
+    resampled, estimate = dma.mix_and_resample(prop, ONE_ROW, log_w, rng)
     if trace is not None:
-        trace.record(frame.time_index, estimate, flag=flag)
+        trace.record(frame.time_index, estimate, flag=_collapse_flag(log_g))
     return resampled, estimate
+
+
+def _collapse_flag(log_g):
+    return None if np.isfinite(log_g[0]) else "weight_collapse"
 
 
 @dataclass(frozen=True)
@@ -109,15 +103,15 @@ def init_ts(particles: ParticleSet, n_modalities: int, smoothing: float = TS_SMO
     return TsState(particles, np.zeros(n_modalities), smoothing)
 
 
-def _failure_prob_from_logliks(prev_alpha, p, logliks, models, smoothing):
+def _failure_prob(prev_alpha, p: ParticleSet, frame, models, smoothing):
+    """Smoothed failure probabilities plus the ``(present, L)`` they came from."""
+    present, L, nulls = dma.modality_logliks(frame, p.states, models)
+    log_g = logsumexp(p.log_weights + L, axis=1)
+    # raw = g0 / (g0 + g), evaluated stably in the log domain
+    raw = np.exp(-np.logaddexp(0.0, log_g - nulls))
     alpha = np.array(prev_alpha, dtype=float)
-    for i, ll in logliks.items():
-        log_g = marginal_loglik(p, ll)
-        log_g0 = models[i].null_loglik()
-        # raw = g0 / (g0 + g), evaluated stably in the log domain
-        raw = np.exp(-np.logaddexp(0.0, log_g - log_g0))
-        alpha[i] = smoothing * alpha[i] + (1.0 - smoothing) * raw
-    return alpha
+    alpha[present] = smoothing * alpha[present] + (1.0 - smoothing) * raw
+    return alpha, present, L
 
 
 def estimate_failure_prob(prev_alpha, p: ParticleSet, frame, models, smoothing: float = TS_SMOOTHING):
@@ -129,34 +123,20 @@ def estimate_failure_prob(prev_alpha, p: ParticleSet, frame, models, smoothing: 
     modality keeps its previous value. Expects propagated particles
     still carrying the pre-update weights.
     """
-    logliks = {
-        i: np.asarray(models[i].loglik(obs.value, p.states), dtype=float)
-        for i, obs in enumerate(frame.observations)
-        if obs.present
-    }
-    return _failure_prob_from_logliks(prev_alpha, p, logliks, models, smoothing)
+    return _failure_prob(prev_alpha, p, frame, models, smoothing)[0]
 
 
 def ts_step(state: TsState, frame, transition, models, rng, trace=None):
     """One two-stage step; returns (state, estimate).
 
-    Propagate, refresh the failure probabilities, reweight with
-    sum_i (1 - alpha_i) * loglik_i over present modalities, estimate,
-    resample.
+    Propagate, refresh the failure probabilities, reweight with the
+    single row sum_i (1 - alpha_i) * loglik_i over present modalities,
+    estimate, resample.
     """
     prop = propagate(state.particles, transition, rng)
-    logliks = {
-        i: np.asarray(models[i].loglik(obs.value, prop.states), dtype=float)
-        for i, obs in enumerate(frame.observations)
-        if obs.present
-    }
-    alpha = _failure_prob_from_logliks(state.alpha, prop, logliks, models, state.smoothing)
-    tempered = np.zeros(prop.n)
-    for i, ll in logliks.items():
-        tempered += (1.0 - alpha[i]) * ll
-    upd, flag = _reweight_or_reset(prop, tempered)
-    estimate = estimate_mean(upd)
-    resampled = residual_resample(upd, rng)
+    alpha, present, L = _failure_prob(state.alpha, prop, frame, models, state.smoothing)
+    log_g, log_w = dma.reweight_rows(prop, (1.0 - alpha[present])[None, :] @ L)
+    resampled, estimate = dma.mix_and_resample(prop, ONE_ROW, log_w, rng)
     if trace is not None:
-        trace.record(frame.time_index, estimate, model_weights=alpha, flag=flag)
+        trace.record(frame.time_index, estimate, model_weights=alpha, flag=_collapse_flag(log_g))
     return TsState(resampled, alpha, state.smoothing), estimate

@@ -107,27 +107,21 @@ def rmse(estimates, truth, mode: str = "full") -> float:
 
 def run_filter(algorithm: str, frames, particles0, transition, models, rng):
     """Step one filter over all frames; returns (estimates, trace)."""
-    n = len(models)
+    # built per call, so a step function patched on its module takes effect
+    filters = {
+        "pf": (lambda p, n: p, baselines.pf_step),
+        "sma": (baselines.init_sma, baselines.sma_step),
+        "ts": (baselines.init_ts, baselines.ts_step),
+        "dma": (dma.init_dma, dma.dma_step),
+    }
+    if algorithm not in filters:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    init, step = filters[algorithm]
+    state = init(particles0, len(models))
     trace = RunTrace()
     estimates = np.empty((len(frames), particles0.dim))
-    if algorithm == "pf":
-        state = particles0
-        for k, frame in enumerate(frames):
-            state, estimates[k] = baselines.pf_step(state, frame, transition, models, rng, trace=trace)
-    elif algorithm == "sma":
-        state = baselines.init_sma(particles0, n)
-        for k, frame in enumerate(frames):
-            state, estimates[k] = baselines.sma_step(state, frame, transition, models, rng, trace=trace)
-    elif algorithm == "ts":
-        state = baselines.init_ts(particles0, n)
-        for k, frame in enumerate(frames):
-            state, estimates[k] = baselines.ts_step(state, frame, transition, models, rng, trace=trace)
-    elif algorithm == "dma":
-        state = dma.init_dma(particles0, n)
-        for k, frame in enumerate(frames):
-            state, estimates[k], _ = dma.dma_step(state, frame, transition, models, rng, trace=trace)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    for k, frame in enumerate(frames):
+        state, estimates[k] = step(state, frame, transition, models, rng, trace=trace)[:2]
     return estimates, trace
 
 
@@ -183,7 +177,7 @@ def _single_run(algorithm, spec, cfg, n_particles, master_seed, run_index, prior
     err = per_step_error(estimates, dataset.states, rmse_mode)
     return RunResult(
         algorithm=algorithm,
-        scenario=_scenario_id(spec),
+        scenario=spec.label,
         run_index=run_index,
         rmse=float(np.sqrt(np.mean(err * err))),
         per_step_error=err,
@@ -192,10 +186,6 @@ def _single_run(algorithm, spec, cfg, n_particles, master_seed, run_index, prior
         weight_trace=trace.weight_matrix(),
         n_flagged_steps=trace.n_flagged,
     )
-
-
-def _scenario_id(spec: ScenarioSpec) -> str:
-    return spec.label
 
 
 def _resolve_scenario(scenario, cfg: ExperimentConfig) -> ScenarioSpec:
@@ -231,6 +221,8 @@ def run_experiment(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if n_particles < 1 or runs < 1:
         raise ValueError("particles and runs must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if prior not in PRIOR_MODES:
         raise ValueError(f"unknown prior mode {prior!r}")
     if rmse_mode not in RMSE_MODES:
@@ -251,7 +243,7 @@ def run_experiment(
     times = np.array([r.wall_time_seconds for r in results])
     summary = ExperimentSummary(
         algorithm=algorithm,
-        scenario=_scenario_id(spec),
+        scenario=spec.label,
         n_particles=n_particles,
         runs=runs,
         mean_rmse=float(rmses.mean()),

@@ -39,6 +39,3 @@ class RunTrace:
         if not self.model_weights or self.model_weights[0] is None:
             return None
         return np.vstack(self.model_weights)
-
-    def estimate_matrix(self) -> np.ndarray:
-        return np.vstack(self.estimates)

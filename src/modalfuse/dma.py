@@ -64,36 +64,32 @@ def candidate_label(bits) -> str:
     return "".join(str(int(b)) for b in np.asarray(bits).ravel())
 
 
+def modality_logliks(frame, states: np.ndarray, models):
+    """``(present, L, nulls)``: the present modalities' indices, their
+    (P, N) log-likelihoods at ``states`` and their (P,) null
+    log-likelihoods. The filters' one call site of ``Modality.loglik``;
+    a lost reading gets no row, since a missing value supports no
+    hypothesis.
+    """
+    if len(frame.observations) != len(models):
+        raise ValueError(f"frame has {len(frame.observations)} modality readings, model has {len(models)}")
+    present = [i for i, obs in enumerate(frame.observations) if obs.present]
+    L = np.empty((len(present), states.shape[0]))
+    for row, i in enumerate(present):
+        L[row] = models[i].loglik(frame.observations[i].value, states)
+    return present, L, np.array([models[i].null_loglik() for i in present], dtype=float)
+
+
 def candidate_loglik_matrix(candidates: np.ndarray, frame, states: np.ndarray, models) -> np.ndarray:
     """(M, N) log-likelihood of every candidate at every state.
 
-    Per modality: a 1-bit contributes the modality log-likelihood, a
-    0-bit the constant null log-likelihood, and a lost observation
-    contributes nothing to either branch (a missing value supports no
-    hypothesis, so candidates differing only in that bit collect
-    identical evidence).
+    Per present modality, a 1-bit contributes the modality
+    log-likelihood and a 0-bit the constant null log-likelihood, so
+    candidates differing only in a lost reading's bit agree.
     """
-    candidates = np.asarray(candidates)
-    present = [i for i, obs in enumerate(frame.observations) if obs.present]
-    if not present:
-        return np.zeros((candidates.shape[0], states.shape[0]))
-    ll = np.stack([
-        np.asarray(models[i].loglik(frame.observations[i].value, states), dtype=float)
-        for i in present
-    ])
-    nulls = np.array([models[i].null_loglik() for i in present])
-    bits = candidates[:, present].astype(float)
-    return bits @ ll + ((1.0 - bits) @ nulls)[:, None]
-
-
-def joint_loglik(frame, states: np.ndarray, models) -> np.ndarray:
-    """Log-likelihood with every present modality taken as useful.
-
-    Routed through the all-ones candidate row so a plain PF and a
-    single-candidate DMA filter share their arithmetic bit for bit.
-    """
-    n = len(frame.observations)
-    return candidate_loglik_matrix(np.ones((1, n), dtype=np.int64), frame, states, models)[0]
+    present, L, nulls = modality_logliks(frame, states, models)
+    bits = np.asarray(candidates)[:, present].astype(float)
+    return bits @ L + ((1.0 - bits) @ nulls)[:, None]
 
 
 def candidate_loglik(u, frame, x, models):
@@ -205,24 +201,40 @@ def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates
     return DmaState(particles, ModelPosterior.uniform(candidates.shape[0]), candidates)
 
 
-def candidate_reweight(p: ParticleSet, frame, models, candidates):
-    """Marginals and per-candidate weightings from pre-update particles.
-
-    Returns ``(log_g, log_w)`` with log_g shaped (M,) and log_w shaped
-    (M, N), each row normalised. A row whose marginal underflowed keeps
-    the incoming weights: zero evidence updates nothing, and the
-    posterior floor keeps such a candidate's mixture share negligible.
+def reweight_rows(p: ParticleSet, row_ll: np.ndarray):
+    """Marginals ``log_g`` (M,) and normalised weightings ``log_w``
+    (M, N) of the rows of an (M, N) log-likelihood matrix, from
+    pre-update particles. A row whose marginal underflowed keeps the
+    incoming weights: zero evidence updates nothing.
     """
-    cand_ll = candidate_loglik_matrix(candidates, frame, p.states, models)
-    m = cand_ll.shape[0]
+    m = row_ll.shape[0]
     log_g = np.empty(m)
-    log_w = np.empty_like(cand_ll)
+    log_w = np.empty_like(row_ll)
     for j in range(m):
-        lw = p.log_weights + cand_ll[j]
+        lw = p.log_weights + row_ll[j]
         g = logsumexp(lw)
         log_g[j] = g
         log_w[j] = lw - g if np.isfinite(g) else p.log_weights
     return log_g, log_w
+
+
+def candidate_reweight(p: ParticleSet, frame, models, candidates):
+    """``reweight_rows`` of the candidate log-likelihood matrix; the
+    posterior floor keeps an underflowed candidate's mixture share negligible."""
+    return reweight_rows(p, candidate_loglik_matrix(candidates, frame, p.states, models))
+
+
+def mix_and_resample(p: ParticleSet, log_pi, log_w: np.ndarray, rng):
+    """Mix the row weightings with ``log_pi``, estimate, resample; returns
+    (resampled, estimate). One row with log_pi = [0.0] mixes to itself
+    exactly, so PF, TS at alpha = 0 and single-candidate DMA agree bit for bit.
+    """
+    mix_lw = logsumexp(np.asarray(log_pi)[:, None] + log_w, axis=0)
+    # second pass: the row normalisation can leave residue ~ulp(|loglik|)
+    # when likelihoods are astronomically small (e.g. garbage observations)
+    mixed = ParticleSet(p.states, mix_lw - logsumexp(mix_lw))
+    estimate = estimate_mean(mixed)
+    return residual_resample(mixed, rng), estimate
 
 
 def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
@@ -242,13 +254,7 @@ def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
     except ModelUpdateDegenerate:
         posterior = ModelPosterior.uniform(state.posterior.n_models)
         flag = "model_update_degenerate"
-    mix_lw = logsumexp(posterior.log_pi[:, None] + log_w, axis=0)
-    # same residue removal as reweight, keeping the single-candidate
-    # filter bit-identical to the plain PF
-    mix_lw = mix_lw - logsumexp(mix_lw)
-    mixed = ParticleSet(prop.states, mix_lw)
-    estimate = estimate_mean(mixed)
-    resampled = residual_resample(mixed, rng)
+    resampled, estimate = mix_and_resample(prop, posterior.log_pi, log_w, rng)
     new_state = DmaState(resampled, posterior, state.candidates, t=frame.time_index)
     if trace is not None:
         trace.record(frame.time_index, estimate, model_weights=posterior.pi,

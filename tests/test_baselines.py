@@ -14,6 +14,7 @@ from modalfuse import (
     init_ts,
     pf_step,
     propagate,
+    reweight,
     sma_step,
     ts_step,
 )
@@ -221,6 +222,21 @@ class TestTsStep:
         prop = propagate(p0, model.transition, rng_b)
         np.testing.assert_array_equal(est, estimate_mean(prop))
 
+    def test_tempered_row_matches_loop_reference(self, model):
+        # reference: the tempered sum accumulated modality by modality; the
+        # step takes it as one matmul, so only the summation order differs
+        p0 = init_particles(lambda n, r: r.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (n, 4)),
+                            100, np.random.default_rng(0))
+        alpha = np.array([0.3, 0.6])
+        frame = ObservationFrame.of(1, [0.78, 283.0])
+        state = baselines_mod.TsState(p0, alpha, smoothing=1.0)  # alpha frozen
+        _, est = ts_step(state, frame, model.transition, model.modalities, np.random.default_rng(5))
+        prop = propagate(p0, model.transition, np.random.default_rng(5))
+        tempered = np.zeros(prop.n)
+        for i, mod in enumerate(model.modalities):
+            tempered += (1.0 - alpha[i]) * mod.loglik(frame.value(i), prop.states)
+        np.testing.assert_allclose(est, estimate_mean(reweight(prop, tempered)), rtol=1e-12)
+
     def test_alpha_stays_in_unit_interval(self, model):
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 60, np.random.default_rng(0))
         frames = frames_from(model, np.random.default_rng(4), 60)
@@ -232,7 +248,58 @@ class TestTsStep:
             assert np.all(state.alpha >= 0.0) and np.all(state.alpha <= 1.0)
         assert trace.weight_matrix().shape == (60, 2)
 
+    def test_dead_modality_flags_weight_collapse(self, model, rng):
+        p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 10, rng)
+        dead = ConstantModality(-np.inf)
+        trace = RunTrace()
+        state, est = ts_step(init_ts(p0, 1), ObservationFrame.of(1, [0.5]), model.transition,
+                             (dead,), rng, trace=trace)
+        assert trace.flags == ["weight_collapse"]
+        assert np.all(np.isfinite(est))
+        assert 0.0 <= state.alpha[0] <= 1.0
+
     def test_invalid_alpha_rejected(self, model, rng):
         p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)
         with pytest.raises(ValueError):
             baselines_mod.TsState(p0, np.array([0.5, 1.5]))
+
+
+class CountingModality:
+    """Test double: delegates to a real modality and counts loglik calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def loglik(self, y, x):
+        self.calls += 1
+        return self.inner.loglik(y, x)
+
+    def null_loglik(self):
+        return self.inner.null_loglik()
+
+
+def _step_once(name, p0, frame, transition, models, rng):
+    if name == "pf":
+        return pf_step(p0, frame, transition, models, rng)
+    if name == "ts":
+        return ts_step(init_ts(p0, len(models)), frame, transition, models, rng)
+    return dma_step(init_dma(p0, len(models)), frame, transition, models, rng)
+
+
+class TestSharedReweightPath:
+    @pytest.mark.parametrize("step", ["pf", "ts", "dma"])
+    @pytest.mark.parametrize("values", [[0.78], [0.78, 283.0, 1.0]])
+    def test_frame_arity_mismatch_rejected(self, model, rng, step, values):
+        p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 20, rng)
+        frame = ObservationFrame.of(1, values)
+        with pytest.raises(ValueError, match=f"frame has {len(values)} modality readings, model has 2"):
+            _step_once(step, p0, frame, model.transition, model.modalities, rng)
+
+    @pytest.mark.parametrize("step", ["pf", "ts", "dma"])
+    @pytest.mark.parametrize("values", [[0.78, 283.0], [None, 283.0], [None, None]])
+    def test_each_present_loglik_evaluated_once(self, model, rng, step, values):
+        p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 20, rng)
+        counting = tuple(CountingModality(m) for m in model.modalities)
+        _step_once(step, p0, ObservationFrame.of(1, values), model.transition, counting, rng)
+        assert [m.calls for m in counting] == [int(v is not None) for v in values]

@@ -142,6 +142,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment("pf", 1, n_particles=10, runs=1, master_seed=0, prior="x")
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs, tmp_path, capsys):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_experiment("pf", 1, n_particles=10, runs=1, master_seed=0, jobs=jobs)
+        code = main(["--algorithm", "pf", "--scenario", "1", "--particles", "10", "--runs", "1",
+                     "--jobs", str(jobs), "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: jobs must be >= 1" in capsys.readouterr().err
+
 
 class TestCsvRoundTrip:
     def test_run_results_round_trip_exactly(self, tmp_path):
