@@ -226,10 +226,20 @@ def candidate_reweight(p: ParticleSet, frame, models, candidates):
 
 def mix_and_resample(p: ParticleSet, log_pi, log_w: np.ndarray, rng):
     """Mix the row weightings with ``log_pi``, estimate, resample; returns
-    (resampled, estimate). One row with log_pi = [0.0] mixes to itself
-    exactly, so PF, TS at alpha = 0 and single-candidate DMA agree bit for bit.
+    (resampled, estimate).
+
+    One row is its own mixture (``log_pi`` is then [0.0]), so PF, TS at
+    alpha = 0 and single-candidate DMA agree bit for bit. More rows mix
+    in the probability domain, log(pi @ exp(log_w)): each row is
+    normalised, so exp(log_w) <= 1 cannot overflow, and a mixed weight
+    underflows to -inf only where it lies below the smallest double,
+    which the weights, the estimate and the resample count as 0 anyway.
     """
-    mix_lw = logsumexp(np.asarray(log_pi)[:, None] + log_w, axis=0)
+    if log_w.shape[0] == 1:
+        mix_lw = log_w[0]
+    else:
+        with np.errstate(divide="ignore"):
+            mix_lw = np.log(np.exp(log_pi) @ np.exp(log_w))
     # second pass: the row normalisation can leave residue ~ulp(|loglik|)
     # when likelihoods are astronomically small (e.g. garbage observations)
     mixed = ParticleSet(p.states, mix_lw - logsumexp(mix_lw))

@@ -2,8 +2,11 @@
 
 Initialisation, propagation, log-domain reweighting, residual
 resampling and posterior means, shared by every filter in the package.
-All weight arithmetic stays in the log domain: with large particle
-counts raw likelihood products underflow.
+Likelihood and weight arithmetic stays in the log domain: with large
+particle counts raw likelihood products underflow. The one exception
+is the mixture of several normalised weightings in
+``dma.mix_and_resample``, which is taken in the probability domain:
+a normalised weight is at most 1, so it cannot overflow.
 
 ParticleSet is a value type; none of the operations mutate their
 inputs, and every operation that returns a ParticleSet returns one with
@@ -119,24 +122,26 @@ def residual_resample(p: ParticleSet, rng) -> ParticleSet:
 
     Particle i is copied floor(N * w_i) times deterministically; the
     remaining slots are filled with multinomial draws over the residual
-    weights.
+    weights, by inverse-CDF search over sorted uniforms.
     """
     n = p.n
     scaled = n * p.weights
     counts = np.floor(scaled).astype(np.int64)
     short = n - int(counts.sum())
     if short > 0:
-        resid = np.maximum(scaled - counts, 0.0)
-        total = resid.sum()
-        if total <= 0.0:
-            resid = np.full(n, 1.0 / n)
-            total = 1.0
-        counts += rng.multinomial(short, resid / total)
+        cdf = np.cumsum(np.maximum(scaled - counts, 0.0))
+        if cdf[-1] <= 0.0:
+            cdf = np.arange(1.0, n + 1.0)
+        # inverse-CDF search over sorted uniforms: the same multinomial
+        # fill, and a slot whose residual is zero spans an empty interval
+        u = rng.random(short)
+        u.sort()
+        counts += np.bincount(np.searchsorted(cdf, u * cdf[-1], side="right"), minlength=n)
     idx = np.repeat(np.arange(n), counts)
     # float dust can overshoot the deterministic copies by one slot
     if idx.shape[0] != n:
         idx = idx[:n]
-    return ParticleSet(p.states[idx], uniform_log_weights(n))
+    return ParticleSet(np.take(p.states, idx, axis=0), uniform_log_weights(n))
 
 
 def estimate_mean(p: ParticleSet) -> np.ndarray:

@@ -175,7 +175,9 @@ class LinearGaussianTransition:
         factor = v * np.sqrt(np.clip(w, 0.0, None))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "_noise_factor", factor)
+        # contiguous right-hand operands for sample's batch matmuls
+        object.__setattr__(self, "_A_t", np.ascontiguousarray(A.T))
+        object.__setattr__(self, "_noise_factor_t", np.ascontiguousarray(factor.T))
 
     @property
     def dim(self) -> int:
@@ -190,7 +192,7 @@ class LinearGaussianTransition:
             raise ValueError(f"state dimension {x.shape[1]} != model dimension {self.dim}")
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite state passed to transition")
-        out = x @ self.A.T + rng.standard_normal(x.shape) @ self._noise_factor.T
+        out = x @ self._A_t + rng.standard_normal(x.shape) @ self._noise_factor_t
         return out[0] if single else out
 
 

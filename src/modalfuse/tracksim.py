@@ -164,16 +164,36 @@ def observe(t: int, x, statuses, models, rng) -> ObservationFrame:
 
 @dataclass(frozen=True)
 class GroundTruthRun:
-    """True states, observation frames and the per-step failure log."""
+    """True states, observation frames and the per-step failure log.
+
+    Construction is the boundary for generated and loaded runs alike: it
+    rejects frames whose time indices do not run 1..T in order, and
+    states, failure log or frames whose shapes disagree, naming the first
+    mismatch.
+    """
 
     states: np.ndarray                       # (T, d)
     frames: tuple[ObservationFrame, ...]     # time indices 1..T
     failure_log: np.ndarray                  # (T, n) of ObservationStatus values
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
-        object.__setattr__(self, "failure_log", np.asarray(self.failure_log, dtype=np.int64))
+        frames = tuple(self.frames)
+        states = np.asarray(self.states, dtype=float)
+        log = np.asarray(self.failure_log, dtype=np.int64)
+        T = len(frames)
+        if states.ndim != 2 or states.shape[0] != T:
+            raise ValueError(f"states are shaped {states.shape}, expected ({T}, d)")
+        if log.ndim != 2 or log.shape[0] != T:
+            raise ValueError(f"failure_log is shaped {log.shape}, expected ({T}, n)")
+        for k, frame in enumerate(frames, start=1):
+            if frame.time_index != k:
+                raise ValueError(f"frame {k} has time index {frame.time_index}, expected {k}")
+            if frame.n_modalities != log.shape[1]:
+                raise ValueError(f"frame {k} has {frame.n_modalities} readings, "
+                                 f"failure_log has {log.shape[1]} modalities")
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "failure_log", log)
 
     @property
     def horizon(self) -> int:

@@ -24,7 +24,7 @@ from modalfuse import (
     update_model_posterior,
 )
 from modalfuse.diagnostics import RunTrace
-from modalfuse.dma import candidate_label
+from modalfuse.dma import candidate_label, mix_and_resample, reweight_rows
 
 from conftest import point_prior
 
@@ -286,3 +286,36 @@ class TestDmaStep:
         assert trace.t == [1]
         assert trace.weight_matrix().shape == (1, 4)
         assert trace.marginals[0].shape == (4,)
+
+
+class TestMixAndResample:
+    @staticmethod
+    def _rows(rng, n=256):
+        states = rng.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (n, 4))
+        w = rng.uniform(0.1, 1.0, n)
+        p = ParticleSet(states, np.log(w / w.sum()))
+        row_ll = np.stack([
+            -0.5 * ((states[:, 2] - 200.0) / 5.0) ** 2,
+            -1.0e8 - 0.5 * ((states[:, 3] - 195.0) / 5.0) ** 2,  # garbage observation
+            np.full(n, -np.inf),      # underflowed: keeps the incoming weights
+            np.full(n, -3.0),
+        ])
+        log_g, log_w = reweight_rows(p, row_ll)
+        assert not np.isfinite(log_g[2]) and np.array_equal(log_w[2], p.log_weights)
+        return p, log_w
+
+    def test_matches_log_domain_mixture(self, rng):
+        p, log_w = self._rows(rng)
+        log_pi = np.log([0.4, 0.3, 0.2, 0.1])
+        resampled, est = mix_and_resample(p, log_pi, log_w, np.random.default_rng(1))
+        ref = logsumexp(log_pi[:, None] + log_w, axis=0)
+        want = estimate_mean(ParticleSet(p.states, ref - logsumexp(ref)))
+        np.testing.assert_allclose(est, want, rtol=0.0, atol=1e-10)
+        assert resampled.n == p.n
+
+    def test_one_row_is_its_own_mixture(self, rng):
+        p, log_w = self._rows(rng)
+        for row in log_w:
+            _, est = mix_and_resample(p, np.zeros(1), row[None, :], np.random.default_rng(1))
+            want = estimate_mean(ParticleSet(p.states, row - logsumexp(row)))
+            assert np.array_equal(est, want)

@@ -208,6 +208,39 @@ class TestResidualResample:
         se = means.std(ddof=1) / np.sqrt(n_rep)
         assert abs(means.mean() - target[0]) < 3 * se + 1e-12
 
+    def test_residue_fill_is_multinomial_over_residuals(self, rng):
+        # N * w: integers (4, 3, 1), zero weights, residual ties (0.5, 0.5)
+        # and near-ties (0.5 +- 1e-9, 1 - 1e-9, 1 + 1e-9); 4 slots to fill
+        n = 16
+        scaled = np.array([4.0, 3.0, 0.0, 2.5, 1.5, 0.5 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-9,
+                           0.75, 0.25, 0.5 - 1e-9, 1.0, 0.0, 0.0, 0.0, 0.0])
+        with np.errstate(divide="ignore"):
+            p = ParticleSet(np.arange(float(n))[:, None], np.log(scaled / n))
+        floor = np.floor(n * p.weights)
+        resid = n * p.weights - floor
+        short = n - int(floor.sum())
+        assert short == 4 and np.all(resid[[0, 1, 2, 11]] == 0.0)
+        prob = resid / resid.sum()
+        n_rep = 20_000
+        counts = np.empty((n_rep, n))
+        for k in range(n_rep):
+            out = residual_resample(p, rng)
+            assert out.n == n
+            counts[k] = np.bincount(out.states[:, 0].astype(int), minlength=n)
+        fill = counts - floor
+        # a particle with zero residual is copied exactly floor(N * w) times
+        assert np.all(fill[:, resid == 0.0] == 0)
+        assert np.all(fill >= 0) and np.all(fill.sum(axis=1) == short)
+        # oracle: E[count_i] = N * w_i; bound 4 standard errors of the mean
+        var = short * prob * (1.0 - prob)
+        np.testing.assert_array_less(np.abs(counts.mean(axis=0) - n * p.weights),
+                                     4.0 * np.sqrt(var / n_rep) + 1e-12)
+        # oracle: Var[fill_i] = short * p_i * (1 - p_i), multinomial; with
+        # these p_i (0.0625 to 0.25) the sample variance has a relative
+        # standard error of at most 1.6%, so 6% is a bound of about 4 of them
+        drawn = var > 1e-3
+        np.testing.assert_allclose(fill[:, drawn].var(axis=0, ddof=1), var[drawn], rtol=0.06)
+
     def test_output_weights_uniform(self, rng):
         p = make_set(np.arange(5.0), [0.4, 0.3, 0.15, 0.1, 0.05])
         out = residual_resample(p, rng)

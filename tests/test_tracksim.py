@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,7 +17,7 @@ from modalfuse import (
     simulate_truth,
     tracking_model_2d,
 )
-from modalfuse.ssm import DEFAULT_A, DEFAULT_Q, LinearGaussianTransition
+from modalfuse.ssm import DEFAULT_A, DEFAULT_Q, LinearGaussianTransition, ObservationFrame
 
 
 class TestBuiltinScenarios:
@@ -209,3 +211,46 @@ class TestSerialization:
                     assert ob.value is None
                 else:
                     assert oa.value == ob.value  # exact float round trip
+
+
+def _replace_frame6(frames, frame):
+    return frames[:5] + (frame,) + frames[6:]
+
+
+# fault applied to a valid run's (states, frames, failure_log), and the
+# mismatch the error must name
+MALFORMED = {
+    "time index out of order": (
+        lambda s, f, log: (s, _replace_frame6(f, ObservationFrame(99, f[5].observations)), log),
+        "frame 6 has time index 99"),
+    "states not (T, d)": (lambda s, f, log: (s[:-1], f, log), r"states are shaped \(9, 4\)"),
+    "failure_log not (T, n)": (lambda s, f, log: (s, f, log[:, 0]), r"failure_log is shaped \(10,\)"),
+    "frame one reading short": (
+        lambda s, f, log: (s, _replace_frame6(f, ObservationFrame.of(6, [f[5].value(0)])), log),
+        "frame 6 has 1 readings"),
+}
+
+
+class TestMalformedRun:
+    @pytest.fixture
+    def run(self, model, rng):
+        return generate_run(ScenarioSpec(horizon=10), DEFAULT_X0, model.transition, model.modalities, rng)
+
+    @pytest.mark.parametrize("fault", list(MALFORMED))
+    def test_rejected_naming_first_mismatch(self, run, fault):
+        corrupt, message = MALFORMED[fault]
+        with pytest.raises(ValueError, match=message):
+            GroundTruthRun(*corrupt(run.states, run.frames, run.failure_log))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("t", 99, "frame 6 has time index 99"),
+        ("observations", [0.5], "frame 6 has 1 readings"),
+    ])
+    def test_load_rejects_malformed_replay(self, run, tmp_path, key, value, message):
+        path = tmp_path / "run.ndjson"
+        run.save(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[5][key] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ValueError, match=message):
+            GroundTruthRun.load(path)
