@@ -105,6 +105,19 @@ def rmse(estimates, truth, mode: str = "full") -> float:
     return float(np.sqrt(np.mean(err * err)))
 
 
+def _check_readings(frames, models) -> None:
+    """Reject any present reading outside its modality's value space,
+    naming the step, the modality, the value and the space."""
+    spaces = [m.value_space for m in models]
+    for frame in frames:
+        for i, (obs, (low, high)) in enumerate(zip(frame.observations, spaces)):
+            if obs.present and not low <= obs.value <= high:
+                raise ValueError(
+                    f"step {frame.time_index}: modality {i} reading {obs.value!r} "
+                    f"lies outside its value space [{low}, {high}]"
+                )
+
+
 def run_filter(algorithm: str, frames, particles0, transition, models, rng):
     """Step one filter over all frames; returns (estimates, trace)."""
     # built per call, so a step function patched on its module takes effect
@@ -117,6 +130,7 @@ def run_filter(algorithm: str, frames, particles0, transition, models, rng):
     if algorithm not in filters:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     init, step = filters[algorithm]
+    _check_readings(frames, models)
     state = init(particles0, len(models))
     trace = RunTrace()
     estimates = np.empty((len(frames), particles0.dim))

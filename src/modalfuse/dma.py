@@ -11,15 +11,23 @@ demoted within a step or two and re-admitted as soon as it recovers.
 One step:
 
 1. propagate the shared particle set once;
-2. for every candidate, evaluate its composed log-likelihood on each
-   particle, its marginal likelihood (the particle-weighted likelihood
-   sum), and its normalised particle weighting;
+2. build the (M, N) matrix of every candidate's composed
+   log-likelihood on each particle, then turn it in place, by one
+   max-shifted ``exp`` against the incoming weights, into unnormalised
+   weightings E[m] whose row sums give every marginal likelihood (the
+   particle-weighted likelihood sum);
 3. update the candidate posterior by Bayes' rule from the marginals,
    with the previous posterior carried over unchanged as the predictive
    weight (identity hypothesis-transition);
-4. mix the per-candidate weightings with the updated posterior;
+4. mix the weightings straight from that buffer,
+   sum_m pi_m * E[m] / sum(E[m]), without forming the M normalised
+   log-weight rows;
 5. take the mixture-weighted mean as the point estimate;
 6. residual-resample back to uniform weights.
+
+A single candidate (PF, and DMA restricted to one row) takes the
+log-domain path of ``candidate_reweight`` and ``mix_and_resample``
+instead, so it equals ``pf_step`` bit for bit.
 
 A posterior floor keeps every candidate at weight >= PI_FLOOR: under
 the identity hypothesis-transition a candidate whose weight reaches
@@ -37,6 +45,9 @@ from .particles import ParticleSet, estimate_mean, logsumexp, propagate, residua
 
 PI_FLOOR = 1e-6
 MAX_MODALITIES = 16
+# bytes one step's (M, N) float64 candidate matrix may take; init_dma
+# rejects a larger candidate set before any step allocates it
+CANDIDATE_MATRIX_BUDGET = 1 << 30
 
 
 class ModelUpdateDegenerate(RuntimeError):
@@ -89,7 +100,9 @@ def candidate_loglik_matrix(candidates: np.ndarray, frame, states: np.ndarray, m
     """
     present, L, nulls = modality_logliks(frame, states, models)
     bits = np.asarray(candidates)[:, present].astype(float)
-    return bits @ L + ((1.0 - bits) @ nulls)[:, None]
+    out = bits @ L
+    out += ((1.0 - bits) @ nulls)[:, None]
+    return out
 
 
 def candidate_loglik(u, frame, x, models):
@@ -198,6 +211,12 @@ def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates
             raise ValueError("give either n_modalities or an explicit candidate set")
         candidates = enumerate_candidates(n_modalities)
     candidates = np.atleast_2d(np.asarray(candidates))
+    need = candidates.shape[0] * particles.n * 8
+    if need > CANDIDATE_MATRIX_BUDGET:
+        raise ValueError(
+            f"{candidates.shape[0]} candidates x {particles.n} particles need a {need:,}-byte "
+            f"candidate matrix per step, over the {CANDIDATE_MATRIX_BUDGET:,}-byte budget"
+        )
     return DmaState(particles, ModelPosterior.uniform(candidates.shape[0]), candidates)
 
 
@@ -224,27 +243,63 @@ def candidate_reweight(p: ParticleSet, frame, models, candidates):
     return reweight_rows(p, candidate_loglik_matrix(candidates, frame, p.states, models))
 
 
-def mix_and_resample(p: ParticleSet, log_pi, log_w: np.ndarray, rng):
-    """Mix the row weightings with ``log_pi``, estimate, resample; returns
-    (resampled, estimate).
-
-    One row is its own mixture (``log_pi`` is then [0.0]), so PF, TS at
-    alpha = 0 and single-candidate DMA agree bit for bit. More rows mix
-    in the probability domain, log(pi @ exp(log_w)): each row is
-    normalised, so exp(log_w) <= 1 cannot overflow, and a mixed weight
-    underflows to -inf only where it lies below the smallest double,
-    which the weights, the estimate and the resample count as 0 anyway.
+def _exp_rows(p: ParticleSet, ll: np.ndarray):
+    """Marginals ``log_g`` (M,) of the rows of an (M, N) log-likelihood
+    matrix by one max-shifted ``exp``, which overwrites ``ll``; returns
+    ``(log_g, E, scale)`` with E[m] = exp(log_weights + ll[m] - mx_m), so
+    that scale[m] * E[m] is row m's normalised weighting. The same
+    ``log_g`` as ``reweight_rows``, without a per-row loop. A row whose
+    marginal underflowed gets scale 0 and a zero E row.
     """
-    if log_w.shape[0] == 1:
-        mix_lw = log_w[0]
-    else:
-        with np.errstate(divide="ignore"):
-            mix_lw = np.log(np.exp(log_pi) @ np.exp(log_w))
+    ll += p.log_weights
+    mx = ll.max(axis=1)
+    mx[~np.isfinite(mx)] = 0.0
+    ll -= mx[:, None]
+    E = np.exp(ll, out=ll)
+    with np.errstate(divide="ignore"):
+        log_g = np.log(E.sum(axis=1)) + mx
+    live = np.isfinite(log_g)
+    if not live.all():
+        E[~live] = 0.0  # a NaN row must not reach the mixture's product
+    # exp(mx - log_g) rather than 1 / sum: each row is normalised by its
+    # rounded marginal, as reweight_rows normalises it
+    scale = np.exp(np.where(live, mx - log_g, -np.inf))
+    return log_g, E, scale
+
+
+def _mix_exp_rows(p: ParticleSet, pi, E: np.ndarray, scale, rng):
+    """Mix the weightings scale[m] * E[m] of ``_exp_rows`` with ``pi``,
+    estimate, resample; returns (resampled, estimate). A row whose
+    marginal underflowed keeps the incoming weights, as in
+    ``reweight_rows``.
+    """
+    mixed = (pi * scale) @ E
+    dead = scale == 0.0
+    if dead.any():
+        mixed += pi[dead].sum() * p.weights
+    with np.errstate(divide="ignore"):
+        return _estimate_and_resample(p, np.log(mixed), rng)
+
+
+def _estimate_and_resample(p: ParticleSet, mix_lw, rng):
     # second pass: the row normalisation can leave residue ~ulp(|loglik|)
     # when likelihoods are astronomically small (e.g. garbage observations)
     mixed = ParticleSet(p.states, mix_lw - logsumexp(mix_lw))
     estimate = estimate_mean(mixed)
     return residual_resample(mixed, rng), estimate
+
+
+def mix_and_resample(p: ParticleSet, log_pi, log_w: np.ndarray, rng):
+    """Estimate and resample from one weighting row; returns
+    (resampled, estimate).
+
+    One row is its own mixture (``log_pi`` is then [0.0]), so PF, TS at
+    alpha = 0 and single-candidate DMA agree bit for bit. Several
+    candidates mix inside ``dma_step``.
+    """
+    if log_w.shape[0] != 1:
+        raise ValueError(f"mix_and_resample takes one weighting row, got {log_w.shape[0]}")
+    return _estimate_and_resample(p, log_w[0], rng)
 
 
 def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
@@ -257,14 +312,21 @@ def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
     if frame.time_index != state.t + 1:
         raise ValueError(f"expected frame {state.t + 1}, got {frame.time_index}")
     prop = propagate(state.particles, transition, rng)
-    log_g, log_w = candidate_reweight(prop, frame, models, state.candidates)
+    one_row = state.candidates.shape[0] == 1
+    if one_row:
+        log_g, log_w = candidate_reweight(prop, frame, models, state.candidates)
+    else:
+        log_g, E, scale = _exp_rows(prop, candidate_loglik_matrix(state.candidates, frame, prop.states, models))
     flag = None
     try:
         posterior = update_model_posterior(state.posterior, log_g)
     except ModelUpdateDegenerate:
         posterior = ModelPosterior.uniform(state.posterior.n_models)
         flag = "model_update_degenerate"
-    resampled, estimate = mix_and_resample(prop, posterior.log_pi, log_w, rng)
+    if one_row:
+        resampled, estimate = mix_and_resample(prop, posterior.log_pi, log_w, rng)
+    else:
+        resampled, estimate = _mix_exp_rows(prop, posterior.pi, E, scale, rng)
     new_state = DmaState(resampled, posterior, state.candidates, t=frame.time_index)
     if trace is not None:
         trace.record(frame.time_index, estimate, model_weights=posterior.pi,

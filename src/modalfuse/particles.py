@@ -4,9 +4,11 @@ Initialisation, propagation, log-domain reweighting, residual
 resampling and posterior means, shared by every filter in the package.
 Likelihood and weight arithmetic stays in the log domain: with large
 particle counts raw likelihood products underflow. The one exception
-is the mixture of several normalised weightings in
-``dma.mix_and_resample``, which is taken in the probability domain:
-a normalised weight is at most 1, so it cannot overflow.
+is DMA's in-place candidate kernel (``dma._exp_rows`` and
+``dma._mix_exp_rows``): it exponentiates every candidate's weighted
+log-likelihood row once, shifted by the row maximum so that no value
+exceeds 1 and none can overflow, and takes both the marginals and the
+mixture from that one buffer in the probability domain.
 
 ParticleSet is a value type; none of the operations mutate their
 inputs, and every operation that returns a ParticleSet returns one with

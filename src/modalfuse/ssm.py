@@ -14,6 +14,7 @@ A modality model is any object exposing
     loglik(y, x)   -- log p(y | x), vectorised over a batch of states
     null_loglik()  -- log of the uniform density over the value space,
                       i.e. -log(volume); constant in both y and x
+    value_space    -- (low, high): the closed interval a reading lies in
     sample(x, rng) -- draw an observation given a state
     sample_failed(rng) -- draw from the uniform failure distribution
 
@@ -83,6 +84,11 @@ class AngleModality:
     def volume(self) -> float:
         return TWO_PI
 
+    @property
+    def value_space(self) -> tuple[float, float]:
+        # closed, so a reading rounded onto -pi is accepted
+        return (-np.pi, np.pi)
+
     def mean(self, x):
         x = np.asarray(x, dtype=float)
         d_x, d_y = x[..., 2], x[..., 3]
@@ -130,6 +136,10 @@ class RangeModality:
     @property
     def volume(self) -> float:
         return self.r_max
+
+    @property
+    def value_space(self) -> tuple[float, float]:
+        return (0.0, self.r_max)
 
     def mean(self, x):
         x = np.asarray(x, dtype=float)

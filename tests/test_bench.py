@@ -6,13 +6,16 @@ import pytest
 from modalfuse import (
     ConfigError,
     GaussianPrior,
+    ObservationFrame,
     default_config,
+    init_particles,
     init_prior,
     load_config,
     make_dataset,
     per_step_error,
     rmse,
     run_experiment,
+    run_filter,
     stream_rng,
 )
 from modalfuse.bench import (
@@ -26,6 +29,8 @@ from modalfuse.bench import (
     write_table1,
 )
 from modalfuse.tracksim import builtin_scenario
+
+from conftest import point_prior
 
 DESK = dict(n_particles=100, runs=3, master_seed=5)
 
@@ -317,3 +322,32 @@ def test_table1_grid_structure():
     assert set(grid) == {("pf", 1), ("ts", 1), ("sma", 1), ("dma", 1)}
     for exp in grid.values():
         assert exp.summary.runs == 1
+
+
+class TestReadingValueSpace:
+    @staticmethod
+    def _run(model, values, algorithm):
+        frames = [ObservationFrame.of(1, [0.78, 283.0]), ObservationFrame.of(2, values)]
+        p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 32, np.random.default_rng(3))
+        return run_filter(algorithm, frames, p0, model.transition, model.modalities, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("algorithm", ["pf", "ts", "sma", "dma"])
+    @pytest.mark.parametrize(
+        "values, modality, space",
+        [
+            ([4.0, 283.0], 0, r"\[-3.14159\d*, 3.14159\d*\]"),   # bearing outside [-pi, pi]
+            ([0.78, 2500.0], 1, r"\[0.0, 2000.0\]"),            # range above r_max
+            ([0.78, -5.0], 1, r"\[0.0, 2000.0\]"),              # negative range
+        ],
+        ids=["bearing_4", "range_2500", "range_minus_5"],
+    )
+    def test_reading_outside_value_space_rejected(self, model, algorithm, values, modality, space):
+        value = values[modality]
+        with pytest.raises(ValueError, match=rf"step 2: modality {modality} reading {value!r} .*{space}"):
+            self._run(model, values, algorithm)
+
+    @pytest.mark.parametrize("algorithm", ["pf", "ts", "sma", "dma"])
+    @pytest.mark.parametrize("values", [[np.pi, 0.0], [-np.pi, 2000.0], [None, 2000.0], [np.pi, None]])
+    def test_boundary_readings_accepted(self, model, algorithm, values):
+        estimates, _ = self._run(model, values, algorithm)
+        assert estimates.shape == (2, 4) and np.all(np.isfinite(estimates))

@@ -21,6 +21,7 @@ from modalfuse import (
     logsumexp,
     marginal_loglik,
     pf_step,
+    propagate,
     update_model_posterior,
 )
 from modalfuse.diagnostics import RunTrace
@@ -290,7 +291,7 @@ class TestDmaStep:
 
 class TestMixAndResample:
     @staticmethod
-    def _rows(rng, n=256):
+    def _row_ll(rng, n=256):
         states = rng.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (n, 4))
         w = rng.uniform(0.1, 1.0, n)
         p = ParticleSet(states, np.log(w / w.sum()))
@@ -300,14 +301,22 @@ class TestMixAndResample:
             np.full(n, -np.inf),      # underflowed: keeps the incoming weights
             np.full(n, -3.0),
         ])
+        return p, row_ll
+
+    @classmethod
+    def _rows(cls, rng):
+        p, row_ll = cls._row_ll(rng)
         log_g, log_w = reweight_rows(p, row_ll)
         assert not np.isfinite(log_g[2]) and np.array_equal(log_w[2], p.log_weights)
         return p, log_w
 
     def test_matches_log_domain_mixture(self, rng):
-        p, log_w = self._rows(rng)
+        # the in-place kernel dma_step runs for several candidates
+        p, row_ll = self._row_ll(rng)
+        _, log_w = reweight_rows(p, row_ll)
         log_pi = np.log([0.4, 0.3, 0.2, 0.1])
-        resampled, est = mix_and_resample(p, log_pi, log_w, np.random.default_rng(1))
+        _, E, scale = dma_mod._exp_rows(p, row_ll)
+        resampled, est = dma_mod._mix_exp_rows(p, np.exp(log_pi), E, scale, np.random.default_rng(1))
         ref = logsumexp(log_pi[:, None] + log_w, axis=0)
         want = estimate_mean(ParticleSet(p.states, ref - logsumexp(ref)))
         np.testing.assert_allclose(est, want, rtol=0.0, atol=1e-10)
@@ -319,3 +328,100 @@ class TestMixAndResample:
             _, est = mix_and_resample(p, np.zeros(1), row[None, :], np.random.default_rng(1))
             want = estimate_mean(ParticleSet(p.states, row - logsumexp(row)))
             assert np.array_equal(est, want)
+
+
+class OffsetModality:
+    """Test double: a real modality's log-likelihood plus a constant;
+    -1e8 mimics a garbage reading, and two readings at -1e308 sum to a
+    candidate row that is -inf on every particle."""
+
+    def __init__(self, inner, offset):
+        self.inner = inner
+        self.offset = offset
+
+    def loglik(self, y, x):
+        return self.inner.loglik(y, x) + self.offset
+
+    def null_loglik(self):
+        return self.inner.null_loglik()
+
+
+def _log_domain_step(state, frame, transition, models, seed):
+    """Reference DMA step: candidate_reweight's normalised rows, mixed by
+    logsumexp; returns (log_g, mixed log-weights, estimate, propagated)."""
+    prop = propagate(state.particles, transition, np.random.default_rng(seed))
+    log_g, log_w = candidate_reweight(prop, frame, models, state.candidates)
+    try:
+        log_pi = update_model_posterior(state.posterior, log_g).log_pi
+    except ModelUpdateDegenerate:
+        log_pi = ModelPosterior.uniform(state.posterior.n_models).log_pi
+    mix = logsumexp(log_pi[:, None] + log_w, axis=0)
+    mix = mix - logsumexp(mix)
+    return log_g, mix, estimate_mean(ParticleSet(prop.states, mix)), prop
+
+
+class TestInPlaceCandidateKernel:
+    """dma_step with several candidates against the log-domain reference."""
+
+    @staticmethod
+    def _case(model, name):
+        angle, rng_mod = model.modalities
+        values, candidates, models = [0.8, 285.0], None, (angle, rng_mod)
+        if name == "garbage_row":
+            models = (angle, OffsetModality(rng_mod, -1.0e8))
+        elif name == "minus_inf_row":
+            models = (OffsetModality(angle, -1.0e308), OffsetModality(rng_mod, -1.0e308))
+        elif name == "m64_one_lost":
+            models = (angle, rng_mod) * 3
+            values = [0.8, 285.0, 0.79, None, 0.81, 284.0]
+        elif name == "explicit_all_underflow":
+            # every row trusts at least two of the three -1e308 readings
+            models = (OffsetModality(angle, -1.0e308), OffsetModality(rng_mod, -1.0e308),
+                      OffsetModality(angle, -1.0e308))
+            values = [0.8, 285.0, 0.79]
+            candidates = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 1]])
+        return models, ObservationFrame.of(1, values), candidates
+
+    @pytest.mark.parametrize(
+        "name", ["non_uniform_weights", "garbage_row", "minus_inf_row", "m64_one_lost", "explicit_all_underflow"]
+    )
+    def test_matches_log_domain_reference(self, model, rng, monkeypatch, name):
+        models, frame, candidates = self._case(model, name)
+        n = 256
+        states = rng.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (n, 4))
+        w = rng.uniform(0.1, 1.0, n)
+        state = init_dma(ParticleSet(states, np.log(w / w.sum())), len(models), candidates)
+        assert state.posterior.n_models > 1
+
+        mixed = []
+        resample = dma_mod.residual_resample
+        monkeypatch.setattr(dma_mod, "residual_resample", lambda p, r: mixed.append(p.log_weights) or resample(p, r))
+        trace = RunTrace()
+        with np.errstate(over="ignore"):  # -1e308 readings overflow to -inf rows
+            _, est, _ = dma_step(state, frame, model.transition, models, np.random.default_rng(11), trace=trace)
+            log_g, mix, want, prop = _log_domain_step(state, frame, model.transition, models, 11)
+        np.testing.assert_allclose(trace.marginals[0], log_g, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(mixed[0], mix, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(est, want, rtol=0.0, atol=1e-10)
+        if name == "minus_inf_row":
+            assert np.array_equal(np.isfinite(log_g), [False, True, True, True])
+        if name == "explicit_all_underflow":
+            assert not np.any(np.isfinite(log_g))
+            assert trace.flags == ["model_update_degenerate"]
+            np.testing.assert_allclose(mixed[0], prop.log_weights, rtol=0.0, atol=1e-10)
+
+
+class TestCandidateMemoryBudget:
+    @staticmethod
+    def _particles(n):
+        return ParticleSet(np.zeros((n, 4)), np.full(n, -np.log(n)))
+
+    def test_too_many_candidates_for_memory_rejected(self):
+        with pytest.raises(
+            ValueError,
+            match=r"65536 candidates x 10000 particles need a 5,242,880,000-byte .* 1,073,741,824-byte budget",
+        ):
+            init_dma(self._particles(10_000), 16)
+
+    def test_six_modalities_at_2000_particles_accepted(self):
+        assert init_dma(self._particles(2_000), 6).candidates.shape == (64, 6)
