@@ -12,7 +12,6 @@ simulator with scripted sensor failures, and a benchmark harness.
 from .baselines import (
     SmaState,
     TsState,
-    estimate_failure_prob,
     init_sma,
     init_ts,
     pf_step,
@@ -37,24 +36,20 @@ from .dma import (
     DmaState,
     ModelPosterior,
     ModelUpdateDegenerate,
-    candidate_loglik,
     candidate_reweight,
     dma_step,
     enumerate_candidates,
     init_dma,
-    marginal_loglik,
     modality_logliks,
     update_model_posterior,
 )
 from .particles import (
     ParticleSet,
-    WeightCollapse,
     estimate_mean,
     init_particles,
     logsumexp,
     propagate,
     residual_resample,
-    reweight,
 )
 from .ssm import (
     AngleModality,

@@ -7,8 +7,9 @@
   probability alpha tempers each likelihood to L^(1-alpha) before
   fusing in a single PF.
 
-PF and TS reweight through the DMA filter's path as one weighting row,
-the all-ones candidate or the tempered row (1 - alpha) @ L.
+PF, TS and SMA's sub-filters run DMA's reweighting kernel on one
+weighting row with pi = [1.0]: the all-ones candidate, or TS's tempered
+row (1 - alpha) @ L.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from . import dma
 from .particles import ParticleSet, logsumexp, propagate
 
 TS_SMOOTHING = 0.5
-# log_pi of a single weighting row: the mixture is an exact identity
-ONE_ROW = np.zeros(1)
 
 
 def pf_step(particles: ParticleSet, frame, transition, models, rng, trace=None):
@@ -34,8 +33,8 @@ def pf_step(particles: ParticleSet, frame, transition, models, rng, trace=None):
     were and the step is flagged.
     """
     prop = propagate(particles, transition, rng)
-    log_g, log_w = dma.candidate_reweight(prop, frame, models, np.ones((1, len(models)), dtype=np.int64))
-    resampled, estimate = dma.mix_and_resample(prop, ONE_ROW, log_w, rng)
+    log_g, E, scale = dma.candidate_reweight(prop, frame, models, np.ones((1, len(models)), dtype=np.int64))
+    resampled, estimate = dma.mix_and_resample(prop, np.ones(1), E, scale, rng)
     if trace is not None:
         trace.record(frame.time_index, estimate, flag=_collapse_flag(log_g))
     return resampled, estimate
@@ -104,7 +103,11 @@ def init_ts(particles: ParticleSet, n_modalities: int, smoothing: float = TS_SMO
 
 
 def _failure_prob(prev_alpha, p: ParticleSet, frame, models, smoothing):
-    """Smoothed failure probabilities plus the ``(present, L)`` they came from."""
+    """Smoothed failure probabilities plus the ``(present, L)`` they came
+    from. Per present modality, raw = g0 / (g0 + g) compares the marginal
+    g of the reading under the pre-update particle cloud with the failure
+    density g0 = 1/V; a lost modality keeps its previous value.
+    """
     present, L, nulls = dma.modality_logliks(frame, p.states, models)
     log_g = logsumexp(p.log_weights + L, axis=1)
     # raw = g0 / (g0 + g), evaluated stably in the log domain
@@ -112,18 +115,6 @@ def _failure_prob(prev_alpha, p: ParticleSet, frame, models, smoothing):
     alpha = np.array(prev_alpha, dtype=float)
     alpha[present] = smoothing * alpha[present] + (1.0 - smoothing) * raw
     return alpha, present, L
-
-
-def estimate_failure_prob(prev_alpha, p: ParticleSet, frame, models, smoothing: float = TS_SMOOTHING):
-    """Exponentially smoothed two-hypothesis failure probabilities.
-
-    For each present modality the raw failure probability compares the
-    marginal likelihood of the observation under the particle cloud
-    against the uniform-failure density 1/V: raw = g0 / (g0 + g). A lost
-    modality keeps its previous value. Expects propagated particles
-    still carrying the pre-update weights.
-    """
-    return _failure_prob(prev_alpha, p, frame, models, smoothing)[0]
 
 
 def ts_step(state: TsState, frame, transition, models, rng, trace=None):
@@ -135,8 +126,8 @@ def ts_step(state: TsState, frame, transition, models, rng, trace=None):
     """
     prop = propagate(state.particles, transition, rng)
     alpha, present, L = _failure_prob(state.alpha, prop, frame, models, state.smoothing)
-    log_g, log_w = dma.reweight_rows(prop, (1.0 - alpha[present])[None, :] @ L)
-    resampled, estimate = dma.mix_and_resample(prop, ONE_ROW, log_w, rng)
+    log_g, E, scale = dma.reweight_rows(prop, dma.weighted_logliks((1.0 - alpha[present])[None, :], L))
+    resampled, estimate = dma.mix_and_resample(prop, np.ones(1), E, scale, rng)
     if trace is not None:
         trace.record(frame.time_index, estimate, model_weights=alpha, flag=_collapse_flag(log_g))
     return TsState(resampled, alpha, state.smoothing), estimate

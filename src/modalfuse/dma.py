@@ -25,9 +25,10 @@ One step:
 5. take the mixture-weighted mean as the point estimate;
 6. residual-resample back to uniform weights.
 
-A single candidate (PF, and DMA restricted to one row) takes the
-log-domain path of ``candidate_reweight`` and ``mix_and_resample``
-instead, so it equals ``pf_step`` bit for bit.
+Steps 2 and 4 are ``reweight_rows`` and ``mix_and_resample``, the
+package's one reweighting kernel: PF and TS run them on a single row
+with pi = [1.0], so PF is DMA restricted to the all-ones candidate, bit
+for bit, because the same code runs the same row.
 
 A posterior floor keeps every candidate at weight >= PI_FLOOR: under
 the identity hypothesis-transition a candidate whose weight reaches
@@ -100,35 +101,20 @@ def candidate_loglik_matrix(candidates: np.ndarray, frame, states: np.ndarray, m
     """
     present, L, nulls = modality_logliks(frame, states, models)
     bits = np.asarray(candidates)[:, present].astype(float)
-    out = bits @ L
+    out = weighted_logliks(bits, L)
     out += ((1.0 - bits) @ nulls)[:, None]
     return out
 
 
-def candidate_loglik(u, frame, x, models):
-    """Composed log-likelihood of one usefulness vector at x.
-
-    x may be a single state (d,) or a batch (N, d); the result is a
-    float or an (N,) array accordingly.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    states = np.atleast_2d(x)
-    row = candidate_loglik_matrix(np.atleast_2d(np.asarray(u)), frame, states, models)[0]
-    return float(row[0]) if single else row
-
-
-def marginal_loglik(p: ParticleSet, log_lik_per_particle) -> float:
-    """log of the particle-weighted likelihood sum, log(sum_i w_i L(x^i)).
-
-    With pre-update weights on propagated particles this is the
-    candidate's marginal (predictive) likelihood of the current frame.
-    Returns -inf when every term underflows.
-    """
-    ll = np.asarray(log_lik_per_particle, dtype=float)
-    if ll.shape != (p.n,):
-        raise ValueError("log-likelihoods must be shaped (N,)")
-    return logsumexp(p.log_weights + ll)
+def weighted_logliks(W: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """``W @ L`` for non-negative (R, P) row weights over (P, N)
+    log-likelihoods, where a zero weight drops a -inf term (not 0 * -inf = NaN)."""
+    dead = L == -np.inf
+    if not dead.any():
+        return W @ L
+    out = W @ np.where(dead, 0.0, L)
+    out[(W @ dead) > 0.0] = -np.inf
+    return out
 
 
 @dataclass(frozen=True)
@@ -220,36 +206,15 @@ def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates
     return DmaState(particles, ModelPosterior.uniform(candidates.shape[0]), candidates)
 
 
-def reweight_rows(p: ParticleSet, row_ll: np.ndarray):
-    """Marginals ``log_g`` (M,) and normalised weightings ``log_w``
-    (M, N) of the rows of an (M, N) log-likelihood matrix, from
-    pre-update particles. A row whose marginal underflowed keeps the
-    incoming weights: zero evidence updates nothing.
-    """
-    m = row_ll.shape[0]
-    log_g = np.empty(m)
-    log_w = np.empty_like(row_ll)
-    for j in range(m):
-        lw = p.log_weights + row_ll[j]
-        g = logsumexp(lw)
-        log_g[j] = g
-        log_w[j] = lw - g if np.isfinite(g) else p.log_weights
-    return log_g, log_w
+def reweight_rows(p: ParticleSet, ll: np.ndarray):
+    """Reweight pre-update particles by each row of an (M, N)
+    log-likelihood matrix; returns ``(log_g, E, scale)``.
 
-
-def candidate_reweight(p: ParticleSet, frame, models, candidates):
-    """``reweight_rows`` of the candidate log-likelihood matrix; the
-    posterior floor keeps an underflowed candidate's mixture share negligible."""
-    return reweight_rows(p, candidate_loglik_matrix(candidates, frame, p.states, models))
-
-
-def _exp_rows(p: ParticleSet, ll: np.ndarray):
-    """Marginals ``log_g`` (M,) of the rows of an (M, N) log-likelihood
-    matrix by one max-shifted ``exp``, which overwrites ``ll``; returns
-    ``(log_g, E, scale)`` with E[m] = exp(log_weights + ll[m] - mx_m), so
-    that scale[m] * E[m] is row m's normalised weighting. The same
-    ``log_g`` as ``reweight_rows``, without a per-row loop. A row whose
-    marginal underflowed gets scale 0 and a zero E row.
+    ``log_g`` (M,) holds the rows' marginals log(sum_i w_i L_m(x^i)),
+    and scale[m] * E[m] is row m's normalised weighting. One max-shifted
+    ``exp``, which overwrites ``ll`` with E, gives both: no value exceeds
+    1, so none can overflow. A row whose marginal underflowed gets scale
+    0 and a zero E row.
     """
     ll += p.log_weights
     mx = ll.max(axis=1)
@@ -262,44 +227,37 @@ def _exp_rows(p: ParticleSet, ll: np.ndarray):
     if not live.all():
         E[~live] = 0.0  # a NaN row must not reach the mixture's product
     # exp(mx - log_g) rather than 1 / sum: each row is normalised by its
-    # rounded marginal, as reweight_rows normalises it
+    # rounded marginal, the value the posterior update sees
     scale = np.exp(np.where(live, mx - log_g, -np.inf))
     return log_g, E, scale
 
 
-def _mix_exp_rows(p: ParticleSet, pi, E: np.ndarray, scale, rng):
-    """Mix the weightings scale[m] * E[m] of ``_exp_rows`` with ``pi``,
-    estimate, resample; returns (resampled, estimate). A row whose
-    marginal underflowed keeps the incoming weights, as in
-    ``reweight_rows``.
+def candidate_reweight(p: ParticleSet, frame, models, candidates):
+    """``reweight_rows`` of the candidate log-likelihood matrix; the
+    posterior floor keeps an underflowed candidate's mixture share negligible."""
+    return reweight_rows(p, candidate_loglik_matrix(candidates, frame, p.states, models))
+
+
+def mix_and_resample(p: ParticleSet, pi: np.ndarray, E: np.ndarray, scale, rng):
+    """Mix the weightings scale[m] * E[m] of ``reweight_rows`` with the
+    probabilities ``pi``, estimate, resample; returns (resampled, estimate).
+
+    A row whose marginal underflowed keeps the incoming weights: zero
+    evidence updates nothing. One row with pi = [1.0] is its own
+    mixture, which is how PF and TS use it.
     """
     mixed = (pi * scale) @ E
     dead = scale == 0.0
     if dead.any():
         mixed += pi[dead].sum() * p.weights
     with np.errstate(divide="ignore"):
-        return _estimate_and_resample(p, np.log(mixed), rng)
-
-
-def _estimate_and_resample(p: ParticleSet, mix_lw, rng):
-    # second pass: the row normalisation can leave residue ~ulp(|loglik|)
-    # when likelihoods are astronomically small (e.g. garbage observations)
-    mixed = ParticleSet(p.states, mix_lw - logsumexp(mix_lw))
-    estimate = estimate_mean(mixed)
-    return residual_resample(mixed, rng), estimate
-
-
-def mix_and_resample(p: ParticleSet, log_pi, log_w: np.ndarray, rng):
-    """Estimate and resample from one weighting row; returns
-    (resampled, estimate).
-
-    One row is its own mixture (``log_pi`` is then [0.0]), so PF, TS at
-    alpha = 0 and single-candidate DMA agree bit for bit. Several
-    candidates mix inside ``dma_step``.
-    """
-    if log_w.shape[0] != 1:
-        raise ValueError(f"mix_and_resample takes one weighting row, got {log_w.shape[0]}")
-    return _estimate_and_resample(p, log_w[0], rng)
+        mix_lw = np.log(mixed)
+    # normalised once more: the row scales leave residue ~ulp(|loglik|)
+    # when likelihoods are astronomically small (e.g. garbage readings); in
+    # the log domain, where uniform weights with no evidence stay exact
+    mixed_set = ParticleSet(p.states, mix_lw - logsumexp(mix_lw))
+    estimate = estimate_mean(mixed_set)
+    return residual_resample(mixed_set, rng), estimate
 
 
 def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
@@ -312,21 +270,14 @@ def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
     if frame.time_index != state.t + 1:
         raise ValueError(f"expected frame {state.t + 1}, got {frame.time_index}")
     prop = propagate(state.particles, transition, rng)
-    one_row = state.candidates.shape[0] == 1
-    if one_row:
-        log_g, log_w = candidate_reweight(prop, frame, models, state.candidates)
-    else:
-        log_g, E, scale = _exp_rows(prop, candidate_loglik_matrix(state.candidates, frame, prop.states, models))
+    log_g, E, scale = candidate_reweight(prop, frame, models, state.candidates)
     flag = None
     try:
         posterior = update_model_posterior(state.posterior, log_g)
     except ModelUpdateDegenerate:
         posterior = ModelPosterior.uniform(state.posterior.n_models)
         flag = "model_update_degenerate"
-    if one_row:
-        resampled, estimate = mix_and_resample(prop, posterior.log_pi, log_w, rng)
-    else:
-        resampled, estimate = _mix_exp_rows(prop, posterior.pi, E, scale, rng)
+    resampled, estimate = mix_and_resample(prop, posterior.pi, E, scale, rng)
     new_state = DmaState(resampled, posterior, state.candidates, t=frame.time_index)
     if trace is not None:
         trace.record(frame.time_index, estimate, model_weights=posterior.pi,

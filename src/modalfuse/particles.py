@@ -1,11 +1,10 @@
 """Bootstrap particle-filter primitives.
 
-Initialisation, propagation, log-domain reweighting, residual
-resampling and posterior means, shared by every filter in the package.
-Likelihood and weight arithmetic stays in the log domain: with large
-particle counts raw likelihood products underflow. The one exception
-is DMA's in-place candidate kernel (``dma._exp_rows`` and
-``dma._mix_exp_rows``): it exponentiates every candidate's weighted
+Initialisation, propagation, residual resampling and posterior means,
+shared by every filter in the package. Weights are stored in the log
+domain: with large particle counts raw likelihood products underflow.
+Reweighting lives in ``dma.reweight_rows`` and ``dma.mix_and_resample``,
+the one kernel every filter runs: it exponentiates each weighted
 log-likelihood row once, shifted by the row maximum so that no value
 exceeds 1 and none can overflow, and takes both the marginals and the
 mixture from that one buffer in the probability domain.
@@ -25,7 +24,8 @@ WEIGHT_TOL = 1e-9
 
 
 class WeightCollapse(RuntimeError):
-    """Every particle's likelihood underflowed to zero; caller picks the fallback."""
+    """Every particle's likelihood underflowed to zero. No step raises it (a
+    collapsed step is flagged in its RunTrace); perfbench's tracer counts it."""
 
 
 def logsumexp(a, axis=None):
@@ -97,28 +97,6 @@ def propagate(p: ParticleSet, transition, rng) -> ParticleSet:
     return ParticleSet(transition.sample(p.states, rng), p.log_weights)
 
 
-def reweight(p: ParticleSet, log_lik) -> ParticleSet:
-    """Multiply weights by per-particle likelihoods and renormalise.
-
-    ``log_lik`` is either an (N,) array of log-likelihoods or a callable
-    mapping the (N, d) state batch to one.
-    """
-    ll = log_lik(p.states) if callable(log_lik) else log_lik
-    ll = np.asarray(ll, dtype=float)
-    if ll.shape != (p.n,):
-        raise ValueError("log-likelihoods must be shaped (N,)")
-    if np.any(np.isnan(ll)):
-        raise ValueError("log-likelihoods must not contain NaN")
-    lw = p.log_weights + ll
-    norm = logsumexp(lw)
-    if not np.isfinite(norm):
-        raise WeightCollapse("all particle likelihoods underflowed to zero")
-    lw = lw - norm
-    # second pass: the first shift can leave residue ~ulp(|loglik|) when
-    # likelihoods are astronomically small (e.g. garbage observations)
-    return ParticleSet(p.states, lw - logsumexp(lw))
-
-
 def residual_resample(p: ParticleSet, rng) -> ParticleSet:
     """Residual resampling to N equally weighted particles.
 
@@ -128,6 +106,8 @@ def residual_resample(p: ParticleSet, rng) -> ParticleSet:
     """
     n = p.n
     scaled = n * p.weights
+    # N * w_i can round to just below a whole number (uniform weights give
+    # 1 - 1e-16 at some N); it still earns that many deterministic copies
     counts = np.floor(scaled).astype(np.int64)
     short = n - int(counts.sum())
     if short > 0:

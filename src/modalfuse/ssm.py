@@ -77,8 +77,8 @@ class AngleModality:
     dim = 1
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < np.inf:
-            raise ValueError("sigma must be finite and >= 0")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
 
     @property
     def volume(self) -> float:
@@ -128,8 +128,8 @@ class RangeModality:
     dim = 1
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < np.inf:
-            raise ValueError("sigma must be finite and >= 0")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 0.0 < self.r_max < np.inf:
             raise ValueError("r_max must be finite and > 0")
 

@@ -6,7 +6,6 @@ from modalfuse import (
     ObservationFrame,
     ParticleSet,
     dma_step,
-    estimate_failure_prob,
     estimate_mean,
     init_dma,
     init_particles,
@@ -14,13 +13,14 @@ from modalfuse import (
     init_ts,
     pf_step,
     propagate,
-    reweight,
     sma_step,
     ts_step,
 )
 from modalfuse.diagnostics import RunTrace
+from modalfuse.dma import mix_and_resample, reweight_rows
 
 from conftest import point_prior
+from reference import estimate_failure_prob, log_domain_reweight
 
 
 class ConstantModality:
@@ -72,10 +72,8 @@ class TestPfStep:
         _, est_a = pf_step(p0, f_full, model.transition, model.modalities, rng_a)
         # a hand-built step using only the angle modality
         prop = propagate(p0, model.transition, rng_b)
-        from modalfuse import residual_resample, reweight
-
-        upd = reweight(prop, np.asarray(model.modalities[0].loglik(0.78, prop.states)))
-        est_b = estimate_mean(upd)
+        _, E, scale = reweight_rows(prop, model.modalities[0].loglik(0.78, prop.states)[None, :])
+        _, est_b = mix_and_resample(prop, np.ones(1), E, scale, rng_b)
         np.testing.assert_array_equal(est_a, est_b)
 
     def test_weight_collapse_resets_and_flags(self, model, rng):
@@ -235,7 +233,22 @@ class TestTsStep:
         tempered = np.zeros(prop.n)
         for i, mod in enumerate(model.modalities):
             tempered += (1.0 - alpha[i]) * mod.loglik(frame.value(i), prop.states)
-        np.testing.assert_allclose(est, estimate_mean(reweight(prop, tempered)), rtol=1e-12)
+        _, log_w = log_domain_reweight(prop, tempered[None, :])
+        np.testing.assert_allclose(est, estimate_mean(ParticleSet(prop.states, log_w[0])), rtol=1e-12)
+
+    def test_dead_modality_at_alpha_one_drops_out(self, model):
+        # alpha = 1 on a -inf modality: its term is dropped, not 0 * -inf = NaN
+        p0 = init_particles(lambda n, r: r.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (n, 4)),
+                            100, np.random.default_rng(0))
+        models = (model.modalities[0], ConstantModality(-np.inf))
+        frame = ObservationFrame.of(1, [0.78, 283.0])
+        state = baselines_mod.TsState(p0, np.array([0.3, 1.0]), smoothing=1.0)  # alpha frozen
+        trace = RunTrace()
+        _, est = ts_step(state, frame, model.transition, models, np.random.default_rng(5), trace=trace)
+        prop = propagate(p0, model.transition, np.random.default_rng(5))
+        _, log_w = log_domain_reweight(prop, 0.7 * model.modalities[0].loglik(0.78, prop.states)[None, :])
+        assert trace.flags == [None]
+        np.testing.assert_allclose(est, estimate_mean(ParticleSet(prop.states, log_w[0])), rtol=1e-12)
 
     def test_alpha_stays_in_unit_interval(self, model):
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 60, np.random.default_rng(0))

@@ -1,8 +1,11 @@
 import csv
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modalfuse
 from modalfuse import (
     ConfigError,
     GaussianPrior,
@@ -252,6 +255,18 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("line", ["sigma_angle = 0", "sigma_range = 0.0", "sigma_angle = -0.1"])
+    def test_non_positive_sigma_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[model]\n{line}\n")
+        with pytest.raises(ConfigError, match="sigma must be finite and > 0"):
+            load_config(path)
+        code = main([
+            "--algorithm", "pf", "--scenario", "1", "--out", str(tmp_path / "o"),
+            "--config", str(path), "--particles", "10", "--runs", "1",
+        ])
+        assert code == 2
+
 
 class TestCli:
     def test_run_command_writes_outputs(self, tmp_path, capsys):
@@ -351,3 +366,35 @@ class TestReadingValueSpace:
     def test_boundary_readings_accepted(self, model, algorithm, values):
         estimates, _ = self._run(model, values, algorithm)
         assert estimates.shape == (2, 4) and np.all(np.isfinite(estimates))
+
+
+def _load_tracer():
+    """perfbench/tracer.py, loaded by path as the benchmark loads it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkTracerSeams:
+    """The benchmark's tracer patches modalfuse functions by name: each
+    must exist, the filters must reach them, and none may stay patched."""
+
+    def test_traced_runs_reach_the_seams(self):
+        tracer_mod = _load_tracer()
+        cfg = default_config()
+        model = cfg.model
+        frames = make_dataset(builtin_scenario(2), cfg, 1, 0).frames[:5]
+        tracer = tracer_mod.Tracer(modalfuse)
+        spans = {}
+        for run_id, algorithm in enumerate(("pf", "ts", "dma")):
+            p0 = init_particles(init_prior("accurate", cfg.x0), 50, np.random.default_rng(0))
+            with tracer.installed(run_id):
+                modalfuse.bench.run_filter(algorithm, frames, p0, model.transition, model.modalities,
+                                           np.random.default_rng(1))
+            spans[algorithm] = {rec[tracer_mod.NAME] for rec in tracer.take_spans()}
+        assert tracer_mod.leftover_wrappers() == []
+        assert {"baselines.pf_step", "dma.candidate_reweight"} <= spans["pf"]
+        assert "baselines.ts_step" in spans["ts"]
+        assert {"dma.dma_step", "dma.candidate_loglik_matrix", "dma.candidate_reweight"} <= spans["dma"]

@@ -11,7 +11,6 @@ from modalfuse import (
     ModelUpdateDegenerate,
     ObservationFrame,
     ParticleSet,
-    candidate_loglik,
     candidate_reweight,
     dma_step,
     enumerate_candidates,
@@ -19,15 +18,15 @@ from modalfuse import (
     init_dma,
     init_particles,
     logsumexp,
-    marginal_loglik,
     pf_step,
     propagate,
     update_model_posterior,
 )
 from modalfuse.diagnostics import RunTrace
-from modalfuse.dma import candidate_label, mix_and_resample, reweight_rows
+from modalfuse.dma import candidate_label, candidate_loglik_matrix, mix_and_resample, reweight_rows
 
 from conftest import point_prior
+from reference import candidate_loglik, log_domain_mixture, log_domain_reweight
 
 
 class TestEnumerateCandidates:
@@ -97,6 +96,11 @@ class TestCandidateLoglik:
             assert batch[j] == pytest.approx(
                 candidate_loglik([1, 0], frame, states[j], model.modalities), abs=1e-12
             )
+
+
+def marginal_loglik(p, ll):
+    """The reweighting kernel's marginal of one row."""
+    return reweight_rows(p, np.array(ll, dtype=float)[None, :])[0][0]
 
 
 class TestMarginalLoglik:
@@ -182,26 +186,21 @@ class TestDmaStep:
         # estimate from mixture weights == sum_m pi_m * per-model mean
         p0, frame = _setup(model, rng, n=128)
         state = init_dma(p0, 2)
-        prop_rng = np.random.default_rng(3)
-        from modalfuse import propagate
-
-        prop = propagate(p0, model.transition, prop_rng)
-        log_g, log_w = candidate_reweight(prop, frame, model.modalities, state.candidates)
+        prop = propagate(p0, model.transition, np.random.default_rng(3))
+        log_g, E, scale = candidate_reweight(prop, frame, model.modalities, state.candidates)
         posterior = update_model_posterior(state.posterior, log_g)
-        mix_lw = logsumexp(posterior.log_pi[:, None] + log_w, axis=0)
-        mix_lw = mix_lw - logsumexp(mix_lw)
-        mixture_mean = estimate_mean(ParticleSet(prop.states, mix_lw))
-        per_model = np.stack([np.exp(row) @ prop.states for row in log_w])
+        per_model = (scale[:, None] * E) @ prop.states
+        _, mixture_mean = mix_and_resample(prop, posterior.pi, E, scale, rng)
         np.testing.assert_allclose(mixture_mean, posterior.pi @ per_model, atol=1e-10)
 
     def test_all_zeros_candidate_keeps_incoming_weights(self, model, rng):
         p0, frame = _setup(model, rng)
         lw = np.log(np.arange(1.0, 65.0) / np.arange(1.0, 65.0).sum())
         p = ParticleSet(p0.states, lw)
-        log_g, log_w = candidate_reweight(p, frame, model.modalities, enumerate_candidates(2))
+        _, E, scale = candidate_reweight(p, frame, model.modalities, enumerate_candidates(2))
         row = candidate_loglik([0, 0], frame, p.states, model.modalities)
         assert np.ptp(row) == 0.0  # constant across particles
-        np.testing.assert_allclose(log_w[3], p.log_weights, atol=1e-12)
+        np.testing.assert_allclose(np.log(scale[3] * E[3]), p.log_weights, atol=1e-12)
 
     def test_marginals_match_brute_force(self, model, rng):
         # oracle: direct probability-domain sums on a 5-particle set
@@ -211,7 +210,7 @@ class TestDmaStep:
         p = ParticleSet(states, np.log(w))
         frame = ObservationFrame.of(1, [0.8, 285.0])
         cands = enumerate_candidates(2)
-        log_g, _ = candidate_reweight(p, frame, model.modalities, cands)
+        log_g, _, _ = candidate_reweight(p, frame, model.modalities, cands)
         for m, bits in enumerate(cands):
             direct = 0.0
             for j in range(5):
@@ -303,31 +302,28 @@ class TestMixAndResample:
         ])
         return p, row_ll
 
-    @classmethod
-    def _rows(cls, rng):
-        p, row_ll = cls._row_ll(rng)
-        log_g, log_w = reweight_rows(p, row_ll)
-        assert not np.isfinite(log_g[2]) and np.array_equal(log_w[2], p.log_weights)
-        return p, log_w
-
     def test_matches_log_domain_mixture(self, rng):
-        # the in-place kernel dma_step runs for several candidates
         p, row_ll = self._row_ll(rng)
-        _, log_w = reweight_rows(p, row_ll)
+        ref_g, log_w = log_domain_reweight(p, row_ll)
+        assert not np.isfinite(ref_g[2]) and np.array_equal(log_w[2], p.log_weights)
         log_pi = np.log([0.4, 0.3, 0.2, 0.1])
-        _, E, scale = dma_mod._exp_rows(p, row_ll)
-        resampled, est = dma_mod._mix_exp_rows(p, np.exp(log_pi), E, scale, np.random.default_rng(1))
-        ref = logsumexp(log_pi[:, None] + log_w, axis=0)
-        want = estimate_mean(ParticleSet(p.states, ref - logsumexp(ref)))
+        log_g, E, scale = reweight_rows(p, row_ll)
+        resampled, est = mix_and_resample(p, np.exp(log_pi), E, scale, np.random.default_rng(1))
+        np.testing.assert_allclose(log_g, ref_g, rtol=0.0, atol=1e-10)
+        want = estimate_mean(ParticleSet(p.states, log_domain_mixture(log_pi, log_w)))
         np.testing.assert_allclose(est, want, rtol=0.0, atol=1e-10)
         assert resampled.n == p.n
 
     def test_one_row_is_its_own_mixture(self, rng):
-        p, log_w = self._rows(rng)
-        for row in log_w:
-            _, est = mix_and_resample(p, np.zeros(1), row[None, :], np.random.default_rng(1))
-            want = estimate_mean(ParticleSet(p.states, row - logsumexp(row)))
+        # one row with pi = [1.0] equals that row picked out of all four
+        p, row_ll = self._row_ll(rng)
+        _, E, scale = reweight_rows(p, row_ll.copy())
+        for m in range(row_ll.shape[0]):
+            _, E_m, scale_m = reweight_rows(p, row_ll[m:m + 1].copy())
+            resampled, est = mix_and_resample(p, np.ones(1), E_m, scale_m, np.random.default_rng(1))
+            picked, want = mix_and_resample(p, np.eye(4)[m], E, scale, np.random.default_rng(1))
             assert np.array_equal(est, want)
+            assert np.array_equal(resampled.states, picked.states)
 
 
 class OffsetModality:
@@ -347,21 +343,21 @@ class OffsetModality:
 
 
 def _log_domain_step(state, frame, transition, models, seed):
-    """Reference DMA step: candidate_reweight's normalised rows, mixed by
-    logsumexp; returns (log_g, mixed log-weights, estimate, propagated)."""
+    """Reference DMA step: the log-domain oracle's normalised rows, mixed
+    by logsumexp; returns (log_g, mixed log-weights, estimate, propagated)."""
     prop = propagate(state.particles, transition, np.random.default_rng(seed))
-    log_g, log_w = candidate_reweight(prop, frame, models, state.candidates)
+    log_g, log_w = log_domain_reweight(prop, candidate_loglik_matrix(state.candidates, frame, prop.states, models))
     try:
         log_pi = update_model_posterior(state.posterior, log_g).log_pi
     except ModelUpdateDegenerate:
         log_pi = ModelPosterior.uniform(state.posterior.n_models).log_pi
-    mix = logsumexp(log_pi[:, None] + log_w, axis=0)
-    mix = mix - logsumexp(mix)
+    mix = log_domain_mixture(log_pi, log_w)
     return log_g, mix, estimate_mean(ParticleSet(prop.states, mix)), prop
 
 
 class TestInPlaceCandidateKernel:
-    """dma_step with several candidates against the log-domain reference."""
+    """dma_step against the log-domain reference, for one candidate (PF)
+    and for several."""
 
     @staticmethod
     def _case(model, name):
@@ -380,10 +376,14 @@ class TestInPlaceCandidateKernel:
                       OffsetModality(angle, -1.0e308))
             values = [0.8, 285.0, 0.79]
             candidates = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 1]])
+        elif name == "single_row_pf":
+            candidates = np.ones((1, 2), dtype=np.int64)
         return models, ObservationFrame.of(1, values), candidates
 
     @pytest.mark.parametrize(
-        "name", ["non_uniform_weights", "garbage_row", "minus_inf_row", "m64_one_lost", "explicit_all_underflow"]
+        "name",
+        ["non_uniform_weights", "garbage_row", "minus_inf_row", "m64_one_lost", "explicit_all_underflow",
+         "single_row_pf"],
     )
     def test_matches_log_domain_reference(self, model, rng, monkeypatch, name):
         models, frame, candidates = self._case(model, name)
@@ -391,7 +391,6 @@ class TestInPlaceCandidateKernel:
         states = rng.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (n, 4))
         w = rng.uniform(0.1, 1.0, n)
         state = init_dma(ParticleSet(states, np.log(w / w.sum())), len(models), candidates)
-        assert state.posterior.n_models > 1
 
         mixed = []
         resample = dma_mod.residual_resample
@@ -409,6 +408,45 @@ class TestInPlaceCandidateKernel:
             assert not np.any(np.isfinite(log_g))
             assert trace.flags == ["model_update_degenerate"]
             np.testing.assert_allclose(mixed[0], prop.log_weights, rtol=0.0, atol=1e-10)
+
+
+class MinusInfModality(OffsetModality):
+    """Test double: a reading with zero likelihood at every particle."""
+
+    def loglik(self, y, x):
+        return np.full(np.asarray(x).shape[0], -np.inf)
+
+
+class TestMinusInfLoglik:
+    """A -inf modality log-likelihood counts only in the candidates that
+    trust that modality; the others take its null."""
+
+    def test_candidates_that_distrust_it_take_its_null(self, model, rng):
+        angle, rng_mod = model.modalities
+        models = (angle, MinusInfModality(rng_mod, 0.0))
+        states = rng.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (16, 4))
+        frame = ObservationFrame.of(1, [0.8, 285.0])
+        got = candidate_loglik_matrix(enumerate_candidates(2), frame, states, models)
+        a = angle.loglik(0.8, states)
+        assert np.all(got[[0, 2]] == -np.inf)
+        np.testing.assert_allclose(got[1], a + rng_mod.null_loglik(), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got[3], angle.null_loglik() + rng_mod.null_loglik(), rtol=0.0, atol=1e-12)
+
+    def test_one_step_demotes_it(self, model, rng):
+        angle, rng_mod = model.modalities
+        models = (angle, MinusInfModality(rng_mod, 0.0))
+        states = rng.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (256, 4))
+        state = init_dma(ParticleSet(states, np.full(256, -np.log(256))), 2)
+        frame = ObservationFrame.of(1, [0.8, 285.0])
+        trace = RunTrace()
+        _, est, post = dma_step(state, frame, model.transition, models, np.random.default_rng(11), trace=trace)
+        log_g, mix, want, _ = _log_domain_step(state, frame, model.transition, models, 11)
+        assert trace.flags == [None]
+        np.testing.assert_allclose(trace.marginals[0], log_g, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(est, want, rtol=0.0, atol=1e-10)
+        # [1,1] and [0,1] trust the dead reading: demoted to the floor
+        assert post.pi[0] + post.pi[2] < 1e-5
+        assert np.isfinite(log_g[[1, 3]]).all()
 
 
 class TestCandidateMemoryBudget:

@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from modalfuse import (
     ParticleSet,
-    WeightCollapse,
     estimate_mean,
     init_particles,
     logsumexp,
     propagate,
     residual_resample,
-    reweight,
 )
+from modalfuse.dma import mix_and_resample, reweight_rows
 from modalfuse.particles import uniform_log_weights
 from modalfuse.ssm import DEFAULT_A, DEFAULT_Q, LinearGaussianTransition
 
@@ -25,6 +24,14 @@ def make_set(states, weights):
         states = states[:, None]
     w = np.asarray(weights, dtype=float)
     return ParticleSet(states, np.log(w / w.sum()))
+
+
+def reweight(p, log_lik):
+    """One row through the reweighting kernel, normalised as
+    ``mix_and_resample`` normalises it with pi = [1.0]."""
+    _, E, scale = reweight_rows(p, np.array(log_lik, dtype=float)[None, :])
+    lw = np.log(scale[0] * E[0])
+    return ParticleSet(p.states, lw - logsumexp(lw))
 
 
 class TestLogsumexp:
@@ -114,12 +121,6 @@ class TestReweight:
         np.testing.assert_allclose(expected, [0.7310585786300049, 0.2689414213699951])
         np.testing.assert_allclose(out.weights, expected, atol=1e-12)
 
-    def test_callable_form(self):
-        p = make_set([1.0, 2.0], [0.5, 0.5])
-        out = reweight(p, lambda states: states[:, 0])
-        want = reweight(p, np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(out.log_weights, want.log_weights)
-
     def test_composition_equals_joint(self, rng):
         p = make_set(rng.normal(size=5), rng.uniform(0.1, 1.0, size=5))
         a = rng.normal(size=5)
@@ -128,20 +129,28 @@ class TestReweight:
         one_step = reweight(p, a + b)
         np.testing.assert_allclose(two_step.log_weights, one_step.log_weights, atol=1e-12)
 
-    def test_total_underflow_collapses(self):
-        p = make_set([0.0, 1.0], [0.5, 0.5])
-        with pytest.raises(WeightCollapse):
-            reweight(p, np.array([-np.inf, -np.inf]))
+    def test_total_underflow_collapses(self, rng):
+        # zero evidence: the marginal is -inf and the mixture keeps the
+        # incoming weights, here read off the mean of states 0 and 1
+        p = make_set([0.0, 1.0], [0.7, 0.3])
+        log_g, E, scale = reweight_rows(p, np.array([[-np.inf, -np.inf]]))
+        assert log_g[0] == -np.inf and scale[0] == 0.0
+        _, est = mix_and_resample(p, np.ones(1), E, scale, rng)
+        np.testing.assert_allclose(est, [0.3], atol=1e-15)
 
     def test_nan_loglik_rejected(self):
+        # a NaN row has no marginal and never reaches the mixture
         p = make_set([0.0, 1.0], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            reweight(p, np.array([np.nan, 0.0]))
+        log_g, E, scale = reweight_rows(p, np.array([[np.nan, 0.0]]))
+        assert not np.isfinite(log_g[0])
+        assert scale[0] == 0.0 and not E.any()
 
     def test_extreme_logliks_stay_normalised(self):
         p = make_set([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])
         out = reweight(p, np.array([-2.0e8, -2.0e8 + 1.0, -2.0e8 + 0.5]))
         assert abs(logsumexp(out.log_weights)) < 1e-9
+        direct = np.exp([0.0, 1.0, 0.5])
+        np.testing.assert_allclose(out.weights, direct / direct.sum(), atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

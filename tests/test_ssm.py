@@ -157,10 +157,11 @@ class TestRangeModality:
             RangeModality(r_max=0.0)
         with pytest.raises(ValueError):
             RangeModality(r_max=-10.0)
-        with pytest.raises(ValueError):
-            RangeModality(sigma=-1.0)
-        with pytest.raises(ValueError):
-            AngleModality(sigma=-0.1)
+        for sigma in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+                RangeModality(sigma=sigma)
+            with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+                AngleModality(sigma=sigma)
 
     def test_sample_clipped_to_value_space(self, rng):
         mod = RangeModality(sigma=50.0, r_max=100.0)

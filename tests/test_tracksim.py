@@ -109,7 +109,8 @@ class TestSimulateTruth:
 
 class TestObserve:
     def test_noiseless_geometry(self, model, rng):
-        quiet = tracking_model_2d(sigma_angle=0.0, sigma_range=0.0)
+        # sigma must be > 0; noise at 1e-300 rounds away
+        quiet = tracking_model_2d(sigma_angle=1e-300, sigma_range=1e-300)
         x = np.array([0.0, 0.0, 3.0, 4.0])
         frame = observe(1, x, [ObservationStatus.NORMAL] * 2, quiet.modalities, rng)
         assert frame.value(0) == pytest.approx(np.arctan(0.75), abs=1e-12)
