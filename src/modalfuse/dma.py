@@ -134,6 +134,14 @@ class ModelPosterior:
         object.__setattr__(self, "log_pi", log_pi)
 
     @classmethod
+    def _trusted(cls, log_pi: np.ndarray) -> "ModelPosterior":
+        """A posterior from a float vector already finite and normalised,
+        without __post_init__'s checks; for ``update_model_posterior`` only."""
+        post = object.__new__(cls)
+        object.__setattr__(post, "log_pi", log_pi)
+        return post
+
+    @classmethod
     def uniform(cls, m: int) -> "ModelPosterior":
         return cls(np.full(m, -np.log(m)))
 
@@ -151,21 +159,24 @@ def update_model_posterior(prev: ModelPosterior, log_g) -> ModelPosterior:
 
     The predictive weights equal the previous posterior (identity
     hypothesis-transition), so the update is pi_m ∝ pi_m * g_m, floored
-    at PI_FLOOR and renormalised. Raises ModelUpdateDegenerate when all
-    marginals are zero; callers typically reset to uniform and flag the
-    step.
+    at PI_FLOOR and renormalised. A NaN marginal counts as zero evidence
+    (-inf), as ``reweight_rows`` keeps that row out of the mixture. Raises
+    ModelUpdateDegenerate when no marginal is finite; callers typically
+    reset to uniform and flag the step.
     """
     log_g = np.asarray(log_g, dtype=float)
     if log_g.shape != prev.log_pi.shape:
         raise ValueError("log_g must match the posterior's length")
     lw = prev.log_pi + log_g
+    lw[np.isnan(lw)] = -np.inf
     norm = logsumexp(lw)
     if not np.isfinite(norm):
-        raise ModelUpdateDegenerate("all candidate marginal likelihoods are zero")
+        raise ModelUpdateDegenerate("no candidate has a finite marginal likelihood")
     pi = np.exp(lw - norm)
     pi = np.maximum(pi, PI_FLOOR)
     log_pi = np.log(pi)
-    return ModelPosterior(log_pi - logsumexp(log_pi))
+    # finite (pi >= PI_FLOOR) and normalised by construction
+    return ModelPosterior._trusted(log_pi - logsumexp(log_pi))
 
 
 @dataclass(frozen=True)
@@ -245,6 +256,12 @@ def mix_and_resample(p: ParticleSet, pi: np.ndarray, E: np.ndarray, scale, rng):
     A row whose marginal underflowed keeps the incoming weights: zero
     evidence updates nothing. One row with pi = [1.0] is its own
     mixture, which is how PF and TS use it.
+
+    The particle sets built here are trusted (see ``particles``), so
+    this is where a transition that overflowed to non-finite states is
+    caught: raises ValueError when the estimate is not finite. The test
+    is exact at O(d) cost, because an inf or NaN state makes ``w @
+    states`` non-finite even at zero weight (0 * inf is NaN).
     """
     mixed = (pi * scale) @ E
     dead = scale == 0.0
@@ -255,8 +272,10 @@ def mix_and_resample(p: ParticleSet, pi: np.ndarray, E: np.ndarray, scale, rng):
     # normalised once more: the row scales leave residue ~ulp(|loglik|)
     # when likelihoods are astronomically small (e.g. garbage readings); in
     # the log domain, where uniform weights with no evidence stay exact
-    mixed_set = ParticleSet(p.states, mix_lw - logsumexp(mix_lw))
+    mixed_set = ParticleSet._trusted(p.states, mix_lw - logsumexp(mix_lw))
     estimate = estimate_mean(mixed_set)
+    if not np.isfinite(estimate).all():
+        raise ValueError("particle states must be finite")
     return residual_resample(mixed_set, rng), estimate
 
 

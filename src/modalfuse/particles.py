@@ -12,6 +12,17 @@ mixture from that one buffer in the probability domain.
 ParticleSet is a value type; none of the operations mutate their
 inputs, and every operation that returns a ParticleSet returns one with
 normalised weights.
+
+The public constructor validates: finite (N, d) states and finite,
+normalised log-weights. The sets the library builds inside the filter
+loop (``propagate``, ``residual_resample`` and the mixture in
+``dma.mix_and_resample``) go through ``ParticleSet._trusted`` and skip
+those O(N * d) checks. That is safe because their inputs were checked
+already: the weights are either the incoming set's or built normalised
+(``uniform_log_weights``, the mixture's logsumexp), and resampling only
+copies states. The one fault the loop can still make is a transition
+that overflows to non-finite states; ``mix_and_resample`` catches it at
+O(d) cost on the point estimate (see there).
 """
 
 from __future__ import annotations
@@ -67,6 +78,15 @@ class ParticleSet:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "log_weights", lw)
 
+    @classmethod
+    def _trusted(cls, states: np.ndarray, log_weights: np.ndarray) -> "ParticleSet":
+        """A set built from float arrays that already meet the invariants,
+        without __post_init__'s checks; for the library's in-loop builds only."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "states", states)
+        object.__setattr__(p, "log_weights", log_weights)
+        return p
+
     @property
     def n(self) -> int:
         return self.states.shape[0]
@@ -94,7 +114,7 @@ def init_particles(prior, n: int, rng) -> ParticleSet:
 
 def propagate(p: ParticleSet, transition, rng) -> ParticleSet:
     """Advance every particle through the transition prior; weights unchanged."""
-    return ParticleSet(transition.sample(p.states, rng), p.log_weights)
+    return ParticleSet._trusted(transition.sample(p.states, rng), p.log_weights)
 
 
 def residual_resample(p: ParticleSet, rng) -> ParticleSet:
@@ -106,8 +126,11 @@ def residual_resample(p: ParticleSet, rng) -> ParticleSet:
     """
     n = p.n
     scaled = n * p.weights
-    # N * w_i can round to just below a whole number (uniform weights give
-    # 1 - 1e-16 at some N); it still earns that many deterministic copies
+    # the floor is literal: N * w_i can round to just below a whole number
+    # (exactly uniform weights give 1 - 1e-16 at N = 100 and 10,000), and
+    # that particle then gets one deterministic copy fewer (0 for uniform
+    # weights) and its slot goes to the multinomial fill. An open fault,
+    # recorded in CHANGES.md and ROADMAP item 3
     counts = np.floor(scaled).astype(np.int64)
     short = n - int(counts.sum())
     if short > 0:
@@ -123,7 +146,7 @@ def residual_resample(p: ParticleSet, rng) -> ParticleSet:
     # float dust can overshoot the deterministic copies by one slot
     if idx.shape[0] != n:
         idx = idx[:n]
-    return ParticleSet(np.take(p.states, idx, axis=0), uniform_log_weights(n))
+    return ParticleSet._trusted(np.take(p.states, idx, axis=0), uniform_log_weights(n))
 
 
 def estimate_mean(p: ParticleSet) -> np.ndarray:

@@ -52,8 +52,16 @@ DEFAULT_RANGE_MAX = 2000.0
 
 
 def wrap_angle(theta):
-    """Wrap angle(s) into (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), TWO_PI)
+    """Wrap angle(s) into (-pi, pi], bit for bit ``pi - mod(pi - theta, 2 pi)``."""
+    m = np.pi - np.asarray(theta, dtype=float)
+    # numpy's float mod is slow. Inside (-2 pi, 4 pi) it is one fold by
+    # +-2 pi, exactly: fmod is exact there, and m + 2 pi is the rounding
+    # np.mod does for m < 0. Scalars stay on np.mod, where the range check
+    # would cost more than it saves, as do NaN, inf and wider arrays.
+    if m.ndim == 0 or not (m.size and m.min() > -TWO_PI and m.max() < 2.0 * TWO_PI):
+        return np.pi - np.mod(m, TWO_PI)
+    m += np.where(m < 0.0, TWO_PI, np.where(m >= TWO_PI, -TWO_PI, 0.0))
+    return np.subtract(np.pi, m, out=m)
 
 
 def _gauss_loglik(resid, sigma):
@@ -251,8 +259,9 @@ class ObservationFrame:
 
     def restrict_to(self, keep: int) -> "ObservationFrame":
         """Frame with every modality except `keep` marked lost."""
-        vals = [obs.value if i == keep else None for i, obs in enumerate(self.observations)]
-        return ObservationFrame.of(self.time_index, vals)
+        # the kept reading was validated when this frame was built
+        obs = tuple(o if i == keep else ModalityObservation(i, None) for i, o in enumerate(self.observations))
+        return ObservationFrame(self.time_index, obs)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from modalfuse.bench import (
     write_summary,
     write_table1,
 )
+from modalfuse.ssm import DEFAULT_Q, LinearGaussianTransition
 from modalfuse.tracksim import builtin_scenario
 
 from conftest import point_prior
@@ -388,7 +389,8 @@ class TestBenchmarkTracerSeams:
         frames = make_dataset(builtin_scenario(2), cfg, 1, 0).frames[:5]
         tracer = tracer_mod.Tracer(modalfuse)
         spans = {}
-        for run_id, algorithm in enumerate(("pf", "ts", "dma")):
+        algorithms = ("pf", "ts", "sma", "dma")
+        for run_id, algorithm in enumerate(algorithms):
             p0 = init_particles(init_prior("accurate", cfg.x0), 50, np.random.default_rng(0))
             with tracer.installed(run_id):
                 modalfuse.bench.run_filter(algorithm, frames, p0, model.transition, model.modalities,
@@ -397,4 +399,26 @@ class TestBenchmarkTracerSeams:
         assert tracer_mod.leftover_wrappers() == []
         assert {"baselines.pf_step", "dma.candidate_reweight"} <= spans["pf"]
         assert "baselines.ts_step" in spans["ts"]
+        assert {"baselines.sma_step", "baselines.pf_step", "dma.candidate_reweight"} <= spans["sma"]
         assert {"dma.dma_step", "dma.candidate_loglik_matrix", "dma.candidate_reweight"} <= spans["dma"]
+        # one health reading per resample: the benchmark's health.* figures
+        # take np.min of these lists, read off residual_resample's ParticleSet
+        for run_id, algorithm in enumerate(algorithms):
+            resamples = len(frames) * (model.n_modalities if algorithm == "sma" else 1)
+            health = tracer.health[run_id]
+            assert len(health["ess_frac"]) == len(health["unique_frac"]) == resamples, algorithm
+            assert all(0.0 < f <= 1.0 for f in health["ess_frac"] + health["unique_frac"]), algorithm
+
+
+class TestNonFiniteStatesFailFast:
+    """A transition that overflows to non-finite states stops the run at
+    once; in-loop particle sets are trusted, so the mixture's estimate is
+    where it shows."""
+
+    @pytest.mark.parametrize("algorithm", ["pf", "ts", "sma", "dma"])
+    def test_overflowing_transition_raises(self, model, algorithm):
+        transition = LinearGaussianTransition(1e200 * np.eye(4), DEFAULT_Q)
+        frames = [ObservationFrame.of(k, [0.78, 283.0]) for k in range(1, 11)]
+        p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 32, np.random.default_rng(3))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="particle states must be finite"):
+            run_filter(algorithm, frames, p0, transition, model.modalities, np.random.default_rng(4))

@@ -154,6 +154,18 @@ class TestUpdateModelPosterior:
         with pytest.raises(ModelUpdateDegenerate):
             update_model_posterior(prev, np.full(3, -np.inf))
 
+    def test_nan_marginal_is_zero_evidence(self):
+        out = update_model_posterior(ModelPosterior.uniform(4), np.array([0.0, np.nan, -1.0, -2.0]))
+        with np.errstate(divide="ignore"):
+            want = update_model_posterior(ModelPosterior.uniform(4), np.array([0.0, -np.inf, -1.0, -2.0]))
+        assert np.array_equal(out.log_pi, want.log_pi)
+        assert out.pi[1] == pytest.approx(dma_mod.PI_FLOOR, rel=1e-5)
+        assert abs(logsumexp(out.log_pi)) < 1e-12
+
+    def test_all_nan_marginals_degenerate(self):
+        with pytest.raises(ModelUpdateDegenerate, match="no candidate has a finite marginal"):
+            update_model_posterior(ModelPosterior.uniform(3), np.full(3, np.nan))
+
     def test_floor_applied(self):
         prev = ModelPosterior.uniform(2)
         out = update_model_posterior(prev, np.array([0.0, -200.0]))
@@ -324,6 +336,20 @@ class TestMixAndResample:
             picked, want = mix_and_resample(p, np.eye(4)[m], E, scale, np.random.default_rng(1))
             assert np.array_equal(est, want)
             assert np.array_equal(resampled.states, picked.states)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_state_at_zero_weight_raises(self, bad):
+        # an in-loop set is trusted, so a non-finite state reaches the mixture;
+        # at weight exactly 0 it still poisons the estimate (0 * inf is NaN)
+        states = np.tile([1.0, 1.0, 200.0, 200.0], (8, 1))
+        states[3, 2] = bad
+        p = ParticleSet._trusted(states, np.full(8, -np.log(8)))
+        row = np.zeros((1, 8))
+        row[0, 3] = -np.inf
+        _, E, scale = reweight_rows(p, row)
+        assert E[0, 3] == 0.0 and scale[0] > 0.0
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="particle states must be finite"):
+            mix_and_resample(p, np.ones(1), E, scale, np.random.default_rng(1))
 
 
 class OffsetModality:

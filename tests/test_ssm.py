@@ -29,6 +29,31 @@ class TestWrapAngle:
         assert wrap_angle(-np.pi) == pytest.approx(np.pi)
         assert wrap_angle(0.0) == pytest.approx(0.0)
 
+    @staticmethod
+    def _assert_bit_exact(theta):
+        want = np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
+        got = wrap_angle(theta)
+        assert got.shape == want.shape
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+    def test_bit_exact_with_mod_on_arrays(self, rng):
+        self._assert_bit_exact(rng.uniform(-50, 50, size=100_000))
+        self._assert_bit_exact(rng.uniform(-1.5 * np.pi, 1.5 * np.pi, size=100_000))
+
+    def test_bit_exact_at_the_seams(self):
+        seams = [np.pi, -np.pi, 0.0, -0.0, 2.0 * np.pi, -2.0 * np.pi, 3.0 * np.pi, -3.0 * np.pi]
+        near = [np.nextafter(s, direction) for s in seams for direction in (-np.inf, np.inf)]
+        self._assert_bit_exact(np.array(seams + near))
+        for s in seams + near:
+            self._assert_bit_exact(np.array([s, 0.5]))
+
+    def test_bit_exact_on_scalars_and_nan(self):
+        for theta in (np.pi, -np.pi, 0.0, 7.0, np.float64(-2.5), np.array(1.0)):
+            self._assert_bit_exact(theta)
+        self._assert_bit_exact(np.array([0.5, np.nan, -0.5]))
+        assert np.isnan(wrap_angle(np.nan))
+        self._assert_bit_exact(np.empty(0))
+
 
 class TestTransition:
     def test_noiseless_adds_velocity_into_position(self, rng):
