@@ -178,7 +178,7 @@ def make_dataset(spec: ScenarioSpec, cfg: ExperimentConfig, master_seed: int, ru
     return generate_run(spec, cfg.x0, cfg.truth_transition(), cfg.model.modalities, rng)
 
 
-def _single_run(algorithm, spec, cfg, n_particles, master_seed, run_index, prior_mode, rmse_mode):
+def _single_run(algorithm, spec, cfg, n_particles, master_seed, run_index, prior_mode, rmse_mode, outdir):
     dataset = make_dataset(spec, cfg, master_seed, run_index)
     prior = init_prior(prior_mode, cfg.x0)
     particles0 = init_particles(prior, n_particles, stream_rng(master_seed, run_index, STREAM_INIT))
@@ -189,7 +189,7 @@ def _single_run(algorithm, spec, cfg, n_particles, master_seed, run_index, prior
     )
     elapsed = time.perf_counter() - start
     err = per_step_error(estimates, dataset.states, rmse_mode)
-    return RunResult(
+    result = RunResult(
         algorithm=algorithm,
         scenario=spec.label,
         run_index=run_index,
@@ -200,6 +200,9 @@ def _single_run(algorithm, spec, cfg, n_particles, master_seed, run_index, prior
         weight_trace=trace.weight_matrix(),
         n_flagged_steps=trace.n_flagged,
     )
+    if outdir is not None:
+        _write_run_files(outdir, result, dataset)
+    return result
 
 
 def _resolve_scenario(scenario, cfg: ExperimentConfig) -> ScenarioSpec:
@@ -223,6 +226,7 @@ def run_experiment(
     rmse_mode: str = "full",
     config: ExperimentConfig | None = None,
     jobs: int = 1,
+    outdir=None,
 ) -> ExperimentResult:
     """Monte Carlo batch of one algorithm on one scenario.
 
@@ -230,6 +234,10 @@ def run_experiment(
     execute in parallel (``jobs``); results are reduced in run order, so
     the output is independent of the schedule. Degenerate steps inside a
     run are flagged and counted, never fatal.
+
+    With ``outdir`` set, each run writes its weights, trajectory and
+    replayable dataset files there as it finishes, from the dataset it
+    built, and the batch then writes runs.csv and summary.csv.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -243,12 +251,16 @@ def run_experiment(
         raise ValueError(f"unknown rmse mode {rmse_mode!r}")
     cfg = config or default_config()
     spec = _resolve_scenario(scenario, cfg)
+    if outdir is not None:
+        outdir = Path(outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
     args = [
-        (algorithm, spec, cfg, n_particles, master_seed, r, prior, rmse_mode)
+        (algorithm, spec, cfg, n_particles, master_seed, r, prior, rmse_mode, outdir)
         for r in range(runs)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forking pool starts all its workers at once, so no more than runs
+        with ProcessPoolExecutor(max_workers=min(jobs, runs)) as pool:
             results = list(pool.map(_single_run_star, args))
     else:
         results = [_single_run(*a) for a in args]
@@ -265,6 +277,9 @@ def run_experiment(
         mean_time=float(times.mean()),
         var_time=float(times.var(ddof=1)) if runs > 1 else 0.0,
     )
+    if outdir is not None:
+        _write_runs(outdir / "runs.csv", results)
+        write_summary(outdir / "summary.csv", [summary])
     return ExperimentResult(summary=summary, results=results)
 
 
@@ -273,7 +288,7 @@ def _single_run_star(args):
 
 
 # ---------------------------------------------------------------------------
-# CSV output / input
+# CSV output
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
@@ -297,79 +312,35 @@ def write_summary(path, summaries: list[ExperimentSummary]) -> None:
                         _fmt(s.mean_rmse), _fmt(s.var_rmse), _fmt(s.mean_time), _fmt(s.var_time)])
 
 
-def write_experiment(outdir, experiment: ExperimentResult, datasets=None, per_run_files: bool = True) -> None:
-    """Emit runs.csv plus per-run trajectory/weights/dataset files.
-
-    ``datasets`` maps run index to GroundTruthRun; pass it to get
-    trajectory and replay files (the harness regenerates datasets from
-    seeds, so they are optional here).
-    """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "runs.csv", "w", newline="") as f:
+def _write_runs(path, results: list[RunResult]) -> None:
+    with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["algorithm", "scenario", "run", "rmse", "wall_time_seconds", "n_flagged_steps"])
-        for r in experiment.results:
+        for r in results:
             w.writerow([r.algorithm, r.scenario, r.run_index, _fmt(r.rmse),
                         _fmt(r.wall_time_seconds), r.n_flagged_steps])
-    if not per_run_files:
-        return
-    for r in experiment.results:
-        if r.weight_trace is not None:
-            with open(outdir / f"weights_{r.run_index}.csv", "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(["t"] + _weight_header(r.algorithm, r.weight_trace.shape[1]))
-                for k, row in enumerate(r.weight_trace):
-                    w.writerow([k + 1] + [_fmt(v) for v in row])
-        if datasets is not None and r.run_index in datasets:
-            ds = datasets[r.run_index]
-            with open(outdir / f"trajectory_{r.run_index}.csv", "w", newline="") as f:
-                w = csv.writer(f)
-                dim = ds.states.shape[1]
-                w.writerow(["t"] + [f"truth_{i}" for i in range(dim)]
-                           + [f"est_{i}" for i in range(dim)] + ["err"])
-                for k in range(ds.horizon):
-                    w.writerow([k + 1]
-                               + [_fmt(v) for v in ds.states[k]]
-                               + [_fmt(v) for v in r.estimates[k]]
-                               + [_fmt(r.per_step_error[k])])
-            ds.save(outdir / f"dataset_{r.run_index}.ndjson")
 
 
-def read_runs(outdir) -> list[RunResult]:
-    """Rebuild RunResults from an output directory written by write_experiment."""
-    outdir = Path(outdir)
-    out = []
-    with open(outdir / "runs.csv", newline="") as f:
-        for row in csv.DictReader(f):
-            ri = int(row["run"])
-            weight_trace = None
-            wpath = outdir / f"weights_{ri}.csv"
-            if wpath.exists():
-                with open(wpath, newline="") as wf:
-                    rows = list(csv.reader(wf))[1:]
-                weight_trace = np.array([[float(v) for v in r[1:]] for r in rows])
-            estimates = None
-            err = None
-            tpath = outdir / f"trajectory_{ri}.csv"
-            if tpath.exists():
-                with open(tpath, newline="") as tf:
-                    rows = list(csv.reader(tf))[1:]
-                dim = (len(rows[0]) - 2) // 2
-                estimates = np.array([[float(v) for v in r[1 + dim:1 + 2 * dim]] for r in rows])
-                err = np.array([float(r[-1]) for r in rows])
-            out.append(RunResult(
-                algorithm=row["algorithm"],
-                scenario=row["scenario"],
-                run_index=ri,
-                rmse=float(row["rmse"]),
-                per_step_error=err,
-                wall_time_seconds=float(row["wall_time_seconds"]),
-                estimates=estimates,
-                weight_trace=weight_trace,
-                n_flagged_steps=int(row["n_flagged_steps"]),
-            ))
-    return out
+def _write_run_files(outdir: Path, r: RunResult, ds: GroundTruthRun) -> None:
+    """weights_<r>.csv (when the run has a weight trace), trajectory_<r>.csv
+    and the replayable dataset_<r>.ndjson of one finished run."""
+    if r.weight_trace is not None:
+        with open(outdir / f"weights_{r.run_index}.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["t"] + _weight_header(r.algorithm, r.weight_trace.shape[1]))
+            for k, row in enumerate(r.weight_trace):
+                w.writerow([k + 1] + [_fmt(v) for v in row])
+    with open(outdir / f"trajectory_{r.run_index}.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        dim = ds.states.shape[1]
+        w.writerow(["t"] + [f"truth_{i}" for i in range(dim)]
+                   + [f"est_{i}" for i in range(dim)] + ["err"])
+        for k in range(ds.horizon):
+            w.writerow([k + 1]
+                       + [_fmt(v) for v in ds.states[k]]
+                       + [_fmt(v) for v in r.estimates[k]]
+                       + [_fmt(r.per_step_error[k])])
+    ds.save(outdir / f"dataset_{r.run_index}.ndjson")
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +454,8 @@ def main(argv=None) -> int:
         experiment = run_experiment(
             args.algorithm, args.scenario if args.scenario is not None else cfg.scenario,
             args.particles, args.runs, args.seed,
-            prior=args.prior, rmse_mode=args.rmse, config=cfg, jobs=args.jobs,
+            prior=args.prior, rmse_mode=args.rmse, config=cfg, jobs=args.jobs, outdir=outdir,
         )
-        spec = _resolve_scenario(args.scenario, cfg) if cfg.scenario is None else cfg.scenario
-        datasets = {r: make_dataset(spec, cfg, args.seed, r) for r in range(args.runs)}
-        write_summary(outdir / "summary.csv", [experiment.summary])
-        write_experiment(outdir, experiment, datasets=datasets)
         s = experiment.summary
         print(f"{s.algorithm} scenario {s.scenario}: mean RMSE {s.mean_rmse:.3f} "
               f"(var {s.var_rmse:.3f}), mean time {s.mean_time:.3f}s over {s.runs} runs")

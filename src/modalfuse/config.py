@@ -98,11 +98,17 @@ def default_config() -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """Parse a config file; any malformed content raises ConfigError."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path!r}")
+        return _config_from(parser)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
 
+
+def _config_from(parser: configparser.ConfigParser) -> ExperimentConfig:
     model_sec = parser["model"] if parser.has_section("model") else {}
     try:
         sigma_angle = float(model_sec.get("sigma_angle", DEFAULT_SIGMA_ANGLE))
@@ -123,8 +129,8 @@ def load_config(path) -> ExperimentConfig:
         truth_noise_scale = float(sim_sec.get("truth_noise_scale", DEFAULT_TRUTH_NOISE_SCALE))
     except ValueError as exc:
         raise ConfigError(f"bad [simulation] value: {exc}") from exc
-    if truth_noise_scale < 0:
-        raise ConfigError("truth_noise_scale must be >= 0")
+    if not 0.0 <= truth_noise_scale < np.inf:
+        raise ConfigError(f"truth_noise_scale must be finite and >= 0, got {truth_noise_scale}")
     x0 = _parse_vector(sim_sec["x0"]) if "x0" in sim_sec else DEFAULT_X0.copy()
     if x0.shape != (model.transition.dim,):
         raise ConfigError(f"x0 must have {model.transition.dim} entries")
@@ -142,7 +148,7 @@ def load_config(path) -> ExperimentConfig:
                 for e in _parse_entries(sec.get("losses", ""))
             )
             scenario = ScenarioSpec(horizon, failures, losses)
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, OverflowError) as exc:
             raise ConfigError(f"bad [scenario] section: {exc}") from exc
 
     return ExperimentConfig(model=model, x0=x0, horizon=horizon,

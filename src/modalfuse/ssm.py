@@ -30,6 +30,7 @@ through a bearing (angle) modality and a range modality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,7 +223,10 @@ class ModalityObservation:
     value: float | np.ndarray | None
 
     def __post_init__(self):
-        if self.value is not None and not np.all(np.isfinite(self.value)):
+        v = self.value
+        # runs once per reading in generate_run and GroundTruthRun.load, where a
+        # float's math.isfinite costs a few percent of the ufunc call
+        if v is not None and not (math.isfinite(v) if isinstance(v, float) else np.all(np.isfinite(v))):
             raise ValueError("observation values must be finite (use None for lost readings)")
 
     @property
@@ -286,7 +290,14 @@ def tracking_model_2d(
     A=None,
     Q=None,
 ) -> TrackingModel:
-    """The 2D constant-velocity tracking setup with bearing + range sensors."""
+    """The 2D constant-velocity tracking setup with bearing + range sensors.
+
+    A and Q must be 4 x 4: both sensors read the position offsets,
+    state components 2 and 3.
+    """
+    for name, mat in (("A", A), ("Q", Q)):
+        if mat is not None and np.shape(mat) != DEFAULT_A.shape:
+            raise ValueError(f"{name} must be 4 x 4 for the 2D tracking model, got shape {np.shape(mat)}")
     transition = LinearGaussianTransition(
         DEFAULT_A if A is None else A,
         DEFAULT_Q if Q is None else Q,

@@ -220,14 +220,48 @@ class GroundTruthRun:
 
     @classmethod
     def load(cls, path) -> "GroundTruthRun":
+        """Read a file written by :meth:`save`. A malformed record raises
+        ValueError naming its line."""
         states, frames, log = [], [], []
         with open(path) as f:
-            for line in f:
-                rec = json.loads(line)
-                states.append(rec["state"])
-                frames.append(ObservationFrame.of(rec["t"], rec["observations"]))
-                log.append([ObservationStatus[s] for s in rec["status"]])
+            for line_no, line in enumerate(f, start=1):
+                try:
+                    t, state, readings, status = _parse_record(line)
+                    frames.append(ObservationFrame.of(t, readings))
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"{path}, line {line_no}: {exc}") from exc
+                states.append(state)
+                log.append(status)
         return cls(np.asarray(states), tuple(frames), np.asarray(log))
+
+
+_RECORD_KEYS = ("t", "state", "observations", "status")
+_NUMBER_TYPES = (int, float)   # matched by exact type, so true and false are not numbers
+_STATUS_CODES = {s.name: int(s) for s in ObservationStatus}
+
+
+def _parse_record(line: str):
+    """(t, state, readings, status codes) of one NDJSON line in the shape
+    save writes: an integer t, a list of numbers, a list of numbers or
+    nulls, and a list of status names."""
+    rec = json.loads(line)
+    if type(rec) is not dict:
+        raise ValueError(f"record is a {type(rec).__name__}, not an object")
+    missing = [k for k in _RECORD_KEYS if k not in rec]
+    if missing:
+        raise ValueError(f"record lacks {', '.join(missing)}")
+    t, state, readings, status = (rec[k] for k in _RECORD_KEYS)
+    if type(t) is not int:
+        raise ValueError(f"t {t!r} is not an integer")
+    if type(state) is not list or not all(type(v) in _NUMBER_TYPES for v in state):
+        raise ValueError(f"state {state!r} is not a list of numbers")
+    if type(readings) is not list or not all(v is None or type(v) in _NUMBER_TYPES for v in readings):
+        raise ValueError(f"observations {readings!r} are not a list of numbers or nulls")
+    if type(status) is not list or not all(type(s) is str and s in _STATUS_CODES for s in status):
+        raise ValueError(f"status {status!r} is not a list of {', '.join(_STATUS_CODES)}")
+    # float() raises OverflowError for an int past float range
+    return (t, [float(v) for v in state], [v if v is None else float(v) for v in readings],
+            [_STATUS_CODES[s] for s in status])
 
 
 def generate_run(spec: ScenarioSpec, x0, transition, models, rng) -> GroundTruthRun:
@@ -235,10 +269,14 @@ def generate_run(spec: ScenarioSpec, x0, transition, models, rng) -> GroundTruth
 
     Inside a failure window each step fails independently with the
     window's probability; the realised status of every (t, modality)
-    pair is recorded in the failure log.
+    pair is recorded in the failure log. A window on a modality outside
+    [0, len(models)) is rejected.
     """
-    states = simulate_truth(spec.horizon, x0, transition, rng)
     n = len(models)
+    for w in spec.failure_windows + spec.loss_windows:
+        if not 0 <= w.modality < n:
+            raise ValueError(f"{w} names modality {w.modality}, outside [0, {n}) for {n} modalities")
+    states = simulate_truth(spec.horizon, x0, transition, rng)
     frames = []
     log = np.empty((spec.horizon, n), dtype=np.int64)
     for t in range(1, spec.horizon + 1):

@@ -24,15 +24,14 @@ from modalfuse import (
 from modalfuse.bench import (
     BIAS_OFFSET,
     PRIOR_COV_DIAG,
+    RunResult,
     main,
-    read_runs,
     run_table1,
-    write_experiment,
     write_summary,
     write_table1,
 )
 from modalfuse.ssm import DEFAULT_Q, LinearGaussianTransition
-from modalfuse.tracksim import builtin_scenario
+from modalfuse.tracksim import builtin_scenario, generate_run
 
 from conftest import point_prior
 
@@ -151,6 +150,26 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment("pf", 1, n_particles=10, runs=1, master_seed=0, prior="x")
 
+    def test_pool_never_larger_than_runs(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(modalfuse.bench, "ProcessPoolExecutor", InlinePool)
+        run_experiment("pf", 1, n_particles=10, runs=2, master_seed=0, jobs=8)
+        assert sizes == [2]
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs, tmp_path, capsys):
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
@@ -161,14 +180,34 @@ class TestRunExperiment:
         assert "error: jobs must be >= 1" in capsys.readouterr().err
 
 
+def _read_runs(outdir) -> list[RunResult]:
+    """RunResults parsed back from the files run_experiment writes to outdir."""
+    out = []
+    with open(outdir / "runs.csv", newline="") as f:
+        for row in csv.DictReader(f):
+            ri = int(row["run"])
+            wpath = outdir / f"weights_{ri}.csv"
+            weight_trace = np.loadtxt(wpath, delimiter=",", skiprows=1, ndmin=2)[:, 1:] if wpath.exists() else None
+            trajectory = np.loadtxt(outdir / f"trajectory_{ri}.csv", delimiter=",", skiprows=1, ndmin=2)
+            dim = (trajectory.shape[1] - 2) // 2
+            out.append(RunResult(
+                algorithm=row["algorithm"],
+                scenario=row["scenario"],
+                run_index=ri,
+                rmse=float(row["rmse"]),
+                per_step_error=trajectory[:, -1],
+                wall_time_seconds=float(row["wall_time_seconds"]),
+                estimates=trajectory[:, 1 + dim:1 + 2 * dim],
+                weight_trace=weight_trace,
+                n_flagged_steps=int(row["n_flagged_steps"]),
+            ))
+    return out
+
+
 class TestCsvRoundTrip:
     def test_run_results_round_trip_exactly(self, tmp_path):
-        cfg = default_config()
-        spec = builtin_scenario(2)
-        exp = run_experiment("dma", 2, **DESK)
-        datasets = {r: make_dataset(spec, cfg, DESK["master_seed"], r) for r in range(DESK["runs"])}
-        write_experiment(tmp_path, exp, datasets=datasets)
-        back = read_runs(tmp_path)
+        exp = run_experiment("dma", 2, **DESK, outdir=tmp_path)
+        back = _read_runs(tmp_path)
         assert len(back) == len(exp.results)
         for orig, got in zip(exp.results, back):
             assert got.algorithm == orig.algorithm
@@ -193,13 +232,11 @@ class TestCsvRoundTrip:
     def test_dataset_replay_files(self, tmp_path):
         cfg = default_config()
         spec = builtin_scenario(1)
-        exp = run_experiment("pf", 1, **DESK)
-        datasets = {r: make_dataset(spec, cfg, DESK["master_seed"], r) for r in range(DESK["runs"])}
-        write_experiment(tmp_path, exp, datasets=datasets)
+        run_experiment("pf", 1, **DESK, outdir=tmp_path)
         from modalfuse import GroundTruthRun
 
         replay = GroundTruthRun.load(tmp_path / "dataset_0.ndjson")
-        np.testing.assert_array_equal(replay.states, datasets[0].states)
+        np.testing.assert_array_equal(replay.states, make_dataset(spec, cfg, DESK["master_seed"], 0).states)
 
 
 class TestConfigFile:
@@ -240,6 +277,13 @@ class TestConfigFile:
         assert cfg.scenario.loss_windows[0].modality == 1
         assert cfg.truth_transition() is cfg.model.transition
 
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "readme.cfg"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = load_config(path)
+        assert len(cfg.scenario.failure_windows) == 2 and len(cfg.scenario.loss_windows) == 1
+
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.cfg")
@@ -254,6 +298,45 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("[model]\nA = 1 0; 0\n")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("garbage without section\n", "no section headers"),
+        ("[model]\nsigma_angle = 0.1\nsigma_angle = 0.2\n", "already exists"),
+    ], ids=["no_section_header", "duplicate_option"])
+    def test_unparsable_file_rejected(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        code = main(["--algorithm", "pf", "--scenario", "1", "--out", str(tmp_path / "o"),
+                     "--config", str(path), "--particles", "10", "--runs", "1"])
+        assert code == 2
+        assert f"error: malformed config file {str(path)!r}" in capsys.readouterr().err
+
+    def test_non_4x4_dynamics_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[model]\nA = 1 0; 0 1\nQ = 1 0; 0 1\n[simulation]\nx0 = 1 1\n")
+        with pytest.raises(ConfigError, match=r"A must be 4 x 4 .*shape \(2, 2\)"):
+            load_config(path)
+        code = main(["--algorithm", "pf", "--scenario", "1", "--out", str(tmp_path / "o"),
+                     "--config", str(path), "--particles", "10", "--runs", "1"])
+        assert code == 2
+        assert "error: A must be 4 x 4" in capsys.readouterr().err
+
+    def test_window_on_missing_modality_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[scenario]\nfailures = 5 1 300 1.0\n")
+        code = main(["--algorithm", "pf", "--out", str(tmp_path / "o"),
+                     "--config", str(path), "--particles", "10", "--runs", "1"])
+        assert code == 2
+        assert "names modality 5, outside [0, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_truth_noise_scale_outside_range_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[simulation]\ntruth_noise_scale = {value}\n")
+        with pytest.raises(ConfigError, match="truth_noise_scale must be finite and >= 0"):
             load_config(path)
 
     @pytest.mark.parametrize("line", ["sigma_angle = 0", "sigma_range = 0.0", "sigma_angle = -0.1"])
@@ -323,6 +406,33 @@ class TestCli:
         with open(out / "runs.csv") as f:
             rows = list(csv.DictReader(f))
         assert rows[0]["scenario"] == "custom"
+
+    def test_run_command_builds_each_dataset_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_generate_run(*args):
+            calls.append(args)
+            return generate_run(*args)
+
+        monkeypatch.setattr(modalfuse.bench, "generate_run", counting_generate_run)
+        code = main(["--algorithm", "pf", "--scenario", "2", "--particles", "20", "--runs", "3",
+                     "--seed", "3", "--jobs", "1", "--out", str(tmp_path)])
+        assert code == 0
+        assert len(calls) == 3
+
+    def test_parallel_run_files_byte_identical(self, tmp_path):
+        outs = {}
+        for jobs in (1, 2):
+            outs[jobs] = tmp_path / f"jobs{jobs}"
+            code = main(["--algorithm", "dma", "--scenario", "2", "--particles", "50", "--runs", "3",
+                         "--seed", "3", "--jobs", str(jobs), "--out", str(outs[jobs])])
+            assert code == 0
+        names = sorted(p.name for pattern in ("weights_*.csv", "trajectory_*.csv", "dataset_*.ndjson")
+                       for p in outs[1].glob(pattern))
+        assert len(names) == 9
+        assert sorted(p.name for p in outs[2].iterdir()) == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[2] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_rmse_position_flag(self, tmp_path):
         out = tmp_path / "res"

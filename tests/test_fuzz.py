@@ -1,0 +1,120 @@
+"""Fuzzing of the input boundaries: config files, NDJSON replay files and
+the command line. Each either accepts its input or rejects it with its
+documented error; nothing else may escape."""
+
+import json
+
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from modalfuse import ConfigError, ExperimentConfig, GroundTruthRun, load_config
+from modalfuse.bench import ALGORITHMS, main
+
+FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+CONFIG_KEYS = {
+    "model": ("sigma_angle", "sigma_range", "range_max", "A", "Q"),
+    "simulation": ("horizon", "x0", "truth_noise_scale"),
+    "scenario": ("failures", "losses"),
+}
+ATOMS = st.sampled_from(["0", "1", "-1", "0.5", "2", "4", "5", "20", "300", "1e-9", "1e400",
+                         "nan", "inf", "-inf", "abc", "%", ""])
+# a scalar, vector, matrix or window list: ';'-separated rows of atoms
+VALUES = st.lists(st.lists(ATOMS, max_size=5).map(" ".join), max_size=5).map("; ".join)
+KEYS = st.sampled_from([k for keys in CONFIG_KEYS.values() for k in keys] + ["junk"])
+SECTIONS = st.lists(
+    st.tuples(st.sampled_from([*CONFIG_KEYS, "DEFAULT", "other"]),
+              st.lists(st.tuples(KEYS, VALUES), max_size=5)),
+    max_size=4,
+)
+
+
+def config_text(sections) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries)
+                   for name, entries in sections)
+
+
+def _load_or_reject(path, text):
+    path.write_text(text, encoding="utf-8")
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        event("ConfigError")
+        return
+    event("accepted")
+    assert isinstance(cfg, ExperimentConfig)
+
+
+@FUZZ
+@given(text=st.text())
+def test_load_config_arbitrary_text(tmp_path, text):
+    _load_or_reject(tmp_path / "fuzz.cfg", text)
+
+
+@FUZZ
+@given(sections=SECTIONS)
+def test_load_config_arbitrary_sections(tmp_path, sections):
+    _load_or_reject(tmp_path / "fuzz.cfg", config_text(sections))
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+NUMBER = st.floats() | st.integers()
+# near-valid records: each field is usually well formed, sometimes any JSON
+RECORD = st.fixed_dictionaries({
+    "t": st.integers(1, 3) | JSON,
+    "state": st.lists(NUMBER, min_size=4, max_size=4) | JSON,
+    "observations": st.lists(st.none() | st.floats(-1.0, 1.0), min_size=2, max_size=2) | JSON,
+    "status": st.lists(st.sampled_from(["NORMAL", "FAILED", "LOST", "BROKEN"]), min_size=2, max_size=2) | JSON,
+})
+LINE = RECORD.map(json.dumps) | st.text().filter(lambda s: "\n" not in s)
+# a valid three-step file, as save writes it
+VALID_LINES = [
+    json.dumps({"t": t, "state": [1.0, 1.0, 200.0 + t, 200.0], "observations": [0.78, None],
+                "status": ["NORMAL", "LOST"]})
+    for t in (1, 2, 3)
+]
+
+
+@FUZZ
+@given(edits=st.lists(st.tuples(st.integers(0, 3), LINE), max_size=3))
+def test_load_replay_arbitrary_lines(tmp_path, edits):
+    lines = list(VALID_LINES)
+    for i, line in edits:
+        lines[i:i + 1] = [line]
+    path = tmp_path / "fuzz.ndjson"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    try:
+        run = GroundTruthRun.load(path)
+    except ValueError:
+        event("ValueError")
+        return
+    event("accepted")
+    assert isinstance(run, GroundTruthRun)
+
+
+@FUZZ
+@given(
+    horizon=st.sampled_from(["0", "3", "12"]),
+    sections=st.lists(st.tuples(st.sampled_from([*CONFIG_KEYS, "other"]),
+                                st.lists(st.tuples(KEYS, VALUES), max_size=2)), max_size=2),
+    algorithm=st.sampled_from(ALGORITHMS),
+    particles=st.integers(0, 4),
+    runs=st.integers(0, 2),
+    seed=st.integers(-1, 3),
+)
+def test_cli_exits_0_or_2(tmp_path, capsys, horizon, sections, algorithm, particles, runs, seed):
+    # a short horizon first keeps each accepted run small; later
+    # [simulation] sections collide with it and are rejected
+    path = tmp_path / "fuzz.cfg"
+    path.write_text(config_text([("simulation", [("horizon", horizon)]), *sections]), encoding="utf-8")
+    code = main(["--algorithm", algorithm, "--scenario", "1", "--particles", str(particles),
+                 "--runs", str(runs), "--seed", str(seed), "--jobs", "1",
+                 "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in (0, 2)
+    assert (code == 2) == err.startswith("error: ")

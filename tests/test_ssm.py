@@ -232,6 +232,16 @@ class TestObservationFrame:
         with pytest.raises(ValueError):
             ModalityObservation(0, np.nan)
 
+    @pytest.mark.parametrize("value", [float("nan"), -np.inf, np.float64(np.inf), np.array([1.0, np.nan])],
+                             ids=["float_nan", "float_minus_inf", "float64_inf", "array_nan"])
+    def test_non_finite_value_rejected_for_each_value_type(self, value):
+        with pytest.raises(ValueError, match="observation values must be finite"):
+            ModalityObservation(0, value)
+
+    @pytest.mark.parametrize("value", [0.5, np.float64(-3.0), 7, np.array([1.0, 2.0])])
+    def test_finite_value_accepted_for_each_value_type(self, value):
+        assert ModalityObservation(0, value).present
+
     def test_restrict_to(self):
         frame = ObservationFrame.of(2, [0.5, 0.7])
         only1 = frame.restrict_to(1)
@@ -256,3 +266,14 @@ def test_tracking_model_2d_overrides():
     assert model.modalities[0].sigma == 0.2
     assert model.modalities[1].sigma == 3.0
     assert model.modalities[1].volume == 500.0
+
+
+@pytest.mark.parametrize("A, Q, name, shape", [
+    (np.eye(2), np.eye(2), "A", r"\(2, 2\)"),
+    (None, np.eye(3), "Q", r"\(3, 3\)"),
+    (np.eye(4)[:, :3], None, "A", r"\(4, 3\)"),
+])
+def test_tracking_model_2d_rejects_non_4x4_dynamics(A, Q, name, shape):
+    # both sensors read state components 2 and 3
+    with pytest.raises(ValueError, match=rf"{name} must be 4 x 4 .*shape {shape}"):
+        tracking_model_2d(A=A, Q=Q)

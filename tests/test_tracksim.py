@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,18 @@ class TestGenerateRun:
                 assert (oa.value is None and ob.value is None) or oa.value == ob.value
 
 
+    @pytest.mark.parametrize("window", [FailureWindow(5, 1, 10, 1.0), FailureWindow(-1, 2, 4, 0.5),
+                                        LossWindow(2, 1, 10)], ids=repr)
+    def test_window_on_missing_modality_rejected(self, model, rng, window):
+        if isinstance(window, LossWindow):
+            spec = ScenarioSpec(horizon=10, loss_windows=(window,))
+        else:
+            spec = ScenarioSpec(horizon=10, failure_windows=(window,))
+        message = rf"{re.escape(repr(window))} names modality {window.modality}, outside \[0, 2\) for 2"
+        with pytest.raises(ValueError, match=message):
+            generate_run(spec, DEFAULT_X0, model.transition, model.modalities, rng)
+
+
 class TestSerialization:
     def test_round_trip_exact(self, model, rng, tmp_path):
         run = generate_run(builtin_scenario(3), DEFAULT_X0, model.transition, model.modalities, rng)
@@ -255,3 +268,37 @@ class TestMalformedRun:
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         with pytest.raises(ValueError, match=message):
             GroundTruthRun.load(path)
+
+    # each turns line 6 of a valid file into a record save never writes
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda r: {k: v for k, v in r.items() if k != "status"}, "record lacks status"),
+        (lambda r: {**r, "status": ["NORMAL", "BROKEN"]}, r"status \['NORMAL', 'BROKEN'\] is not a list of"),
+        (lambda r: {**r, "observations": ["0.5", 283.0]}, "observations .* are not a list of numbers or nulls"),
+        (lambda r: list(r.values()), "record is a list, not an object"),
+        (lambda r: {**r, "observations": [[0.1, 0.2], 283.0]}, "observations .* are not a list of numbers or nulls"),
+        (lambda r: {**r, "observations": [True, 283.0]}, "observations .* are not a list of numbers or nulls"),
+        (lambda r: {**r, "state": [1, 1, 10 ** 400, 200]}, "int too large to convert to float"),
+        (lambda r: {**r, "t": 6.0}, r"t 6.0 is not an integer"),
+    ], ids=["missing_key", "unknown_status", "string_reading", "not_an_object", "list_reading",
+            "bool_reading", "int_past_float_range", "float_t"])
+    def test_load_names_the_line_of_a_malformed_record(self, run, tmp_path, corrupt, message):
+        path = tmp_path / "run.ndjson"
+        run.save(path)
+        lines = path.read_text().splitlines()
+        lines[5] = json.dumps(corrupt(json.loads(lines[5])))
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError, match=rf"line 6: {message}"):
+            GroundTruthRun.load(path)
+
+    def test_load_accepts_integer_values(self, run, tmp_path):
+        # JSON written by other tools may drop the ".0" of whole numbers
+        path = tmp_path / "run.ndjson"
+        run.save(path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[5])
+        record.update(state=[1, 1, 200, 200], observations=[0, 283])
+        lines[5] = json.dumps(record)
+        path.write_text("".join(line + "\n" for line in lines))
+        back = GroundTruthRun.load(path)
+        np.testing.assert_array_equal(back.states[5], [1.0, 1.0, 200.0, 200.0])
+        assert [type(v) for v in (back.frames[5].value(0), back.frames[5].value(1))] == [float, float]
