@@ -7,19 +7,21 @@
   probability alpha tempers each likelihood to L^(1-alpha) before
   fusing in a single PF.
 
-PF, TS and SMA's sub-filters run DMA's reweighting kernel on one
-weighting row with pi = [1.0]: the all-ones candidate, or TS's tempered
-row (1 - alpha) @ L.
+PF and TS run DMA's reweighting kernel on one weighting row with
+pi = [1.0]: the all-ones candidate, or TS's tempered row (1 - alpha) @ L.
+SMA is B one-row members through the same kernel in one call: row i is
+member i's likelihood of reading i, and each row is its own mixture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import dma
-from .particles import ParticleSet, logsumexp, propagate
+from .particles import ParticleSet, estimate_mean, logsumexp, propagate, residual_resample
 
 TS_SMOOTHING = 0.5
 
@@ -62,23 +64,48 @@ def init_sma(particles: ParticleSet, n_modalities: int) -> SmaState:
 def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     """One static-model-averaging step; returns (state, estimate).
 
-    Each sub-filter sees only its own modality's observation and runs on
-    its own child stream spawned from ``rng`` (keyed by modality index,
-    so the result does not depend on evaluation order); the estimate is
-    the unweighted mean of the sub-filter estimates.
+    Member i is a single-modality PF that weighs only reading i, on its
+    own child stream spawned from ``rng`` (keyed by modality index, so the
+    result does not depend on evaluation order); the estimate is the
+    unweighted mean of the member estimates. Each member propagates and
+    resamples on its own stream, and the B members' weight work is one
+    batch through the shared kernel: a (B, N) log-likelihood matrix (row
+    i is reading i on member i's states, zeros when it is lost), one
+    ``dma.reweight_rows`` call, each row its own mixture, and one
+    row-wise normalisation. Member i equals ``pf_step`` on the frame with
+    every other reading lost, bit for bit.
     """
-    n = len(state.sub_filters)
-    rngs = rng.spawn(n)
-    subs = []
-    estimates = []
-    for i in range(n):
-        sub, est = pf_step(state.sub_filters[i], frame.restrict_to(i), transition, models, rngs[i])
-        subs.append(sub)
-        estimates.append(est)
+    if len(frame.observations) != len(models):
+        raise ValueError(f"frame has {len(frame.observations)} modality readings, model has {len(models)}")
+    rngs = rng.spawn(len(state.sub_filters))
+    props = [propagate(p, transition, r) for p, r in zip(state.sub_filters, rngs)]
+    ll = np.zeros((len(props), props[0].n))
+    for i, p in enumerate(props):
+        obs = frame.observations[i]
+        if obs.present:
+            ll[i] = models[i].loglik(obs.value, p.states)
+    lw = np.stack([p.log_weights for p in props])
+    # reweight_rows reads only the incoming log-weights and adds them row by
+    # row, so a (B, N) stack gives each row its own member's
+    _, E, scale = dma.reweight_rows(SimpleNamespace(log_weights=lw), ll)
+    # mix_and_resample with pi = [1.0], row-wise: a row whose marginal
+    # underflowed keeps its member's incoming weights
+    mixed = np.multiply(scale[:, None], E, out=E)
+    dead = scale == 0.0
+    if dead.any():
+        mixed[dead] = np.exp(lw[dead])
+    with np.errstate(divide="ignore"):
+        mix_lw = np.log(mixed, out=mixed)
+    mix_lw -= logsumexp(mix_lw, axis=1)[:, None]
+    mixed_sets = [ParticleSet._trusted(p.states, w) for p, w in zip(props, mix_lw)]
+    estimates = np.array([estimate_mean(m) for m in mixed_sets])
+    if not np.isfinite(estimates).all():
+        raise ValueError("particle states must be finite")
+    subs = tuple(residual_resample(m, r) for m, r in zip(mixed_sets, rngs))
     estimate = np.mean(estimates, axis=0)
     if trace is not None:
         trace.record(frame.time_index, estimate)
-    return SmaState(tuple(subs)), estimate
+    return SmaState(subs), estimate
 
 
 @dataclass(frozen=True)

@@ -261,12 +261,6 @@ class ObservationFrame:
     def value(self, i: int):
         return self.observations[i].value
 
-    def restrict_to(self, keep: int) -> "ObservationFrame":
-        """Frame with every modality except `keep` marked lost."""
-        # the kept reading was validated when this frame was built
-        obs = tuple(o if i == keep else ModalityObservation(i, None) for i, o in enumerate(self.observations))
-        return ObservationFrame(self.time_index, obs)
-
 
 @dataclass(frozen=True)
 class TrackingModel:

@@ -1,12 +1,14 @@
-"""Test-side references: the log-domain reweighting oracle, and thin
-one-row wrappers over production code that the tests share.
+"""Test-side references: the log-domain reweighting oracle, SMA's
+per-member reference, and thin one-row wrappers over production code
+that the tests share.
 """
 
 import numpy as np
 
-from modalfuse.baselines import TS_SMOOTHING, _failure_prob
+from modalfuse.baselines import TS_SMOOTHING, SmaState, _failure_prob, pf_step
 from modalfuse.dma import candidate_loglik_matrix
 from modalfuse.particles import logsumexp
+from modalfuse.ssm import ModalityObservation, ObservationFrame
 
 
 def log_domain_reweight(p, row_ll):
@@ -42,3 +44,20 @@ def candidate_loglik(u, frame, x, models):
 def estimate_failure_prob(prev_alpha, p, frame, models, smoothing=TS_SMOOTHING):
     """TS's smoothed failure probabilities alone."""
     return _failure_prob(prev_alpha, p, frame, models, smoothing)[0]
+
+
+def restrict_to(frame, keep):
+    """``frame`` with every reading except modality ``keep``'s marked lost."""
+    obs = tuple(o if i == keep else ModalityObservation(i, None) for i, o in enumerate(frame.observations))
+    return ObservationFrame(frame.time_index, obs)
+
+
+def sma_by_member(state, frame, transition, models, rng):
+    """Reference for ``baselines.sma_step``, one member at a time: member
+    i is ``pf_step`` on ``restrict_to(frame, i)`` with child stream i of
+    ``rng.spawn(B)``. Returns ``(state, estimate, member_estimates)``.
+    """
+    rngs = rng.spawn(len(state.sub_filters))
+    subs, ests = zip(*(pf_step(p, restrict_to(frame, i), transition, models, rngs[i])
+                       for i, p in enumerate(state.sub_filters)))
+    return SmaState(subs), np.mean(ests, axis=0), ests

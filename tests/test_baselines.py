@@ -5,12 +5,14 @@ import modalfuse.baselines as baselines_mod
 from modalfuse import (
     ObservationFrame,
     ParticleSet,
+    SmaState,
     dma_step,
     estimate_mean,
     init_dma,
     init_particles,
     init_sma,
     init_ts,
+    logsumexp,
     pf_step,
     propagate,
     sma_step,
@@ -20,7 +22,7 @@ from modalfuse.diagnostics import RunTrace
 from modalfuse.dma import mix_and_resample, reweight_rows
 
 from conftest import point_prior
-from reference import estimate_failure_prob, log_domain_reweight
+from reference import estimate_failure_prob, log_domain_reweight, restrict_to, sma_by_member
 
 
 class ConstantModality:
@@ -86,32 +88,53 @@ class TestPfStep:
         assert np.all(np.isfinite(est))
 
 
+class StillTransition:
+    """Test double: particles stay where they are, whatever the stream."""
+
+    def sample(self, x, rng):
+        return np.array(x, dtype=float)
+
+
+class NanOnFirstParticle:
+    """Test double: a real modality's log-likelihood, NaN on particle 0."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def loglik(self, y, x):
+        out = self.inner.loglik(y, x)
+        out[0] = np.nan
+        return out
+
+    def null_loglik(self):
+        return self.inner.null_loglik()
+
+
+def spread_prior(n, r):
+    return r.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 20.0, 20.0], (n, 4))
+
+
 class TestSmaStep:
-    def test_estimate_is_mean_of_sub_estimates(self, model, rng, monkeypatch):
-        fixed = {0: np.array([0.0, 0.0, 10.0, 10.0]), 1: np.array([0.0, 0.0, 20.0, 20.0])}
-        p0 = init_particles(point_prior([0.0, 0.0, 15.0, 15.0]), 4, rng)
-        state = init_sma(p0, 2)
+    def test_estimate_is_mean_of_sub_estimates(self, model):
+        p0 = init_particles(spread_prior, 60, np.random.default_rng(0))
+        frame = ObservationFrame.of(1, [0.79, 284.0])
+        _, est = sma_step(init_sma(p0, 2), frame, model.transition, model.modalities, np.random.default_rng(3))
+        _, _, member_ests = sma_by_member(init_sma(p0, 2), frame, model.transition, model.modalities,
+                                          np.random.default_rng(3))
+        assert not np.array_equal(member_ests[0], member_ests[1])
+        np.testing.assert_allclose(est, (member_ests[0] + member_ests[1]) / 2.0)
 
-        calls = []
-
-        def fake_pf(particles, frame, tm, models, sub_rng, trace=None):
-            idx = next(i for i, obs in enumerate(frame.observations) if obs.present)
-            calls.append(idx)
-            return particles, fixed[idx]
-
-        monkeypatch.setattr(baselines_mod, "pf_step", fake_pf)
-        frame = ObservationFrame.of(1, [0.5, 21.0])
-        _, est = sma_step(state, frame, model.transition, model.modalities, rng)
-        np.testing.assert_allclose(est, [0.0, 0.0, 15.0, 15.0])
-        assert calls == [0, 1]
-
-    def test_identical_sub_estimates_pass_through(self, model, rng, monkeypatch):
-        same = np.array([1.0, 2.0, 3.0, 4.0])
-        monkeypatch.setattr(baselines_mod, "pf_step", lambda *a, **k: (a[0], same))
-        p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)
-        _, est = sma_step(init_sma(p0, 2), ObservationFrame.of(1, [0.5, 2.0]),
-                          model.transition, model.modalities, rng)
-        np.testing.assert_allclose(est, same, atol=1e-15)
+    def test_identical_sub_estimates_pass_through(self, model):
+        # two members weighing the same reading under the same modality on
+        # particles that do not move: identical weights, identical estimates
+        p0 = init_particles(spread_prior, 40, np.random.default_rng(0))
+        models = (model.modalities[0],) * 2
+        frame = ObservationFrame.of(1, [0.79, 0.79])
+        _, est = sma_step(init_sma(p0, 2), frame, StillTransition(), models, np.random.default_rng(3))
+        _, _, member_ests = sma_by_member(init_sma(p0, 2), frame, StillTransition(), models,
+                                          np.random.default_rng(3))
+        np.testing.assert_array_equal(member_ests[0], member_ests[1])
+        np.testing.assert_allclose(est, member_ests[0], atol=1e-15)
 
     def test_matches_manual_decomposition(self, model):
         # same spawn rule, sub-filters evaluated in reversed order
@@ -124,24 +147,34 @@ class TestSmaStep:
         rngs = rng_b.spawn(2)
         subs, ests = {}, {}
         for i in (1, 0):  # reversed evaluation order
-            subs[i], ests[i] = pf_step(p0, frame.restrict_to(i), model.transition,
+            subs[i], ests[i] = pf_step(p0, restrict_to(frame, i), model.transition,
                                        model.modalities, rngs[i])
         np.testing.assert_allclose(est, np.mean([ests[0], ests[1]], axis=0), atol=1e-12)
         for i in (0, 1):
             np.testing.assert_array_equal(state.sub_filters[i].states, subs[i].states)
 
-    def test_sub_filters_see_only_their_modality(self, model, rng, monkeypatch):
+    def test_sub_filters_see_only_their_modality(self, model):
+        # member i's likelihood is evaluated once, on reading i alone, and
+        # changing reading 1 leaves member 0 untouched
+        p0 = init_particles(spread_prior, 40, np.random.default_rng(0))
         seen = []
 
-        def fake_pf(particles, frame, tm, models, sub_rng, trace=None):
-            seen.append(tuple(obs.present for obs in frame.observations))
-            return particles, np.zeros(4)
+        class Recording:
+            def __init__(self, i):
+                self.i = i
 
-        monkeypatch.setattr(baselines_mod, "pf_step", fake_pf)
-        p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)
-        sma_step(init_sma(p0, 2), ObservationFrame.of(1, [0.5, 2.0]),
-                 model.transition, model.modalities, rng)
-        assert seen == [(True, False), (False, True)]
+            def loglik(self, y, x):
+                seen.append((self.i, y))
+                return model.modalities[self.i].loglik(y, x)
+
+        models = (Recording(0), Recording(1))
+        a, _ = sma_step(init_sma(p0, 2), ObservationFrame.of(1, [0.79, 284.0]),
+                        model.transition, models, np.random.default_rng(3))
+        assert seen == [(0, 0.79), (1, 284.0)]
+        b, _ = sma_step(init_sma(p0, 2), ObservationFrame.of(1, [0.79, 250.0]),
+                        model.transition, models, np.random.default_rng(3))
+        np.testing.assert_array_equal(a.sub_filters[0].states, b.sub_filters[0].states)
+        assert not np.array_equal(a.sub_filters[1].states, b.sub_filters[1].states)
 
     def test_lost_reading_leaves_sub_filter_unweighted(self, model):
         # A lost reading adds no evidence, so its sub-filter keeps uniform
@@ -156,6 +189,56 @@ class TestSmaStep:
                                 model.transition, model.modalities, np.random.default_rng(7))
             expected = propagate(p0, model.transition, np.random.default_rng(7).spawn(2)[lost])
             np.testing.assert_array_equal(state.sub_filters[lost].states, expected.states)
+
+
+def _frames(models, transition, rng, t_max, x0=(1.0, 1.0, 200.0, 200.0)):
+    x = np.asarray(x0, dtype=float)
+    frames = []
+    for t in range(1, t_max + 1):
+        x = transition.sample(x, rng)
+        frames.append(ObservationFrame.of(t, [float(m.sample(x, rng)) for m in models]))
+    return frames
+
+
+def _lose(frames, lost):
+    """Frames with reading i of step t lost wherever ``lost(t, i)``."""
+    return [ObservationFrame.of(f.time_index, [None if lost(f.time_index, i) else f.value(i)
+                                               for i in range(f.n_modalities)]) for f in frames]
+
+
+class TestSmaBatchGate:
+    """``sma_step`` runs its B members as one batch; each member must equal
+    ``pf_step`` on its restricted frame, bit for bit, step after step."""
+
+    @pytest.mark.parametrize("n_copies", [1, 3], ids=["2mod", "6mod"])
+    @pytest.mark.parametrize("case", ["clean", "one_lost", "all_lost", "dead_member", "nan_particle",
+                                      "weighted_p0"])
+    def test_members_match_per_member_reference(self, model, n_copies, case):
+        models = model.modalities * n_copies
+        frames = _frames(models, model.transition, np.random.default_rng(1), 24)
+        p0 = init_particles(spread_prior, 64, np.random.default_rng(0))
+        if case == "one_lost":
+            frames = _lose(frames, lambda t, i: i == t % len(models))
+        elif case == "all_lost":
+            frames = _lose(frames, lambda t, i: t % 4 == 0)
+        elif case == "dead_member":
+            models = models[:1] + (ConstantModality(-np.inf),) + models[2:]
+        elif case == "nan_particle":
+            models = (NanOnFirstParticle(models[0]),) + models[1:]
+        batch = init_sma(p0, len(models))
+        if case == "weighted_p0":
+            # non-uniform step-1 weights, different for every member
+            lws = np.random.default_rng(2).normal(0.0, 2.0, (len(models), p0.n))
+            batch = SmaState(tuple(ParticleSet(p0.states, lw - logsumexp(lw)) for lw in lws))
+        ref = batch
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        for f in frames:
+            batch, est = sma_step(batch, f, model.transition, models, rng_a)
+            ref, ref_est, _ = sma_by_member(ref, f, model.transition, models, rng_b)
+            np.testing.assert_array_equal(est, ref_est)
+            for got, want in zip(batch.sub_filters, ref.sub_filters):
+                np.testing.assert_array_equal(got.states, want.states)
+                np.testing.assert_array_equal(got.log_weights, want.log_weights)
 
 
 class TestEstimateFailureProb:
@@ -295,13 +378,15 @@ class CountingModality:
 def _step_once(name, p0, frame, transition, models, rng):
     if name == "pf":
         return pf_step(p0, frame, transition, models, rng)
+    if name == "sma":
+        return sma_step(init_sma(p0, len(models)), frame, transition, models, rng)
     if name == "ts":
         return ts_step(init_ts(p0, len(models)), frame, transition, models, rng)
     return dma_step(init_dma(p0, len(models)), frame, transition, models, rng)
 
 
 class TestSharedReweightPath:
-    @pytest.mark.parametrize("step", ["pf", "ts", "dma"])
+    @pytest.mark.parametrize("step", ["pf", "ts", "sma", "dma"])
     @pytest.mark.parametrize("values", [[0.78], [0.78, 283.0, 1.0]])
     def test_frame_arity_mismatch_rejected(self, model, rng, step, values):
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 20, rng)
@@ -309,7 +394,7 @@ class TestSharedReweightPath:
         with pytest.raises(ValueError, match=f"frame has {len(values)} modality readings, model has 2"):
             _step_once(step, p0, frame, model.transition, model.modalities, rng)
 
-    @pytest.mark.parametrize("step", ["pf", "ts", "dma"])
+    @pytest.mark.parametrize("step", ["pf", "ts", "sma", "dma"])
     @pytest.mark.parametrize("values", [[0.78, 283.0], [None, 283.0], [None, None]])
     def test_each_present_loglik_evaluated_once(self, model, rng, step, values):
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 20, rng)

@@ -1,5 +1,8 @@
 import csv
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +437,15 @@ class TestCli:
         for name in names:
             assert (outs[2] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_module_entry_runs_without_warnings(self):
+        src = str(Path(modalfuse.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "modalfuse", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stdout.startswith("usage: bench")
+
     def test_rmse_position_flag(self, tmp_path):
         out = tmp_path / "res"
         code = main([
@@ -509,7 +521,9 @@ class TestBenchmarkTracerSeams:
         assert tracer_mod.leftover_wrappers() == []
         assert {"baselines.pf_step", "dma.candidate_reweight"} <= spans["pf"]
         assert "baselines.ts_step" in spans["ts"]
-        assert {"baselines.sma_step", "baselines.pf_step", "dma.candidate_reweight"} <= spans["sma"]
+        # SMA batches its members' weight work: it propagates and resamples
+        # each member through the particle primitives, not through pf_step
+        assert {"baselines.sma_step", "particles.propagate", "particles.residual_resample"} <= spans["sma"]
         assert {"dma.dma_step", "dma.candidate_loglik_matrix", "dma.candidate_reweight"} <= spans["dma"]
         # one health reading per resample: the benchmark's health.* figures
         # take np.min of these lists, read off residual_resample's ParticleSet

