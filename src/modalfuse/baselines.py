@@ -10,7 +10,10 @@
 PF and TS run DMA's reweighting kernel on one weighting row with
 pi = [1.0]: the all-ones candidate, or TS's tempered row (1 - alpha) @ L.
 SMA is B one-row members through the same kernel in one call: row i is
-member i's likelihood of reading i, and each row is its own mixture.
+member i's likelihood of reading i, and each row is its own mixture,
+normalised by its sum like PF's. Each SMA member draws from its own
+random stream, spawned once per run by ``init_sma`` and kept in the
+``SmaState``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import dma
-from .particles import ParticleSet, estimate_mean, logsumexp, propagate, residual_resample
+from .particles import ParticleSet, Trusted, estimate_mean, logsumexp, propagate, residual_resample
 
 TS_SMOOTHING = 0.5
 
@@ -47,38 +50,48 @@ def _collapse_flag(log_g):
 
 
 @dataclass(frozen=True)
-class SmaState:
-    """One particle set per modality, indexed by modality."""
+class SmaState(Trusted):
+    """One particle set and one random stream per modality, indexed by
+    modality. The streams are generators that advance as the members
+    step, so a state is stepped once."""
 
     sub_filters: tuple[ParticleSet, ...]
+    rngs: tuple[np.random.Generator, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "sub_filters", tuple(self.sub_filters))
+        object.__setattr__(self, "rngs", tuple(self.rngs))
 
 
-def init_sma(particles: ParticleSet, n_modalities: int) -> SmaState:
-    """All sub-filters start from the same initial particle set."""
-    return SmaState((particles,) * n_modalities)
+def init_sma(particles: ParticleSet, n_modalities: int, rng) -> SmaState:
+    """All sub-filters start from the same initial particle set; member i
+    draws from child stream i of ``rng.spawn(n_modalities)`` for the
+    whole run (keyed by modality index, so the result does not depend on
+    evaluation order)."""
+    return SmaState((particles,) * n_modalities, rng.spawn(n_modalities))
 
 
 def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     """One static-model-averaging step; returns (state, estimate).
 
     Member i is a single-modality PF that weighs only reading i, on its
-    own child stream spawned from ``rng`` (keyed by modality index, so the
-    result does not depend on evaluation order); the estimate is the
+    own stream ``state.rngs[i]``; ``rng`` is not drawn from (it is in the
+    signature every step function shares). The estimate is the
     unweighted mean of the member estimates. Each member propagates and
     resamples on its own stream, and the B members' weight work is one
     batch through the shared kernel: a (B, N) log-likelihood matrix (row
     i is reading i on member i's states, zeros when it is lost), one
     ``dma.reweight_rows`` call, each row its own mixture, and one
-    row-wise normalisation. Member i equals ``pf_step`` on the frame with
-    every other reading lost, bit for bit.
+    row-wise division by the row sums. Member i equals ``pf_step`` on the
+    frame with every other reading lost, on stream i, bit for bit.
     """
-    if len(frame.observations) != len(models):
-        raise ValueError(f"frame has {len(frame.observations)} modality readings, model has {len(models)}")
-    rngs = rng.spawn(len(state.sub_filters))
-    props = [propagate(p, transition, r) for p, r in zip(state.sub_filters, rngs)]
+    n = len(models)
+    if len(frame.observations) != n:
+        raise ValueError(f"frame has {len(frame.observations)} modality readings, model has {n}")
+    if len(state.sub_filters) != n or len(state.rngs) != n:
+        raise ValueError(f"SMA state has {len(state.sub_filters)} members and {len(state.rngs)} streams, "
+                         f"model has {n} modalities")
+    props = [propagate(p, transition, r) for p, r in zip(state.sub_filters, state.rngs)]
     ll = np.zeros((len(props), props[0].n))
     for i, p in enumerate(props):
         obs = frame.observations[i]
@@ -94,22 +107,22 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     dead = scale == 0.0
     if dead.any():
         mixed[dead] = np.exp(lw[dead])
+    mixed /= mixed.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore"):
-        mix_lw = np.log(mixed, out=mixed)
-    mix_lw -= logsumexp(mix_lw, axis=1)[:, None]
-    mixed_sets = [ParticleSet._trusted(p.states, w) for p, w in zip(props, mix_lw)]
+        mix_lw = np.log(mixed)
+    mixed_sets = [ParticleSet._trusted(p.states, lw_i, weights=w) for p, lw_i, w in zip(props, mix_lw, mixed)]
     estimates = np.array([estimate_mean(m) for m in mixed_sets])
     if not np.isfinite(estimates).all():
         raise ValueError("particle states must be finite")
-    subs = tuple(residual_resample(m, r) for m, r in zip(mixed_sets, rngs))
+    subs = tuple(residual_resample(m, r) for m, r in zip(mixed_sets, state.rngs))
     estimate = np.mean(estimates, axis=0)
     if trace is not None:
         trace.record(frame.time_index, estimate)
-    return SmaState(subs), estimate
+    return SmaState._trusted(subs, state.rngs), estimate
 
 
 @dataclass(frozen=True)
-class TsState:
+class TsState(Trusted):
     """Particles plus per-modality failure-probability estimates."""
 
     particles: ParticleSet
@@ -157,4 +170,4 @@ def ts_step(state: TsState, frame, transition, models, rng, trace=None):
     resampled, estimate = dma.mix_and_resample(prop, np.ones(1), E, scale, rng)
     if trace is not None:
         trace.record(frame.time_index, estimate, model_weights=alpha, flag=_collapse_flag(log_g))
-    return TsState(resampled, alpha, state.smoothing), estimate
+    return TsState._trusted(resampled, alpha, state.smoothing), estimate

@@ -123,7 +123,7 @@ def run_filter(algorithm: str, frames, particles0, transition, models, rng):
     # built per call, so a step function patched on its module takes effect
     filters = {
         "pf": (lambda p, n: p, baselines.pf_step),
-        "sma": (baselines.init_sma, baselines.sma_step),
+        "sma": (lambda p, n: baselines.init_sma(p, n, rng), baselines.sma_step),
         "ts": (baselines.init_ts, baselines.ts_step),
         "dma": (dma.init_dma, dma.dma_step),
     }

@@ -21,9 +21,13 @@ One step:
    weight (identity hypothesis-transition);
 4. mix the weightings straight from that buffer,
    sum_m pi_m * E[m] / sum(E[m]), without forming the M normalised
-   log-weight rows;
+   log-weight rows, and divide the mixture by its sum once, in the
+   probability domain;
 5. take the mixture-weighted mean as the point estimate;
 6. residual-resample back to uniform weights.
+
+Steps 5 and 6 read the normalised mixture as the set's cached
+``weights``, so the step exponentiates each weight once.
 
 Steps 2 and 4 are ``reweight_rows`` and ``mix_and_resample``, the
 package's one reweighting kernel: PF and TS run them on a single row
@@ -39,10 +43,11 @@ modality comes back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .particles import ParticleSet, estimate_mean, logsumexp, propagate, residual_resample
+from .particles import ParticleSet, Trusted, _read_only, estimate_mean, logsumexp, propagate, residual_resample
 
 PI_FLOOR = 1e-6
 MAX_MODALITIES = 16
@@ -118,7 +123,7 @@ def weighted_logliks(W: np.ndarray, L: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ModelPosterior:
+class ModelPosterior(Trusted):
     """Log-weights over the M candidate models, normalised and finite."""
 
     log_pi: np.ndarray
@@ -134,14 +139,6 @@ class ModelPosterior:
         object.__setattr__(self, "log_pi", log_pi)
 
     @classmethod
-    def _trusted(cls, log_pi: np.ndarray) -> "ModelPosterior":
-        """A posterior from a float vector already finite and normalised,
-        without __post_init__'s checks; for ``update_model_posterior`` only."""
-        post = object.__new__(cls)
-        object.__setattr__(post, "log_pi", log_pi)
-        return post
-
-    @classmethod
     def uniform(cls, m: int) -> "ModelPosterior":
         return cls(np.full(m, -np.log(m)))
 
@@ -149,9 +146,10 @@ class ModelPosterior:
     def n_models(self) -> int:
         return self.log_pi.shape[0]
 
-    @property
+    @cached_property
     def pi(self) -> np.ndarray:
-        return np.exp(self.log_pi)
+        """exp(log_pi), computed once (or seeded by ``_trusted``); read-only."""
+        return _read_only(np.exp(self.log_pi))
 
 
 def update_model_posterior(prev: ModelPosterior, log_g) -> ModelPosterior:
@@ -159,8 +157,9 @@ def update_model_posterior(prev: ModelPosterior, log_g) -> ModelPosterior:
 
     The predictive weights equal the previous posterior (identity
     hypothesis-transition), so the update is pi_m ∝ pi_m * g_m, floored
-    at PI_FLOOR and renormalised. A NaN marginal counts as zero evidence
-    (-inf), as ``reweight_rows`` keeps that row out of the mixture. Raises
+    at PI_FLOOR and renormalised, in the probability domain after one
+    max-shift. A NaN marginal counts as zero evidence (-inf), as
+    ``reweight_rows`` keeps that row out of the mixture. Raises
     ModelUpdateDegenerate when no marginal is finite; callers typically
     reset to uniform and flag the step.
     """
@@ -169,18 +168,20 @@ def update_model_posterior(prev: ModelPosterior, log_g) -> ModelPosterior:
         raise ValueError("log_g must match the posterior's length")
     lw = prev.log_pi + log_g
     lw[np.isnan(lw)] = -np.inf
-    norm = logsumexp(lw)
-    if not np.isfinite(norm):
+    mx = lw.max()
+    if not np.isfinite(mx):
         raise ModelUpdateDegenerate("no candidate has a finite marginal likelihood")
-    pi = np.exp(lw - norm)
-    pi = np.maximum(pi, PI_FLOOR)
-    log_pi = np.log(pi)
+    lw -= mx
+    pi = np.exp(lw, out=lw)
+    pi /= pi.sum()
+    np.maximum(pi, PI_FLOOR, out=pi)
+    pi /= pi.sum()
     # finite (pi >= PI_FLOOR) and normalised by construction
-    return ModelPosterior._trusted(log_pi - logsumexp(log_pi))
+    return ModelPosterior._trusted(np.log(pi), pi=pi)
 
 
 @dataclass(frozen=True)
-class DmaState:
+class DmaState(Trusted):
     """Shared particle set plus the posterior over candidate models."""
 
     particles: ParticleSet
@@ -267,12 +268,12 @@ def mix_and_resample(p: ParticleSet, pi: np.ndarray, E: np.ndarray, scale, rng):
     dead = scale == 0.0
     if dead.any():
         mixed += pi[dead].sum() * p.weights
+    # normalised once more, by the sum: the row scales leave residue
+    # ~ulp(|loglik|) when likelihoods are astronomically small (e.g. garbage
+    # readings). The normalised weights are the set's cached ``weights``
+    mixed /= mixed.sum()
     with np.errstate(divide="ignore"):
-        mix_lw = np.log(mixed)
-    # normalised once more: the row scales leave residue ~ulp(|loglik|)
-    # when likelihoods are astronomically small (e.g. garbage readings); in
-    # the log domain, where uniform weights with no evidence stay exact
-    mixed_set = ParticleSet._trusted(p.states, mix_lw - logsumexp(mix_lw))
+        mixed_set = ParticleSet._trusted(p.states, np.log(mixed), weights=mixed)
     estimate = estimate_mean(mixed_set)
     if not np.isfinite(estimate).all():
         raise ValueError("particle states must be finite")
@@ -297,7 +298,7 @@ def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
         posterior = ModelPosterior.uniform(state.posterior.n_models)
         flag = "model_update_degenerate"
     resampled, estimate = mix_and_resample(prop, posterior.pi, E, scale, rng)
-    new_state = DmaState(resampled, posterior, state.candidates, t=frame.time_index)
+    new_state = DmaState._trusted(resampled, posterior, state.candidates, frame.time_index)
     if trace is not None:
         trace.record(frame.time_index, estimate, model_weights=posterior.pi,
                      marginals=log_g, flag=flag)

@@ -6,8 +6,11 @@ domain: with large particle counts raw likelihood products underflow.
 Reweighting lives in ``dma.reweight_rows`` and ``dma.mix_and_resample``,
 the one kernel every filter runs: it exponentiates each weighted
 log-likelihood row once, shifted by the row maximum so that no value
-exceeds 1 and none can overflow, and takes both the marginals and the
-mixture from that one buffer in the probability domain.
+exceeds 1 and none can overflow, and takes the marginals, the mixture
+and its normalisation from that one buffer in the probability domain.
+The normalised mixture reaches ``estimate_mean`` and
+``residual_resample`` as the set's cached ``weights``, so neither
+exponentiates the log-weights again.
 
 ParticleSet is a value type; none of the operations mutate their
 inputs, and every operation that returns a ParticleSet returns one with
@@ -19,19 +22,26 @@ loop (``propagate``, ``residual_resample`` and the mixture in
 ``dma.mix_and_resample``) go through ``ParticleSet._trusted`` and skip
 those O(N * d) checks. That is safe because their inputs were checked
 already: the weights are either the incoming set's or built normalised
-(``uniform_log_weights``, the mixture's logsumexp), and resampling only
-copies states. The one fault the loop can still make is a transition
-that overflows to non-finite states; ``mix_and_resample`` catches it at
-O(d) cost on the point estimate (see there).
+(``uniform_log_weights``, the mixture divided by its sum), and
+resampling only copies states. The one fault the loop can still make is
+a transition that overflows to non-finite states;
+``mix_and_resample`` catches it at O(d) cost on the point estimate
+(see there).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 WEIGHT_TOL = 1e-9
+# residual_resample's relative slack on N * w_i: exactly uniform weights
+# give N * w_i = 1 - 1e-16 at 1,279 of the N up to 3,000 (N = 100 and
+# 10,000 among them), which a literal floor would count as 0 copies. It
+# stays far below a real shortfall such as N * w_i = 1 - 1e-9
+FLOOR_SLACK = 1e-12
 
 
 class WeightCollapse(RuntimeError):
@@ -55,8 +65,29 @@ def uniform_log_weights(n: int) -> np.ndarray:
     return np.full(n, -np.log(n))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class Trusted:
+    """Mixin for the frozen value types the filters rebuild every step."""
+
+    @classmethod
+    def _trusted(cls, *values, **cached):
+        """An instance from field values (in field order) that already meet
+        the invariants, without __post_init__'s checks; for the library's
+        in-loop builds only. Keywords seed cached array properties
+        (``weights``, ``pi``); the arrays are made read-only."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+        for name, a in cached.items():
+            obj.__dict__[name] = _read_only(a)
+        return obj
+
+
 @dataclass(frozen=True)
-class ParticleSet:
+class ParticleSet(Trusted):
     """N weighted state samples {x^i, w^i} with log-normalised weights."""
 
     states: np.ndarray      # (N, d)
@@ -78,15 +109,6 @@ class ParticleSet:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "log_weights", lw)
 
-    @classmethod
-    def _trusted(cls, states: np.ndarray, log_weights: np.ndarray) -> "ParticleSet":
-        """A set built from float arrays that already meet the invariants,
-        without __post_init__'s checks; for the library's in-loop builds only."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "states", states)
-        object.__setattr__(p, "log_weights", log_weights)
-        return p
-
     @property
     def n(self) -> int:
         return self.states.shape[0]
@@ -95,9 +117,10 @@ class ParticleSet:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
+        """exp(log_weights), computed once (or seeded by ``_trusted``); read-only."""
+        return _read_only(np.exp(self.log_weights))
 
 
 def init_particles(prior, n: int, rng) -> ParticleSet:
@@ -120,18 +143,16 @@ def propagate(p: ParticleSet, transition, rng) -> ParticleSet:
 def residual_resample(p: ParticleSet, rng) -> ParticleSet:
     """Residual resampling to N equally weighted particles.
 
-    Particle i is copied floor(N * w_i) times deterministically; the
-    remaining slots are filled with multinomial draws over the residual
-    weights, by inverse-CDF search over sorted uniforms.
+    Particle i is copied floor(N * w_i) times deterministically, counted
+    with a relative slack of FLOOR_SLACK so that N * w_i rounded just
+    below a whole number still counts it (uniform weights copy every
+    particle once, in order, with no draw); the remaining slots are
+    filled with multinomial draws over the residual weights, by
+    inverse-CDF search over sorted uniforms.
     """
     n = p.n
     scaled = n * p.weights
-    # the floor is literal: N * w_i can round to just below a whole number
-    # (exactly uniform weights give 1 - 1e-16 at N = 100 and 10,000), and
-    # that particle then gets one deterministic copy fewer (0 for uniform
-    # weights) and its slot goes to the multinomial fill. An open fault,
-    # recorded in CHANGES.md and ROADMAP item 3
-    counts = np.floor(scaled).astype(np.int64)
+    counts = np.floor(scaled * (1.0 + FLOOR_SLACK)).astype(np.int64)
     short = n - int(counts.sum())
     if short > 0:
         cdf = np.cumsum(np.maximum(scaled - counts, 0.0))
@@ -142,11 +163,11 @@ def residual_resample(p: ParticleSet, rng) -> ParticleSet:
         u = rng.random(short)
         u.sort()
         counts += np.bincount(np.searchsorted(cdf, u * cdf[-1], side="right"), minlength=n)
-    idx = np.repeat(np.arange(n), counts)
-    # float dust can overshoot the deterministic copies by one slot
-    if idx.shape[0] != n:
-        idx = idx[:n]
-    return ParticleSet._trusted(np.take(p.states, idx, axis=0), uniform_log_weights(n))
+    states = np.repeat(p.states, counts, axis=0)
+    # weights summing to just over 1 can overshoot the copies by one slot
+    if states.shape[0] != n:
+        states = states[:n]
+    return ParticleSet._trusted(states, uniform_log_weights(n))
 
 
 def estimate_mean(p: ParticleSet) -> np.ndarray:

@@ -52,12 +52,11 @@ def restrict_to(frame, keep):
     return ObservationFrame(frame.time_index, obs)
 
 
-def sma_by_member(state, frame, transition, models, rng):
+def sma_by_member(state, frame, transition, models):
     """Reference for ``baselines.sma_step``, one member at a time: member
-    i is ``pf_step`` on ``restrict_to(frame, i)`` with child stream i of
-    ``rng.spawn(B)``. Returns ``(state, estimate, member_estimates)``.
+    i is ``pf_step`` on ``restrict_to(frame, i)`` on its stored stream
+    ``state.rngs[i]``. Returns ``(state, estimate, member_estimates)``.
     """
-    rngs = rng.spawn(len(state.sub_filters))
-    subs, ests = zip(*(pf_step(p, restrict_to(frame, i), transition, models, rngs[i])
+    subs, ests = zip(*(pf_step(p, restrict_to(frame, i), transition, models, state.rngs[i])
                        for i, p in enumerate(state.sub_filters)))
-    return SmaState(subs), np.mean(ests, axis=0), ests
+    return SmaState(subs, state.rngs), np.mean(ests, axis=0), ests

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import modalfuse.baselines as baselines_mod
+import modalfuse.dma as dma_mod
+import modalfuse.particles as particles_mod
 from modalfuse import (
     ObservationFrame,
     ParticleSet,
@@ -15,6 +17,7 @@ from modalfuse import (
     logsumexp,
     pf_step,
     propagate,
+    run_filter,
     sma_step,
     ts_step,
 )
@@ -118,9 +121,9 @@ class TestSmaStep:
     def test_estimate_is_mean_of_sub_estimates(self, model):
         p0 = init_particles(spread_prior, 60, np.random.default_rng(0))
         frame = ObservationFrame.of(1, [0.79, 284.0])
-        _, est = sma_step(init_sma(p0, 2), frame, model.transition, model.modalities, np.random.default_rng(3))
-        _, _, member_ests = sma_by_member(init_sma(p0, 2), frame, model.transition, model.modalities,
-                                          np.random.default_rng(3))
+        _, est = sma_step(init_sma(p0, 2, np.random.default_rng(3)), frame, model.transition, model.modalities, None)
+        _, _, member_ests = sma_by_member(init_sma(p0, 2, np.random.default_rng(3)), frame, model.transition,
+                                          model.modalities)
         assert not np.array_equal(member_ests[0], member_ests[1])
         np.testing.assert_allclose(est, (member_ests[0] + member_ests[1]) / 2.0)
 
@@ -130,21 +133,20 @@ class TestSmaStep:
         p0 = init_particles(spread_prior, 40, np.random.default_rng(0))
         models = (model.modalities[0],) * 2
         frame = ObservationFrame.of(1, [0.79, 0.79])
-        _, est = sma_step(init_sma(p0, 2), frame, StillTransition(), models, np.random.default_rng(3))
-        _, _, member_ests = sma_by_member(init_sma(p0, 2), frame, StillTransition(), models,
-                                          np.random.default_rng(3))
+        _, est = sma_step(init_sma(p0, 2, np.random.default_rng(3)), frame, StillTransition(), models, None)
+        _, _, member_ests = sma_by_member(init_sma(p0, 2, np.random.default_rng(3)), frame, StillTransition(),
+                                          models)
         np.testing.assert_array_equal(member_ests[0], member_ests[1])
         np.testing.assert_allclose(est, member_ests[0], atol=1e-15)
 
     def test_matches_manual_decomposition(self, model):
-        # same spawn rule, sub-filters evaluated in reversed order
+        # the same stored streams, sub-filters evaluated in reversed order
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 60, np.random.default_rng(0))
         frame = ObservationFrame.of(1, [0.79, 284.0])
-        rng_a = np.random.default_rng(42)
-        state, est = sma_step(init_sma(p0, 2), frame, model.transition, model.modalities, rng_a)
+        state, est = sma_step(init_sma(p0, 2, np.random.default_rng(42)), frame, model.transition,
+                              model.modalities, None)
 
-        rng_b = np.random.default_rng(42)
-        rngs = rng_b.spawn(2)
+        rngs = init_sma(p0, 2, np.random.default_rng(42)).rngs
         subs, ests = {}, {}
         for i in (1, 0):  # reversed evaluation order
             subs[i], ests[i] = pf_step(p0, restrict_to(frame, i), model.transition,
@@ -168,11 +170,11 @@ class TestSmaStep:
                 return model.modalities[self.i].loglik(y, x)
 
         models = (Recording(0), Recording(1))
-        a, _ = sma_step(init_sma(p0, 2), ObservationFrame.of(1, [0.79, 284.0]),
-                        model.transition, models, np.random.default_rng(3))
+        a, _ = sma_step(init_sma(p0, 2, np.random.default_rng(3)), ObservationFrame.of(1, [0.79, 284.0]),
+                        model.transition, models, None)
         assert seen == [(0, 0.79), (1, 284.0)]
-        b, _ = sma_step(init_sma(p0, 2), ObservationFrame.of(1, [0.79, 250.0]),
-                        model.transition, models, np.random.default_rng(3))
+        b, _ = sma_step(init_sma(p0, 2, np.random.default_rng(3)), ObservationFrame.of(1, [0.79, 250.0]),
+                        model.transition, models, None)
         np.testing.assert_array_equal(a.sub_filters[0].states, b.sub_filters[0].states)
         assert not np.array_equal(a.sub_filters[1].states, b.sub_filters[1].states)
 
@@ -185,9 +187,9 @@ class TestSmaStep:
         for lost in (0, 1):
             values = [0.79, 284.0]
             values[lost] = None
-            state, _ = sma_step(init_sma(p0, 2), ObservationFrame.of(1, values),
-                                model.transition, model.modalities, np.random.default_rng(7))
-            expected = propagate(p0, model.transition, np.random.default_rng(7).spawn(2)[lost])
+            state, _ = sma_step(init_sma(p0, 2, np.random.default_rng(7)), ObservationFrame.of(1, values),
+                                model.transition, model.modalities, None)
+            expected = propagate(p0, model.transition, init_sma(p0, 2, np.random.default_rng(7)).rngs[lost])
             np.testing.assert_array_equal(state.sub_filters[lost].states, expected.states)
 
 
@@ -225,16 +227,16 @@ class TestSmaBatchGate:
             models = models[:1] + (ConstantModality(-np.inf),) + models[2:]
         elif case == "nan_particle":
             models = (NanOnFirstParticle(models[0]),) + models[1:]
-        batch = init_sma(p0, len(models))
+        # two states on equal streams: each state's generators advance as it steps
+        batch, ref = (init_sma(p0, len(models), np.random.default_rng(5)) for _ in range(2))
         if case == "weighted_p0":
             # non-uniform step-1 weights, different for every member
             lws = np.random.default_rng(2).normal(0.0, 2.0, (len(models), p0.n))
-            batch = SmaState(tuple(ParticleSet(p0.states, lw - logsumexp(lw)) for lw in lws))
-        ref = batch
-        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+            subs = tuple(ParticleSet(p0.states, lw - logsumexp(lw)) for lw in lws)
+            batch, ref = SmaState(subs, batch.rngs), SmaState(subs, ref.rngs)
         for f in frames:
-            batch, est = sma_step(batch, f, model.transition, models, rng_a)
-            ref, ref_est, _ = sma_by_member(ref, f, model.transition, models, rng_b)
+            batch, est = sma_step(batch, f, model.transition, models, None)
+            ref, ref_est, _ = sma_by_member(ref, f, model.transition, models)
             np.testing.assert_array_equal(est, ref_est)
             for got, want in zip(batch.sub_filters, ref.sub_filters):
                 np.testing.assert_array_equal(got.states, want.states)
@@ -355,9 +357,11 @@ class TestTsStep:
         assert 0.0 <= state.alpha[0] <= 1.0
 
     def test_invalid_alpha_rejected(self, model, rng):
+        # the public constructor checks; ts_step builds its states trusted
         p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)
-        with pytest.raises(ValueError):
-            baselines_mod.TsState(p0, np.array([0.5, 1.5]))
+        for alpha in ([0.5, 1.5], [-0.1, 0.5]):
+            with pytest.raises(ValueError, match=r"failure probabilities must lie in \[0, 1\]"):
+                baselines_mod.TsState(p0, np.array(alpha))
 
 
 class CountingModality:
@@ -379,7 +383,7 @@ def _step_once(name, p0, frame, transition, models, rng):
     if name == "pf":
         return pf_step(p0, frame, transition, models, rng)
     if name == "sma":
-        return sma_step(init_sma(p0, len(models)), frame, transition, models, rng)
+        return sma_step(init_sma(p0, len(models), rng), frame, transition, models, rng)
     if name == "ts":
         return ts_step(init_ts(p0, len(models)), frame, transition, models, rng)
     return dma_step(init_dma(p0, len(models)), frame, transition, models, rng)
@@ -401,3 +405,94 @@ class TestSharedReweightPath:
         counting = tuple(CountingModality(m) for m in model.modalities)
         _step_once(step, p0, ObservationFrame.of(1, values), model.transition, counting, rng)
         assert [m.calls for m in counting] == [int(v is not None) for v in values]
+
+
+class SpawnCounter:
+    """Test double: a generator that counts its ``spawn`` calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.spawns = 0
+
+    def spawn(self, n):
+        self.spawns += 1
+        return self.rng.spawn(n)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestSmaStreams:
+    def test_run_spawns_member_streams_once(self, model):
+        frames = frames_from(model, np.random.default_rng(1), 6)
+        p0 = init_particles(spread_prior, 32, np.random.default_rng(0))
+        rng = SpawnCounter(np.random.default_rng(5))
+        run_filter("sma", frames, p0, model.transition, model.modalities, rng)
+        assert rng.spawns == 1
+
+    @pytest.mark.parametrize("members, streams", [(3, 3), (1, 1), (2, 1), (2, 3)])
+    def test_member_and_stream_counts_checked(self, model, members, streams):
+        # more members than modalities, fewer, and a stream count that differs
+        p0 = init_particles(spread_prior, 20, np.random.default_rng(0))
+        state = SmaState((p0,) * members, np.random.default_rng(3).spawn(streams))
+        with pytest.raises(ValueError, match=f"SMA state has {members} members and {streams} streams, "
+                                             "model has 2 modalities"):
+            sma_step(state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities, None)
+
+
+class TestTailCostShape:
+    """The shared tail normalises once, in the probability domain: a PF,
+    SMA or DMA step calls no ``logsumexp``, the estimate and the resample
+    read the mixture the tail normalised, and the in-loop states are
+    built trusted."""
+
+    FRAMES = ([0.79, 284.0], [None, 284.0], [None, None])
+
+    @staticmethod
+    def _states(p0, models, step):
+        if step == "pf":
+            return p0
+        if step == "sma":
+            return init_sma(p0, len(models), np.random.default_rng(4))
+        if step == "ts":
+            return init_ts(p0, len(models))
+        return init_dma(p0, len(models))
+
+    STEPS = {"pf": pf_step, "sma": sma_step, "ts": ts_step, "dma": dma_step}
+
+    @pytest.mark.parametrize("step", ["pf", "sma", "dma"])
+    def test_no_logsumexp_in_a_step(self, model, monkeypatch, step):
+        p0 = init_particles(spread_prior, 64, np.random.default_rng(0))
+        state = self._states(p0, model.modalities, step)
+        calls = []
+        for module in (particles_mod, dma_mod, baselines_mod):
+            real = module.logsumexp
+            monkeypatch.setattr(module, "logsumexp", lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+        rng = np.random.default_rng(3)
+        for t, values in enumerate(self.FRAMES, start=1):
+            state = self.STEPS[step](state, ObservationFrame.of(t, values), model.transition, model.modalities,
+                                     rng)[0]
+        assert calls == []
+
+    @pytest.mark.parametrize("step", ["pf", "ts", "dma"])
+    def test_estimate_and_resample_read_the_normalised_mixture(self, model, monkeypatch, step):
+        p0 = init_particles(spread_prior, 64, np.random.default_rng(0))
+        seen = []
+        for name in ("estimate_mean", "residual_resample"):
+            real = getattr(dma_mod, name)
+            monkeypatch.setattr(dma_mod, name, lambda p, *a, _real=real: seen.append(p) or _real(p, *a))
+        self.STEPS[step](self._states(p0, model.modalities, step), ObservationFrame.of(1, [0.79, 284.0]),
+                         model.transition, model.modalities, np.random.default_rng(3))
+        estimated, resampled = seen
+        assert estimated is resampled and "weights" in vars(estimated)  # seeded, not re-exponentiated
+        assert not estimated.weights.flags.writeable
+        assert estimated.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("step", ["sma", "ts", "dma"])
+    def test_in_loop_states_skip_the_checks(self, model, monkeypatch, step):
+        p0 = init_particles(spread_prior, 64, np.random.default_rng(0))
+        state = self._states(p0, model.modalities, step)
+        monkeypatch.setattr(type(state), "__post_init__", lambda self: pytest.fail("checked in the loop"))
+        new = self.STEPS[step](state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities,
+                               np.random.default_rng(3))[0]
+        assert type(new) is type(state)

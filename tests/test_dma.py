@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import modalfuse.dma as dma_mod
 from modalfuse import (
+    DmaState,
     ModelPosterior,
     ModelUpdateDegenerate,
     ObservationFrame,
@@ -473,6 +474,14 @@ class TestMinusInfLoglik:
         # [1,1] and [0,1] trust the dead reading: demoted to the floor
         assert post.pi[0] + post.pi[2] < 1e-5
         assert np.isfinite(log_g[[1, 3]]).all()
+
+
+class TestDmaStateValidates:
+    def test_posterior_length_mismatch_rejected(self):
+        # the public constructor checks; dma_step builds its states trusted
+        p = ParticleSet(np.zeros((4, 4)), np.full(4, -np.log(4)))
+        with pytest.raises(ValueError, match="posterior length must match the candidate count"):
+            DmaState(p, ModelPosterior.uniform(3), enumerate_candidates(2))
 
 
 class TestCandidateMemoryBudget:

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalfuse import (
+    ObservationFrame,
     ParticleSet,
     estimate_mean,
     init_particles,
     logsumexp,
+    pf_step,
     propagate,
     residual_resample,
+    tracking_model_2d,
 )
 from modalfuse.dma import mix_and_resample, reweight_rows
 from modalfuse.particles import uniform_log_weights
@@ -30,8 +33,8 @@ def reweight(p, log_lik):
     """One row through the reweighting kernel, normalised as
     ``mix_and_resample`` normalises it with pi = [1.0]."""
     _, E, scale = reweight_rows(p, np.array(log_lik, dtype=float)[None, :])
-    lw = np.log(scale[0] * E[0])
-    return ParticleSet(p.states, lw - logsumexp(lw))
+    w = scale[0] * E[0]
+    return ParticleSet(p.states, np.log(w / w.sum()))
 
 
 class TestLogsumexp:
@@ -254,6 +257,62 @@ class TestResidualResample:
         p = make_set(np.arange(5.0), [0.4, 0.3, 0.15, 0.1, 0.05])
         out = residual_resample(p, rng)
         np.testing.assert_allclose(out.log_weights, uniform_log_weights(5))
+
+
+class NoDraws:
+    """Test double: a random stream that must not be drawn from."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"unexpected draw: rng.{name}")
+
+
+class StillTransition:
+    """Test double: particles stay where they are, whatever the stream."""
+
+    def sample(self, x, rng):
+        return x
+
+
+class TestUniformWeightsCopyOnce:
+    """Exactly uniform weights copy every particle once, in order, with no
+    multinomial draw, at every N up to 3,000 and at N = 10,000. At 1,279
+    of those N (100 and 10,000 among them) N * exp(-log N) rounds to just
+    below 1, which a literal floor counts as no copy at all."""
+
+    NS = [*range(1, 3001), 10_000]
+
+    def test_literal_floor_undercounts_here(self):
+        # the cases the two tests below must cover
+        for n in (100, 10_000):
+            assert np.floor(n * np.exp(uniform_log_weights(n)))[0] == 0.0
+
+    def test_residual_resample(self):
+        for n in self.NS:
+            states = np.arange(float(n))[:, None]
+            out = residual_resample(ParticleSet(states, uniform_log_weights(n)), NoDraws())
+            assert np.array_equal(out.states, states), n
+
+    def test_pf_step_with_every_reading_lost(self):
+        models = tracking_model_2d().modalities
+        frame = ObservationFrame.of(1, [None, None])
+        for n in self.NS:
+            states = np.arange(4.0 * n).reshape(n, 4)
+            out, _ = pf_step(ParticleSet(states, uniform_log_weights(n)), frame, StillTransition(), models,
+                             NoDraws())
+            assert np.array_equal(out.states, states), n
+
+
+class TestCachedWeights:
+    def test_computed_once_and_read_only(self):
+        p = make_set([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
+        assert p.weights is p.weights
+        with pytest.raises(ValueError, match="read-only"):
+            p.weights[0] = 1.0
+
+    def test_seeded_by_trusted_build(self):
+        w = np.array([0.25, 0.75])
+        p = ParticleSet._trusted(np.zeros((2, 1)), np.log(w), weights=w)
+        assert p.weights is w
 
 
 class TestEstimateMean:
