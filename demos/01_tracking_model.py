@@ -12,6 +12,7 @@ Run:  python demos/01_tracking_model.py
 import numpy as np
 
 from modalfuse import tracking_model_2d
+from modalfuse.ssm import null_loglik
 
 model = tracking_model_2d()
 angle, rng_mod = model.modalities
@@ -33,8 +34,8 @@ for dx, dy in ((200.0, 200.0), (150.0, 250.0), (250.0, 150.0)):
     print(f"  d=({dx:6.1f},{dy:6.1f})  loglik {float(angle.loglik(y, xx)):10.3f}")
 
 print("\nNull log-likelihoods (what a 'useless' sensor contributes):")
-print(f"  bearing: {angle.null_loglik():.4f}  = -log(2 pi)")
-print(f"  range  : {rng_mod.null_loglik():.4f}  = -log(r_max = {rng_mod.r_max:.0f})")
+print(f"  bearing: {null_loglik(angle):.4f}  = -log(2 pi), uniform over [-pi, pi]")
+print(f"  range  : {null_loglik(rng_mod):.4f}  = -log(r_max = {rng_mod.r_max:.0f}), uniform over [0, r_max]")
 
 print("\nOne transition step (velocities integrate into positions):")
 for _ in range(3):

@@ -41,7 +41,7 @@ def pf_step(particles: ParticleSet, frame, transition, models, rng, trace=None):
     log_g, E, scale = dma.candidate_reweight(prop, frame, models, np.ones((1, len(models)), dtype=np.int64))
     resampled, estimate = dma.mix_and_resample(prop, np.ones(1), E, scale, rng)
     if trace is not None:
-        trace.record(frame.time_index, estimate, flag=_collapse_flag(log_g))
+        trace.record(frame.time_index, flag=_collapse_flag(log_g))
     return resampled, estimate
 
 
@@ -117,7 +117,7 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     subs = tuple(residual_resample(m, r) for m, r in zip(mixed_sets, state.rngs))
     estimate = np.mean(estimates, axis=0)
     if trace is not None:
-        trace.record(frame.time_index, estimate)
+        trace.record(frame.time_index)
     return SmaState._trusted(subs, state.rngs), estimate
 
 
@@ -146,7 +146,7 @@ def _failure_prob(prev_alpha, p: ParticleSet, frame, models, smoothing):
     """Smoothed failure probabilities plus the ``(present, L)`` they came
     from. Per present modality, raw = g0 / (g0 + g) compares the marginal
     g of the reading under the pre-update particle cloud with the failure
-    density g0 = 1/V; a lost modality keeps its previous value.
+    density g0 (``ssm.null_loglik``); a lost modality keeps its previous value.
     """
     present, L, nulls = dma.modality_logliks(frame, p.states, models)
     log_g = logsumexp(p.log_weights + L, axis=1)
@@ -169,5 +169,5 @@ def ts_step(state: TsState, frame, transition, models, rng, trace=None):
     log_g, E, scale = dma.reweight_rows(prop, dma.weighted_logliks((1.0 - alpha[present])[None, :], L))
     resampled, estimate = dma.mix_and_resample(prop, np.ones(1), E, scale, rng)
     if trace is not None:
-        trace.record(frame.time_index, estimate, model_weights=alpha, flag=_collapse_flag(log_g))
+        trace.record(frame.time_index, model_weights=alpha, flag=_collapse_flag(log_g))
     return TsState._trusted(resampled, alpha, state.smoothing), estimate

@@ -261,10 +261,9 @@ def run_experiment(
     if jobs > 1:
         # a forking pool starts all its workers at once, so no more than runs
         with ProcessPoolExecutor(max_workers=min(jobs, runs)) as pool:
-            results = list(pool.map(_single_run_star, args))
+            results = list(pool.map(_single_run, *zip(*args)))
     else:
         results = [_single_run(*a) for a in args]
-    results.sort(key=lambda r: r.run_index)
     rmses = np.array([r.rmse for r in results])
     times = np.array([r.wall_time_seconds for r in results])
     summary = ExperimentSummary(
@@ -281,10 +280,6 @@ def run_experiment(
         _write_runs(outdir / "runs.csv", results)
         write_summary(outdir / "summary.csv", [summary])
     return ExperimentResult(summary=summary, results=results)
-
-
-def _single_run_star(args):
-    return _single_run(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,8 @@ def _config_from(parser: configparser.ConfigParser) -> ExperimentConfig:
     x0 = _parse_vector(sim_sec["x0"]) if "x0" in sim_sec else DEFAULT_X0.copy()
     if x0.shape != (model.transition.dim,):
         raise ConfigError(f"x0 must have {model.transition.dim} entries")
+    if not np.all(np.isfinite(x0)):
+        raise ConfigError(f"x0 must be finite, got {sim_sec['x0']!r}")
 
     scenario = None
     if parser.has_section("scenario"):

@@ -1,10 +1,10 @@
 """Per-step diagnostics collected while a filter runs.
 
 The trace is an in-memory record the benchmark harness reads back after
-a run: one entry per time step with the point estimate, the model
-weights (candidate posteriors for DMA, failure probabilities for the
-two-stage filter), per-candidate marginal log-likelihoods where they
-exist, and a flag for steps where a degeneracy fallback fired.
+a run: one entry per time step with the model weights (candidate
+posteriors for DMA, failure probabilities for the two-stage filter),
+per-candidate marginal log-likelihoods where they exist, and a flag for
+steps where a degeneracy fallback fired.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ import numpy as np
 class RunTrace:
     def __init__(self):
         self.t: list[int] = []
-        self.estimates: list[np.ndarray] = []
         self.model_weights: list[np.ndarray | None] = []
         self.marginals: list[np.ndarray | None] = []
         self.flags: list[str | None] = []
 
-    def record(self, t, estimate, model_weights=None, marginals=None, flag=None):
+    def record(self, t, model_weights=None, marginals=None, flag=None):
         self.t.append(int(t))
-        self.estimates.append(np.asarray(estimate, dtype=float))
         self.model_weights.append(None if model_weights is None else np.asarray(model_weights, dtype=float))
         self.marginals.append(None if marginals is None else np.asarray(marginals, dtype=float))
         self.flags.append(flag)

@@ -42,17 +42,19 @@ modality comes back.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .particles import ParticleSet, Trusted, _read_only, estimate_mean, logsumexp, propagate, residual_resample
+from .ssm import null_loglik
 
 PI_FLOOR = 1e-6
-MAX_MODALITIES = 16
-# bytes one step's (M, N) float64 candidate matrix may take; init_dma
-# rejects a larger candidate set before any step allocates it
+# bytes one step's (M, N) float64 candidate matrix, or the (M, n) int64
+# candidate array, may take; init_dma and enumerate_candidates reject a
+# larger candidate set before allocating it
 CANDIDATE_MATRIX_BUDGET = 1 << 30
 
 
@@ -68,9 +70,14 @@ def enumerate_candidates(n: int) -> np.ndarray:
     first and the all-zeros vector last. For n = 2 the order is
     [1,1], [1,0], [0,1], [0,0].
     """
-    if not 1 <= n <= MAX_MODALITIES:
-        raise ValueError(f"modality count must be in [1, {MAX_MODALITIES}]")
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"modality count must be >= 1, got {n}")
     m = 2 ** n
+    need = m * n * 8
+    if need > CANDIDATE_MATRIX_BUDGET:
+        raise ValueError(f"{n} modalities need a {need:,}-byte array of {m:,} candidates, "
+                         f"over the {CANDIDATE_MATRIX_BUDGET:,}-byte budget")
     codes = (m - 1) - np.arange(m)
     shifts = np.arange(n - 1, -1, -1)
     return ((codes[:, None] >> shifts[None, :]) & 1).astype(np.int64)
@@ -94,7 +101,7 @@ def modality_logliks(frame, states: np.ndarray, models):
     L = np.empty((len(present), states.shape[0]))
     for row, i in enumerate(present):
         L[row] = models[i].loglik(frame.observations[i].value, states)
-    return present, L, np.array([models[i].null_loglik() for i in present], dtype=float)
+    return present, L, np.array([null_loglik(models[i]) for i in present], dtype=float)
 
 
 def candidate_loglik_matrix(candidates: np.ndarray, frame, states: np.ndarray, models) -> np.ndarray:
@@ -204,17 +211,20 @@ def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates
     Pass ``candidates`` to restrict the hypothesis set (e.g. a single
     all-ones row reduces the filter to a plain PF).
     """
-    if candidates is None:
-        if n_modalities is None:
-            raise ValueError("give either n_modalities or an explicit candidate set")
-        candidates = enumerate_candidates(n_modalities)
-    candidates = np.atleast_2d(np.asarray(candidates))
-    need = candidates.shape[0] * particles.n * 8
+    if candidates is not None:
+        candidates = np.atleast_2d(np.asarray(candidates))
+    elif n_modalities is None:
+        raise ValueError("give either n_modalities or an explicit candidate set")
+    # M from n, so the budget is checked before the candidates are enumerated
+    m = 2 ** operator.index(n_modalities) if candidates is None else candidates.shape[0]
+    need = m * particles.n * 8
     if need > CANDIDATE_MATRIX_BUDGET:
         raise ValueError(
-            f"{candidates.shape[0]} candidates x {particles.n} particles need a {need:,}-byte "
+            f"{m} candidates x {particles.n} particles need a {need:,}-byte "
             f"candidate matrix per step, over the {CANDIDATE_MATRIX_BUDGET:,}-byte budget"
         )
+    if candidates is None:
+        candidates = enumerate_candidates(n_modalities)
     return DmaState(particles, ModelPosterior.uniform(candidates.shape[0]), candidates)
 
 
@@ -300,6 +310,5 @@ def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
     resampled, estimate = mix_and_resample(prop, posterior.pi, E, scale, rng)
     new_state = DmaState._trusted(resampled, posterior, state.candidates, frame.time_index)
     if trace is not None:
-        trace.record(frame.time_index, estimate, model_weights=posterior.pi,
-                     marginals=log_g, flag=flag)
+        trace.record(frame.time_index, model_weights=posterior.pi, marginals=log_g, flag=flag)
     return new_state, estimate, posterior

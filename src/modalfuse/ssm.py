@@ -9,18 +9,16 @@ the batch dimension and pure given an explicitly passed
 
 A modality model is any object exposing
 
-    dim            -- dimension of one observation
-    volume         -- volume of the observation value space (> 0)
-    loglik(y, x)   -- log p(y | x), vectorised over a batch of states
-    null_loglik()  -- log of the uniform density over the value space,
-                      i.e. -log(volume); constant in both y and x
     value_space    -- (low, high): the closed interval a reading lies in
+    loglik(y, x)   -- log p(y | x), vectorised over a batch of states
     sample(x, rng) -- draw an observation given a state
     sample_failed(rng) -- draw from the uniform failure distribution
 
-The null log-likelihood is what a modality contributes when its output
-carries no information about the state: the observation is then treated
-as uniform noise across its value space.
+A reading is one finite real number, or None when lost; its position in
+an ``ObservationFrame`` is its modality index. ``null_loglik(modality)``
+is what a modality contributes when its output carries no information
+about the state: the reading is then uniform noise across the value
+space, whatever the state.
 
 The concrete 2D tracking model shipped here has state
 ``[v_x, v_y, d_x, d_y]`` (velocities and position offsets relative to
@@ -69,6 +67,13 @@ def _gauss_loglik(resid, sigma):
     return -0.5 * (resid / sigma) ** 2 - np.log(sigma) - 0.5 * np.log(TWO_PI)
 
 
+def null_loglik(modality) -> float:
+    """log of the uniform density over ``modality.value_space``, which
+    every reading of a useless modality gets."""
+    low, high = modality.value_space
+    return -np.log(high - low)
+
+
 @dataclass(frozen=True)
 class AngleModality:
     """Bearing sensor: y ~ N(arctan(d_x / d_y), sigma^2) on (-pi, pi].
@@ -78,20 +83,14 @@ class AngleModality:
     sign(d_x) * pi/2 and the origin maps to 0. Residuals are wrapped
     into (-pi, pi] before the Gaussian evaluation, which makes the
     likelihood 2*pi-periodic in y and avoids spurious huge residuals at
-    the seam. The value space is (-pi, pi], volume 2*pi.
+    the seam. The value space is (-pi, pi].
     """
 
     sigma: float = DEFAULT_SIGMA_ANGLE
 
-    dim = 1
-
     def __post_init__(self):
         if not 0.0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
-
-    @property
-    def volume(self) -> float:
-        return TWO_PI
 
     @property
     def value_space(self) -> tuple[float, float]:
@@ -110,9 +109,6 @@ class AngleModality:
         resid = wrap_angle(np.asarray(y, dtype=float) - self.mean(x))
         return _gauss_loglik(resid, self.sigma)
 
-    def null_loglik(self) -> float:
-        return -np.log(self.volume)
-
     def sample(self, x, rng):
         return wrap_angle(rng.normal(self.mean(x), self.sigma))
 
@@ -127,24 +123,17 @@ class RangeModality:
     The value space is [0, r_max]: emitted samples are clipped into it
     and a failed sensor draws uniformly across it. The density itself is
     the plain Gaussian; for the intended geometries the truncated mass
-    at the boundaries is negligible. r_max doubles as the value-space
-    volume, so it directly sets this modality's null likelihood 1/r_max.
+    at the boundaries is negligible, and the null likelihood is 1/r_max.
     """
 
     sigma: float = DEFAULT_SIGMA_RANGE
     r_max: float = DEFAULT_RANGE_MAX
-
-    dim = 1
 
     def __post_init__(self):
         if not 0.0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 0.0 < self.r_max < np.inf:
             raise ValueError("r_max must be finite and > 0")
-
-    @property
-    def volume(self) -> float:
-        return self.r_max
 
     @property
     def value_space(self) -> tuple[float, float]:
@@ -157,9 +146,6 @@ class RangeModality:
     def loglik(self, y, x):
         resid = np.asarray(y, dtype=float) - self.mean(x)
         return _gauss_loglik(resid, self.sigma)
-
-    def null_loglik(self) -> float:
-        return -np.log(self.volume)
 
     def sample(self, x, rng):
         return np.clip(rng.normal(self.mean(x), self.sigma), 0.0, self.r_max)
@@ -186,6 +172,9 @@ class LinearGaussianTransition:
             raise ValueError("A must be a square matrix")
         if Q.shape != A.shape:
             raise ValueError("Q must match A's shape")
+        for name, mat in (("A", A), ("Q", Q)):
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"{name} must be finite")
         if not np.allclose(Q, Q.T):
             raise ValueError("Q must be symmetric")
         w, v = np.linalg.eigh(Q)
@@ -217,16 +206,18 @@ class LinearGaussianTransition:
 
 @dataclass(frozen=True)
 class ModalityObservation:
-    """One modality's reading at one step; value None marks a lost observation."""
+    """One modality's reading at one step: a finite real number, or None
+    for a lost observation."""
 
-    modality_index: int
-    value: float | np.ndarray | None
+    value: float | None
 
     def __post_init__(self):
         v = self.value
-        # runs once per reading in generate_run and GroundTruthRun.load, where a
-        # float's math.isfinite costs a few percent of the ufunc call
-        if v is not None and not (math.isfinite(v) if isinstance(v, float) else np.all(np.isfinite(v))):
+        try:
+            finite = v is None or math.isfinite(v)
+        except TypeError:
+            raise ValueError(f"observation value {v!r} is not a real number") from None
+        if not finite:
             raise ValueError("observation values must be finite (use None for lost readings)")
 
     @property
@@ -236,7 +227,8 @@ class ModalityObservation:
 
 @dataclass(frozen=True)
 class ObservationFrame:
-    """Per-timestep tuple of per-modality observations, ordered by modality."""
+    """Per-timestep tuple of per-modality observations: entry i is
+    modality i's reading."""
 
     time_index: int
     observations: tuple[ModalityObservation, ...]
@@ -245,14 +237,11 @@ class ObservationFrame:
         if self.time_index < 1:
             raise ValueError("time_index starts at 1")
         object.__setattr__(self, "observations", tuple(self.observations))
-        for i, obs in enumerate(self.observations):
-            if obs.modality_index != i:
-                raise ValueError("observations must be ordered by modality_index")
 
     @classmethod
     def of(cls, time_index: int, values) -> "ObservationFrame":
         """Build a frame from raw per-modality values (None = lost)."""
-        return cls(time_index, tuple(ModalityObservation(i, v) for i, v in enumerate(values)))
+        return cls(time_index, tuple(map(ModalityObservation, values)))
 
     @property
     def n_modalities(self) -> int:

@@ -48,7 +48,7 @@ def estimate_failure_prob(prev_alpha, p, frame, models, smoothing=TS_SMOOTHING):
 
 def restrict_to(frame, keep):
     """``frame`` with every reading except modality ``keep``'s marked lost."""
-    obs = tuple(o if i == keep else ModalityObservation(i, None) for i, o in enumerate(frame.observations))
+    obs = tuple(o if i == keep else ModalityObservation(None) for i, o in enumerate(frame.observations))
     return ObservationFrame(frame.time_index, obs)
 
 

@@ -240,7 +240,7 @@ def test_A10_numerical_oracles(model, rng):
     for m, bits in enumerate(cands):
         direct = sum(
             w[j] * np.prod([
-                np.exp(mod.loglik(frame.value(i), states[j])) if bits[i] else 1.0 / mod.volume
+                np.exp(mod.loglik(frame.value(i), states[j])) if bits[i] else 1.0 / np.ptp(mod.value_space)
                 for i, mod in enumerate(model.modalities)
             ])
             for j in range(5)

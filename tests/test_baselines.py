@@ -29,19 +29,15 @@ from reference import estimate_failure_prob, log_domain_reweight, restrict_to, s
 
 
 class ConstantModality:
-    """Test double: fixed log-likelihood everywhere, unit-volume space."""
+    """Test double: fixed log-likelihood everywhere, on the value space [0, 1]."""
 
-    dim = 1
+    value_space = (0.0, 1.0)
 
-    def __init__(self, value, volume=1.0):
+    def __init__(self, value):
         self.value = value
-        self.volume = volume
 
     def loglik(self, y, x):
         return np.full(np.asarray(x).shape[0], self.value)
-
-    def null_loglik(self):
-        return -np.log(self.volume)
 
 
 def frames_from(model, rng, t_max, x0=(1.0, 1.0, 200.0, 200.0)):
@@ -109,8 +105,9 @@ class NanOnFirstParticle:
         out[0] = np.nan
         return out
 
-    def null_loglik(self):
-        return self.inner.null_loglik()
+    @property
+    def value_space(self):
+        return self.inner.value_space
 
 
 def spread_prior(n, r):
@@ -246,14 +243,14 @@ class TestSmaBatchGate:
 class TestEstimateFailureProb:
     def test_indifference_point(self, rng):
         # marginal equal to the null density => raw failure prob 0.5
-        mod = ConstantModality(0.0, volume=1.0)  # loglik == null_loglik == 0
+        mod = ConstantModality(0.0)  # loglik == null_loglik == 0
         p = ParticleSet(np.zeros((4, 1)), np.log(np.full(4, 0.25)))
         frame = ObservationFrame.of(1, [0.3])
         alpha = estimate_failure_prob(np.zeros(1), p, frame, (mod,), smoothing=0.0)
         assert alpha[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_strong_evidence_drives_alpha_to_zero(self):
-        mod = ConstantModality(40.0, volume=1.0)
+        mod = ConstantModality(40.0)
         p = ParticleSet(np.zeros((4, 1)), np.log(np.full(4, 0.25)))
         frame = ObservationFrame.of(1, [0.3])
         alpha = estimate_failure_prob(np.ones(1), p, frame, (mod,), smoothing=0.0)
@@ -269,7 +266,7 @@ class TestEstimateFailureProb:
         got = estimate_failure_prob(prev, p, frame, model.modalities, smoothing=0.5)
         for i, mod in enumerate(model.modalities):
             g = sum(w[j] * np.exp(mod.loglik(frame.value(i), states[j])) for j in range(3))
-            g0 = 1.0 / mod.volume
+            g0 = 1.0 / np.ptp(mod.value_space)
             raw = g0 / (g0 + g)
             assert got[i] == pytest.approx(0.5 * prev[i] + 0.5 * raw, abs=1e-12)
 
@@ -375,8 +372,9 @@ class CountingModality:
         self.calls += 1
         return self.inner.loglik(y, x)
 
-    def null_loglik(self):
-        return self.inner.null_loglik()
+    @property
+    def value_space(self):
+        return self.inner.value_space
 
 
 def _step_once(name, p0, frame, transition, models, rng):

@@ -166,8 +166,8 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args):
-                return map(fn, args)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(modalfuse.bench, "ProcessPoolExecutor", InlinePool)
         run_experiment("pf", 1, n_particles=10, runs=2, master_seed=0, jobs=8)
@@ -326,6 +326,17 @@ class TestConfigFile:
                      "--config", str(path), "--particles", "10", "--runs", "1"])
         assert code == 2
         assert "error: A must be 4 x 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ("[simulation]\nx0 = nan 1 200 200\n", "x0"),
+        ("[model]\nA = nan 0 0 0; 0 1 0 0; 1 0 1 0; 0 1 0 1\n", "A"),
+        ("[model]\nQ = inf 0 0 0; 0 1 0 0; 0 0 10 0; 0 0 0 10\n", "Q"),
+    ], ids=["x0", "A", "Q"])
+    def test_non_finite_value_names_its_key(self, tmp_path, text, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            load_config(path)
 
     def test_window_on_missing_modality_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -25,6 +25,7 @@ from modalfuse import (
 )
 from modalfuse.diagnostics import RunTrace
 from modalfuse.dma import candidate_label, candidate_loglik_matrix, mix_and_resample, reweight_rows
+from modalfuse.ssm import null_loglik
 
 from conftest import point_prior
 from reference import candidate_loglik, log_domain_mixture, log_domain_reweight
@@ -48,7 +49,7 @@ class TestEnumerateCandidates:
         np.testing.assert_array_equal(got[0], [1, 1, 1])
         np.testing.assert_array_equal(got[-1], [0, 0, 0])
 
-    @pytest.mark.parametrize("n", [0, 17, -2])
+    @pytest.mark.parametrize("n", [0, 40, -2])
     def test_out_of_range_rejected(self, n):
         with pytest.raises(ValueError):
             enumerate_candidates(n)
@@ -232,7 +233,7 @@ class TestDmaStep:
                     lik *= (
                         np.exp(mod.loglik(frame.value(i), states[j]))
                         if bits[i]
-                        else 1.0 / mod.volume
+                        else 1.0 / np.ptp(mod.value_space)
                     )
                 direct += w[j] * lik
             assert log_g[m] == pytest.approx(np.log(direct), abs=1e-10)
@@ -365,8 +366,9 @@ class OffsetModality:
     def loglik(self, y, x):
         return self.inner.loglik(y, x) + self.offset
 
-    def null_loglik(self):
-        return self.inner.null_loglik()
+    @property
+    def value_space(self):
+        return self.inner.value_space
 
 
 def _log_domain_step(state, frame, transition, models, seed):
@@ -456,8 +458,8 @@ class TestMinusInfLoglik:
         got = candidate_loglik_matrix(enumerate_candidates(2), frame, states, models)
         a = angle.loglik(0.8, states)
         assert np.all(got[[0, 2]] == -np.inf)
-        np.testing.assert_allclose(got[1], a + rng_mod.null_loglik(), rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(got[3], angle.null_loglik() + rng_mod.null_loglik(), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got[1], a + null_loglik(rng_mod), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got[3], null_loglik(angle) + null_loglik(rng_mod), rtol=0.0, atol=1e-12)
 
     def test_one_step_demotes_it(self, model, rng):
         angle, rng_mod = model.modalities
@@ -495,6 +497,14 @@ class TestCandidateMemoryBudget:
             match=r"65536 candidates x 10000 particles need a 5,242,880,000-byte .* 1,073,741,824-byte budget",
         ):
             init_dma(self._particles(10_000), 16)
+
+    def test_budget_checked_before_enumerating(self):
+        # 2^40 candidates: the (M, n) array alone would be 352 TB
+        budget = r"over the 1,073,741,824-byte budget"
+        with pytest.raises(ValueError, match=r"1099511627776 candidates x 1 particles .* " + budget):
+            init_dma(self._particles(1), 40)
+        with pytest.raises(ValueError, match=r"40 modalities need a 351,843,720,888,320-byte .* " + budget):
+            enumerate_candidates(40)
 
     def test_six_modalities_at_2000_particles_accepted(self):
         assert init_dma(self._particles(2_000), 6).candidates.shape == (64, 6)

@@ -12,7 +12,7 @@ from modalfuse import (
     tracking_model_2d,
     wrap_angle,
 )
-from modalfuse.ssm import DEFAULT_A, DEFAULT_Q
+from modalfuse.ssm import DEFAULT_A, DEFAULT_Q, null_loglik
 
 from reference import restrict_to
 
@@ -99,6 +99,13 @@ class TestTransition:
         with pytest.raises(ValueError):
             LinearGaussianTransition(A, np.diag([1.0, -1.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("name, bad", [("A", np.nan), ("Q", np.inf)])
+    def test_non_finite_dynamics_rejected(self, name, bad):
+        mats = {"A": A.copy(), "Q": Q.copy()}
+        mats[name][0, 0] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LinearGaussianTransition(mats["A"], mats["Q"])
+
     def test_batch_sampling_shape(self, rng):
         tm = LinearGaussianTransition(A, Q)
         out = tm.sample(rng.normal(size=(50, 4)), rng)
@@ -141,10 +148,10 @@ class TestAngleModality:
 
     def test_null_loglik(self):
         mod = AngleModality()
-        assert mod.null_loglik() == pytest.approx(-np.log(2 * np.pi), abs=1e-12)
-        assert mod.null_loglik() == pytest.approx(-1.8379, abs=1e-4)
+        assert null_loglik(mod) == pytest.approx(-np.log(2 * np.pi), abs=1e-12)
+        assert null_loglik(mod) == pytest.approx(-1.8379, abs=1e-4)
         # constant: does not depend on sigma or any observation
-        assert AngleModality(sigma=5.0).null_loglik() == mod.null_loglik()
+        assert null_loglik(AngleModality(sigma=5.0)) == null_loglik(mod)
 
     def test_sample_stays_in_value_space(self, rng):
         mod = AngleModality(sigma=2.0)
@@ -171,13 +178,9 @@ class TestRangeModality:
 
     def test_null_loglik(self):
         mod = RangeModality(r_max=2000.0)
-        assert mod.null_loglik() == pytest.approx(-np.log(2000.0), abs=1e-12)
-        assert mod.null_loglik() == pytest.approx(-7.6009, abs=1e-4)
-        hypothetical_ys = [0.0, 5.0, 1999.0]
-        assert len({mod.null_loglik() for _ in hypothetical_ys}) == 1
-
-    def test_volume_is_r_max(self):
-        assert RangeModality(r_max=123.0).volume == 123.0
+        assert null_loglik(mod) == pytest.approx(-np.log(2000.0), abs=1e-12)
+        assert null_loglik(mod) == pytest.approx(-7.6009, abs=1e-4)
+        assert null_loglik(RangeModality(r_max=123.0)) == -np.log(123.0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -220,10 +223,6 @@ class TestObservationFrame:
         assert frame.observations[0].present
         assert not frame.observations[1].present
 
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            ObservationFrame(1, (ModalityObservation(1, 0.5), ModalityObservation(0, 1.0)))
-
     def test_time_index_starts_at_one(self):
         with pytest.raises(ValueError):
             ObservationFrame.of(0, [0.5, 0.7])
@@ -232,17 +231,25 @@ class TestObservationFrame:
         with pytest.raises(ValueError):
             ObservationFrame.of(1, [np.inf, 0.7])
         with pytest.raises(ValueError):
-            ModalityObservation(0, np.nan)
+            ModalityObservation(np.nan)
 
-    @pytest.mark.parametrize("value", [float("nan"), -np.inf, np.float64(np.inf), np.array([1.0, np.nan])],
-                             ids=["float_nan", "float_minus_inf", "float64_inf", "array_nan"])
+    @pytest.mark.parametrize("value", [float("nan"), -np.inf, np.float64(np.inf)],
+                             ids=["float_nan", "float_minus_inf", "float64_inf"])
     def test_non_finite_value_rejected_for_each_value_type(self, value):
         with pytest.raises(ValueError, match="observation values must be finite"):
-            ModalityObservation(0, value)
+            ModalityObservation(value)
 
-    @pytest.mark.parametrize("value", [0.5, np.float64(-3.0), 7, np.array([1.0, 2.0])])
+    @pytest.mark.parametrize("value", [0.5, np.float64(-3.0), 7])
     def test_finite_value_accepted_for_each_value_type(self, value):
-        assert ModalityObservation(0, value).present
+        assert ModalityObservation(value).present
+
+    @pytest.mark.parametrize("value", [np.array([1.0, 2.0]), np.array([1.0]), [0.5], "0.5", 1 + 2j],
+                             ids=["array", "one_element_array", "list", "str", "complex"])
+    def test_non_scalar_value_rejected(self, value):
+        # a reading is one real number: later stages compare it with the
+        # value space's bounds and write it with float()
+        with pytest.raises(ValueError, match="is not a real number"):
+            ModalityObservation(value)
 
     def test_restrict_to(self):
         frame = ObservationFrame.of(2, [0.5, 0.7])
@@ -267,7 +274,7 @@ def test_tracking_model_2d_overrides():
     model = tracking_model_2d(sigma_angle=0.2, sigma_range=3.0, range_max=500.0)
     assert model.modalities[0].sigma == 0.2
     assert model.modalities[1].sigma == 3.0
-    assert model.modalities[1].volume == 500.0
+    assert model.modalities[1].value_space == (0.0, 500.0)
 
 
 @pytest.mark.parametrize("A, Q, name, shape", [
