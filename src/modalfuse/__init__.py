@@ -47,7 +47,6 @@ from .particles import (
     ParticleSet,
     estimate_mean,
     init_particles,
-    logsumexp,
     propagate,
     residual_resample,
 )

@@ -13,18 +13,17 @@ SMA is B one-row members through the same kernel in one call: row i is
 member i's likelihood of reading i, and each row is its own mixture,
 normalised by its sum like PF's. Each SMA member draws from its own
 random stream, spawned once per run by ``init_sma`` and kept in the
-``SmaState``.
+``SmaState``. TS's per-modality marginals come from the same kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import dma
-from .particles import ParticleSet, Trusted, estimate_mean, logsumexp, propagate, residual_resample
+from .particles import ParticleSet, Trusted, estimate_mean, propagate, residual_resample
 
 TS_SMOOTHING = 0.5
 
@@ -46,7 +45,7 @@ def pf_step(particles: ParticleSet, frame, transition, models, rng, trace=None):
 
 
 def _collapse_flag(log_g):
-    return None if np.isfinite(log_g[0]) else "weight_collapse"
+    return None if np.isfinite(log_g).all() else "weight_collapse"
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,8 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     i is reading i on member i's states, zeros when it is lost), one
     ``dma.reweight_rows`` call, each row its own mixture, and one
     row-wise division by the row sums. Member i equals ``pf_step`` on the
-    frame with every other reading lost, on stream i, bit for bit.
+    frame with every other reading lost, on stream i, bit for bit. A step
+    with a member whose every weight underflowed is flagged.
     """
     n = len(models)
     if len(frame.observations) != n:
@@ -98,9 +98,7 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
         if obs.present:
             ll[i] = models[i].loglik(obs.value, p.states)
     lw = np.stack([p.log_weights for p in props])
-    # reweight_rows reads only the incoming log-weights and adds them row by
-    # row, so a (B, N) stack gives each row its own member's
-    _, E, scale = dma.reweight_rows(SimpleNamespace(log_weights=lw), ll)
+    log_g, E, scale = dma.reweight_rows(lw, ll)
     # mix_and_resample with pi = [1.0], row-wise: a row whose marginal
     # underflowed keeps its member's incoming weights
     mixed = np.multiply(scale[:, None], E, out=E)
@@ -117,7 +115,7 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     subs = tuple(residual_resample(m, r) for m, r in zip(mixed_sets, state.rngs))
     estimate = np.mean(estimates, axis=0)
     if trace is not None:
-        trace.record(frame.time_index)
+        trace.record(frame.time_index, flag=_collapse_flag(log_g))
     return SmaState._trusted(subs, state.rngs), estimate
 
 
@@ -149,7 +147,7 @@ def _failure_prob(prev_alpha, p: ParticleSet, frame, models, smoothing):
     density g0 (``ssm.null_loglik``); a lost modality keeps its previous value.
     """
     present, L, nulls = dma.modality_logliks(frame, p.states, models)
-    log_g = logsumexp(p.log_weights + L, axis=1)
+    log_g = dma.reweight_rows(p.log_weights, L.copy())[0]
     # raw = g0 / (g0 + g), evaluated stably in the log domain
     raw = np.exp(-np.logaddexp(0.0, log_g - nulls))
     alpha = np.array(prev_alpha, dtype=float)
@@ -166,7 +164,7 @@ def ts_step(state: TsState, frame, transition, models, rng, trace=None):
     """
     prop = propagate(state.particles, transition, rng)
     alpha, present, L = _failure_prob(state.alpha, prop, frame, models, state.smoothing)
-    log_g, E, scale = dma.reweight_rows(prop, dma.weighted_logliks((1.0 - alpha[present])[None, :], L))
+    log_g, E, scale = dma.reweight_rows(prop.log_weights, dma.weighted_logliks((1.0 - alpha[present])[None, :], L))
     resampled, estimate = dma.mix_and_resample(prop, np.ones(1), E, scale, rng)
     if trace is not None:
         trace.record(frame.time_index, model_weights=alpha, flag=_collapse_flag(log_g))

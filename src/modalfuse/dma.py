@@ -32,7 +32,8 @@ Steps 5 and 6 read the normalised mixture as the set's cached
 Steps 2 and 4 are ``reweight_rows`` and ``mix_and_resample``, the
 package's one reweighting kernel: PF and TS run them on a single row
 with pi = [1.0], so PF is DMA restricted to the all-ones candidate, bit
-for bit, because the same code runs the same row.
+for bit, because the same code runs the same row. No other code in a
+filter step computes a marginal likelihood (TS's and SMA's included).
 
 A posterior floor keeps every candidate at weight >= PI_FLOOR: under
 the identity hypothesis-transition a candidate whose weight reaches
@@ -48,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .particles import ParticleSet, Trusted, _read_only, estimate_mean, logsumexp, propagate, residual_resample
+from .particles import WEIGHT_TOL, ParticleSet, Trusted, _read_only, estimate_mean, propagate, residual_resample
 from .ssm import null_loglik
 
 PI_FLOOR = 1e-6
@@ -111,8 +112,11 @@ def candidate_loglik_matrix(candidates: np.ndarray, frame, states: np.ndarray, m
     log-likelihood and a 0-bit the constant null log-likelihood, so
     candidates differing only in a lost reading's bit agree.
     """
+    candidates = np.asarray(candidates)
+    if candidates.shape[1] != len(models):
+        raise ValueError(f"candidates cover {candidates.shape[1]} modalities, model has {len(models)}")
     present, L, nulls = modality_logliks(frame, states, models)
-    bits = np.asarray(candidates)[:, present].astype(float)
+    bits = candidates[:, present].astype(float)
     out = weighted_logliks(bits, L)
     out += ((1.0 - bits) @ nulls)[:, None]
     return out
@@ -141,8 +145,9 @@ class ModelPosterior(Trusted):
             raise ValueError("log_pi must be a non-empty vector")
         if not np.all(np.isfinite(log_pi)):
             raise ValueError("log_pi must be finite (apply the floor rule first)")
-        if abs(logsumexp(log_pi)) > 1e-9:
-            raise ValueError("log_pi is not normalised")
+        with np.errstate(over="ignore"):
+            if abs(np.exp(log_pi).sum() - 1.0) > WEIGHT_TOL:
+                raise ValueError("log_pi is not normalised")
         object.__setattr__(self, "log_pi", log_pi)
 
     @classmethod
@@ -208,11 +213,15 @@ class DmaState(Trusted):
 def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates=None) -> DmaState:
     """Fresh DMA state: uniform candidate posterior at time 0.
 
-    Pass ``candidates`` to restrict the hypothesis set (e.g. a single
-    all-ones row reduces the filter to a plain PF).
+    Pass ``candidates``, an (M, n) 0/1 array, to restrict the hypothesis
+    set (e.g. a single all-ones row reduces the filter to a plain PF).
     """
     if candidates is not None:
-        candidates = np.atleast_2d(np.asarray(candidates))
+        candidates = np.asarray(candidates)
+        if candidates.ndim != 2 or candidates.size == 0 or not np.isin(candidates, (0, 1)).all():
+            raise ValueError("candidates must be a non-empty (M, n) array of 0/1 entries")
+        if n_modalities is not None and candidates.shape[1] != n_modalities:
+            raise ValueError(f"candidates cover {candidates.shape[1]} modalities, model has {n_modalities}")
     elif n_modalities is None:
         raise ValueError("give either n_modalities or an explicit candidate set")
     # M from n, so the budget is checked before the candidates are enumerated
@@ -228,9 +237,10 @@ def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates
     return DmaState(particles, ModelPosterior.uniform(candidates.shape[0]), candidates)
 
 
-def reweight_rows(p: ParticleSet, ll: np.ndarray):
-    """Reweight pre-update particles by each row of an (M, N)
-    log-likelihood matrix; returns ``(log_g, E, scale)``.
+def reweight_rows(log_weights: np.ndarray, ll: np.ndarray):
+    """Reweight pre-update particles with log-weights ``log_weights``, (N,)
+    or one row per set, by each row of an (M, N) log-likelihood matrix;
+    returns ``(log_g, E, scale)``.
 
     ``log_g`` (M,) holds the rows' marginals log(sum_i w_i L_m(x^i)),
     and scale[m] * E[m] is row m's normalised weighting. One max-shifted
@@ -238,7 +248,7 @@ def reweight_rows(p: ParticleSet, ll: np.ndarray):
     1, so none can overflow. A row whose marginal underflowed gets scale
     0 and a zero E row.
     """
-    ll += p.log_weights
+    ll += log_weights
     mx = ll.max(axis=1)
     mx[~np.isfinite(mx)] = 0.0
     ll -= mx[:, None]
@@ -257,7 +267,7 @@ def reweight_rows(p: ParticleSet, ll: np.ndarray):
 def candidate_reweight(p: ParticleSet, frame, models, candidates):
     """``reweight_rows`` of the candidate log-likelihood matrix; the
     posterior floor keeps an underflowed candidate's mixture share negligible."""
-    return reweight_rows(p, candidate_loglik_matrix(candidates, frame, p.states, models))
+    return reweight_rows(p.log_weights, candidate_loglik_matrix(candidates, frame, p.states, models))
 
 
 def mix_and_resample(p: ParticleSet, pi: np.ndarray, E: np.ndarray, scale, rng):

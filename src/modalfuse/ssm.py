@@ -237,6 +237,9 @@ class ObservationFrame:
         if self.time_index < 1:
             raise ValueError("time_index starts at 1")
         object.__setattr__(self, "observations", tuple(self.observations))
+        for i, obs in enumerate(self.observations):
+            if not isinstance(obs, ModalityObservation):
+                raise ValueError(f"observation {i} is {obs!r}, not a ModalityObservation")
 
     @classmethod
     def of(cls, time_index: int, values) -> "ObservationFrame":

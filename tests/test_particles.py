@@ -8,7 +8,6 @@ from modalfuse import (
     ParticleSet,
     estimate_mean,
     init_particles,
-    logsumexp,
     pf_step,
     propagate,
     residual_resample,
@@ -19,6 +18,7 @@ from modalfuse.particles import uniform_log_weights
 from modalfuse.ssm import DEFAULT_A, DEFAULT_Q, LinearGaussianTransition
 
 from conftest import point_prior
+from reference import logsumexp
 
 
 def make_set(states, weights):
@@ -32,7 +32,7 @@ def make_set(states, weights):
 def reweight(p, log_lik):
     """One row through the reweighting kernel, normalised as
     ``mix_and_resample`` normalises it with pi = [1.0]."""
-    _, E, scale = reweight_rows(p, np.array(log_lik, dtype=float)[None, :])
+    _, E, scale = reweight_rows(p.log_weights, np.array(log_lik, dtype=float)[None, :])
     w = scale[0] * E[0]
     return ParticleSet(p.states, np.log(w / w.sum()))
 
@@ -136,7 +136,7 @@ class TestReweight:
         # zero evidence: the marginal is -inf and the mixture keeps the
         # incoming weights, here read off the mean of states 0 and 1
         p = make_set([0.0, 1.0], [0.7, 0.3])
-        log_g, E, scale = reweight_rows(p, np.array([[-np.inf, -np.inf]]))
+        log_g, E, scale = reweight_rows(p.log_weights, np.array([[-np.inf, -np.inf]]))
         assert log_g[0] == -np.inf and scale[0] == 0.0
         _, est = mix_and_resample(p, np.ones(1), E, scale, rng)
         np.testing.assert_allclose(est, [0.3], atol=1e-15)
@@ -144,7 +144,7 @@ class TestReweight:
     def test_nan_loglik_rejected(self):
         # a NaN row has no marginal and never reaches the mixture
         p = make_set([0.0, 1.0], [0.5, 0.5])
-        log_g, E, scale = reweight_rows(p, np.array([[np.nan, 0.0]]))
+        log_g, E, scale = reweight_rows(p.log_weights, np.array([[np.nan, 0.0]]))
         assert not np.isfinite(log_g[0])
         assert scale[0] == 0.0 and not E.any()
 

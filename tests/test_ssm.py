@@ -251,6 +251,13 @@ class TestObservationFrame:
         with pytest.raises(ValueError, match="is not a real number"):
             ModalityObservation(value)
 
+    @pytest.mark.parametrize("entry", [283.0, None, (283.0,)], ids=["float", "none", "tuple"])
+    def test_entry_that_is_not_an_observation_rejected(self, entry):
+        # the raw constructor used to accept it, and the run then failed
+        # with "'float' object has no attribute 'present'"
+        with pytest.raises(ValueError, match=r"observation 1 is .*, not a ModalityObservation"):
+            ObservationFrame(1, (ModalityObservation(0.78), entry))
+
     def test_restrict_to(self):
         frame = ObservationFrame.of(2, [0.5, 0.7])
         only1 = restrict_to(frame, 1)
