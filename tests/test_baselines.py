@@ -7,6 +7,7 @@ import pytest
 import modalfuse
 import modalfuse.baselines as baselines_mod
 import modalfuse.dma as dma_mod
+import modalfuse.particles as particles_mod
 from modalfuse import (
     ObservationFrame,
     ParticleSet,
@@ -28,6 +29,7 @@ from modalfuse.dma import mix_and_resample, reweight_rows
 from modalfuse.ssm import null_loglik
 
 from conftest import point_prior
+import reference
 from reference import estimate_failure_prob, log_domain_reweight, logsumexp, restrict_to, sma_by_member
 
 
@@ -495,6 +497,23 @@ class TestTailCostShape:
         return init_dma(p0, len(models))
 
     STEPS = {"pf": pf_step, "sma": sma_step, "ts": ts_step, "dma": dma_step}
+    FRAMES = ([0.79, 284.0], [None, 284.0], [None, None])
+
+    @pytest.mark.parametrize("step", ["pf", "sma", "dma"])
+    def test_no_logsumexp_in_a_step(self, model, monkeypatch, step):
+        # a tripwire in every namespace a step reads: a step that looked up a
+        # ``logsumexp`` (its own module's or the test oracle) would call it
+        p0 = init_particles(spread_prior, 64, np.random.default_rng(0))
+        state = self._states(p0, model.modalities, step)
+        calls = []
+        for module in (particles_mod, dma_mod, baselines_mod, reference):
+            monkeypatch.setattr(module, "logsumexp", lambda *a, **k: calls.append(1) or pytest.fail("logsumexp"),
+                                raising=False)
+        rng = np.random.default_rng(3)
+        for t, values in enumerate(self.FRAMES, start=1):
+            state = self.STEPS[step](state, ObservationFrame.of(t, values), model.transition, model.modalities,
+                                     rng)[0]
+        assert calls == []
 
     def test_no_module_defines_or_imports_logsumexp(self):
         names = [m.name for m in pkgutil.iter_modules(modalfuse.__path__)]
