@@ -34,7 +34,6 @@ from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .diagnostics import RunTrace
 from .dma import (
     DmaState,
-    ModelPosterior,
     ModelUpdateDegenerate,
     candidate_reweight,
     dma_step,

@@ -129,7 +129,9 @@ class TsState(Trusted):
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
-        if np.any(alpha < 0.0) or np.any(alpha > 1.0):
+        if alpha.ndim != 1:
+            raise ValueError(f"failure probabilities must be a vector, got shape {alpha.shape}")
+        if not ((alpha >= 0.0) & (alpha <= 1.0)).all():
             raise ValueError("failure probabilities must lie in [0, 1]")
         if not 0.0 <= self.smoothing <= 1.0:
             raise ValueError("smoothing must lie in [0, 1]")
@@ -162,6 +164,8 @@ def ts_step(state: TsState, frame, transition, models, rng, trace=None):
     single row sum_i (1 - alpha_i) * loglik_i over present modalities,
     estimate, resample.
     """
+    if len(state.alpha) != len(models):
+        raise ValueError(f"TS state has {len(state.alpha)} failure probabilities, model has {len(models)} modalities")
     prop = propagate(state.particles, transition, rng)
     alpha, present, L = _failure_prob(state.alpha, prop, frame, models, state.smoothing)
     log_g, E, scale = dma.reweight_rows(prop.log_weights, dma.weighted_logliks((1.0 - alpha[present])[None, :], L))

@@ -36,7 +36,7 @@ from .diagnostics import RunTrace
 from .particles import init_particles
 from .tracksim import GroundTruthRun, ScenarioSpec, builtin_scenario, generate_run
 
-ALGORITHMS = ("pf", "sma", "ts", "dma")
+ALGORITHMS = ("pf", "ts", "sma", "dma")
 PRIOR_MODES = ("accurate", "biased")
 RMSE_MODES = ("full", "position")
 
@@ -342,15 +342,12 @@ def _write_run_files(outdir: Path, r: RunResult, ds: GroundTruthRun) -> None:
 # Table-style grid over all algorithms and scenarios
 # ---------------------------------------------------------------------------
 
-TABLE_ALGORITHMS = ("pf", "ts", "sma", "dma")
-
-
 def run_table1(n_particles, runs, master_seed, config=None, rmse_mode="full",
                jobs=1, scenarios=(1, 2, 3, 4), progress=None):
     """All algorithms x all scenarios; returns {(algorithm, scenario): ExperimentResult}."""
     grid = {}
     for k in scenarios:
-        for algorithm in TABLE_ALGORITHMS:
+        for algorithm in ALGORITHMS:
             grid[(algorithm, k)] = run_experiment(
                 algorithm, k, n_particles, runs, master_seed,
                 rmse_mode=rmse_mode, config=config, jobs=jobs,
@@ -363,36 +360,24 @@ def run_table1(n_particles, runs, master_seed, config=None, rmse_mode="full",
 def format_table1(grid, scenarios=(1, 2, 3, 4)) -> str:
     """Text grid: mean RMSE (variance) per scenario, then averages and timing."""
     lines = []
-    header = f"{'':<34}" + "".join(f"{a.upper():>22}" for a in TABLE_ALGORITHMS)
+    header = f"{'':<34}" + "".join(f"{a.upper():>22}" for a in ALGORITHMS)
     lines.append(header)
-    mean_by_alg = {a: [] for a in TABLE_ALGORITHMS}
+    mean_by_alg = {a: [] for a in ALGORITHMS}
     for k in scenarios:
         cells = []
-        for a in TABLE_ALGORITHMS:
+        for a in ALGORITHMS:
             s = grid[(a, k)].summary
             mean_by_alg[a].append(s.mean_rmse)
             cells.append(f"{s.mean_rmse:.2f} ({s.var_rmse:.3f})")
         lines.append(f"{'Scenario ' + str(k):<34}" + "".join(f"{c:>22}" for c in cells))
-    avg_cells = [f"{np.mean(mean_by_alg[a]):.2f}" for a in TABLE_ALGORITHMS]
+    avg_cells = [f"{np.mean(mean_by_alg[a]):.2f}" for a in ALGORITHMS]
     lines.append(f"{'averaged over scenarios':<34}" + "".join(f"{c:>22}" for c in avg_cells))
     time_cells = []
-    for a in TABLE_ALGORITHMS:
+    for a in ALGORITHMS:
         ts = [grid[(a, k)].summary.mean_time for k in scenarios]
         time_cells.append(f"{np.mean(ts):.3f}")
     lines.append(f"{'computing time per run (s)':<34}" + "".join(f"{c:>22}" for c in time_cells))
     return "\n".join(lines)
-
-
-def write_table1(outdir, grid) -> None:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_summary(outdir / "summary.csv", [e.summary for e in grid.values()])
-    with open(outdir / "table1.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["scenario", "algorithm", "mean_rmse", "var_rmse", "mean_time", "var_time"])
-        for (a, k), e in grid.items():
-            s = e.summary
-            w.writerow([k, a, _fmt(s.mean_rmse), _fmt(s.var_rmse), _fmt(s.mean_time), _fmt(s.var_time)])
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +424,7 @@ def main(argv=None) -> int:
                       f"mean time {s.mean_time:8.3f}s", flush=True)
             grid = run_table1(args.particles, args.runs, args.seed, config=cfg,
                               rmse_mode=args.rmse, jobs=args.jobs, progress=progress)
-            write_table1(outdir, grid)
+            write_summary(outdir / "summary.csv", [e.summary for e in grid.values()])
             print(format_table1(grid))
             return 0
         if args.algorithm is None or (args.scenario is None and cfg.scenario is None):

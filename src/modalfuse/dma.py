@@ -35,6 +35,9 @@ with pi = [1.0], so PF is DMA restricted to the all-ones candidate, bit
 for bit, because the same code runs the same row. No other code in a
 filter step computes a marginal likelihood (TS's and SMA's included).
 
+The candidate posterior is a plain read-only (M,) probability vector:
+``DmaState.pi`` holds it and ``dma_step`` returns it.
+
 A posterior floor keeps every candidate at weight >= PI_FLOOR: under
 the identity hypothesis-transition a candidate whose weight reaches
 exactly zero could never recover, which would be fatal once a failed
@@ -45,7 +48,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -133,39 +135,9 @@ def weighted_logliks(W: np.ndarray, L: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ModelPosterior(Trusted):
-    """Log-weights over the M candidate models, normalised and finite."""
-
-    log_pi: np.ndarray
-
-    def __post_init__(self):
-        log_pi = np.asarray(self.log_pi, dtype=float)
-        if log_pi.ndim != 1 or log_pi.shape[0] == 0:
-            raise ValueError("log_pi must be a non-empty vector")
-        if not np.all(np.isfinite(log_pi)):
-            raise ValueError("log_pi must be finite (apply the floor rule first)")
-        with np.errstate(over="ignore"):
-            if abs(np.exp(log_pi).sum() - 1.0) > WEIGHT_TOL:
-                raise ValueError("log_pi is not normalised")
-        object.__setattr__(self, "log_pi", log_pi)
-
-    @classmethod
-    def uniform(cls, m: int) -> "ModelPosterior":
-        return cls(np.full(m, -np.log(m)))
-
-    @property
-    def n_models(self) -> int:
-        return self.log_pi.shape[0]
-
-    @cached_property
-    def pi(self) -> np.ndarray:
-        """exp(log_pi), computed once (or seeded by ``_trusted``); read-only."""
-        return _read_only(np.exp(self.log_pi))
-
-
-def update_model_posterior(prev: ModelPosterior, log_g) -> ModelPosterior:
-    """Bayes update of the candidate posterior from marginal likelihoods.
+def update_model_posterior(prev_pi: np.ndarray, log_g) -> np.ndarray:
+    """Bayes update of the (M,) candidate posterior ``prev_pi`` from
+    marginal likelihoods; returns the new read-only (M,) vector.
 
     The predictive weights equal the previous posterior (identity
     hypothesis-transition), so the update is pi_m ∝ pi_m * g_m, floored
@@ -176,9 +148,9 @@ def update_model_posterior(prev: ModelPosterior, log_g) -> ModelPosterior:
     reset to uniform and flag the step.
     """
     log_g = np.asarray(log_g, dtype=float)
-    if log_g.shape != prev.log_pi.shape:
+    if log_g.shape != np.shape(prev_pi):
         raise ValueError("log_g must match the posterior's length")
-    lw = prev.log_pi + log_g
+    lw = np.log(prev_pi) + log_g
     lw[np.isnan(lw)] = -np.inf
     mx = lw.max()
     if not np.isfinite(mx):
@@ -188,26 +160,37 @@ def update_model_posterior(prev: ModelPosterior, log_g) -> ModelPosterior:
     pi /= pi.sum()
     np.maximum(pi, PI_FLOOR, out=pi)
     pi /= pi.sum()
-    # finite (pi >= PI_FLOOR) and normalised by construction
-    return ModelPosterior._trusted(np.log(pi), pi=pi)
+    # every entry >= PI_FLOOR and normalised by construction
+    return _read_only(pi)
+
+
+def _uniform(m: int) -> np.ndarray:
+    return _read_only(np.full(m, 1.0) / m)
 
 
 @dataclass(frozen=True)
 class DmaState(Trusted):
-    """Shared particle set plus the posterior over candidate models."""
+    """Shared particle set plus the (M,) posterior ``pi`` over the M
+    candidate models. The public constructor is the one place both are
+    checked: 0/1 candidates, and a posterior of length M whose entries
+    are > 0 and sum to 1. ``dma_step`` builds its states trusted."""
 
     particles: ParticleSet
-    posterior: ModelPosterior
+    pi: np.ndarray          # (M,) candidate posterior, read-only
     candidates: np.ndarray  # (M, n) usefulness vectors
     t: int = 0              # time index of the last processed frame
 
     def __post_init__(self):
         candidates = np.asarray(self.candidates)
-        if candidates.ndim != 2:
-            raise ValueError("candidates must be an (M, n) array")
-        if candidates.shape[0] != self.posterior.n_models:
+        if candidates.ndim != 2 or candidates.size == 0 or not np.isin(candidates, (0, 1)).all():
+            raise ValueError("candidates must be a non-empty (M, n) array of 0/1 entries")
+        pi = np.array(self.pi, dtype=float)
+        if pi.shape != candidates.shape[:1]:
             raise ValueError("posterior length must match the candidate count")
+        if not (pi > 0.0).all() or not abs(pi.sum() - 1.0) <= WEIGHT_TOL:
+            raise ValueError("posterior entries must be > 0 and sum to 1")
         object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "pi", _read_only(pi))
 
 
 def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates=None) -> DmaState:
@@ -216,16 +199,17 @@ def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates
     Pass ``candidates``, an (M, n) 0/1 array, to restrict the hypothesis
     set (e.g. a single all-ones row reduces the filter to a plain PF).
     """
-    if candidates is not None:
+    if candidates is None:
+        if n_modalities is None:
+            raise ValueError("give either n_modalities or an explicit candidate set")
+        # M from n, so the budget is checked before the candidates are enumerated
+        m = 2 ** operator.index(n_modalities)
+    else:
+        # DmaState rejects a set that is not a non-empty (M, n) 0/1 array
         candidates = np.asarray(candidates)
-        if candidates.ndim != 2 or candidates.size == 0 or not np.isin(candidates, (0, 1)).all():
-            raise ValueError("candidates must be a non-empty (M, n) array of 0/1 entries")
-        if n_modalities is not None and candidates.shape[1] != n_modalities:
+        m = len(candidates) if candidates.ndim else 0
+        if n_modalities is not None and candidates.ndim == 2 and candidates.shape[1] != n_modalities:
             raise ValueError(f"candidates cover {candidates.shape[1]} modalities, model has {n_modalities}")
-    elif n_modalities is None:
-        raise ValueError("give either n_modalities or an explicit candidate set")
-    # M from n, so the budget is checked before the candidates are enumerated
-    m = 2 ** operator.index(n_modalities) if candidates is None else candidates.shape[0]
     need = m * particles.n * 8
     if need > CANDIDATE_MATRIX_BUDGET:
         raise ValueError(
@@ -234,7 +218,7 @@ def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates
         )
     if candidates is None:
         candidates = enumerate_candidates(n_modalities)
-    return DmaState(particles, ModelPosterior.uniform(candidates.shape[0]), candidates)
+    return DmaState(particles, _uniform(m), candidates)
 
 
 def reweight_rows(log_weights: np.ndarray, ll: np.ndarray):
@@ -301,7 +285,8 @@ def mix_and_resample(p: ParticleSet, pi: np.ndarray, E: np.ndarray, scale, rng):
 
 
 def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
-    """One filtering step; returns (new_state, estimate, posterior).
+    """One filtering step; returns (new_state, estimate, pi), where pi is
+    the updated (M,) candidate posterior, also held as ``new_state.pi``.
 
     The candidate evaluations share a single propagation of the
     particle set and are reduced in candidate-index order, so the
@@ -313,12 +298,12 @@ def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
     log_g, E, scale = candidate_reweight(prop, frame, models, state.candidates)
     flag = None
     try:
-        posterior = update_model_posterior(state.posterior, log_g)
+        pi = update_model_posterior(state.pi, log_g)
     except ModelUpdateDegenerate:
-        posterior = ModelPosterior.uniform(state.posterior.n_models)
+        pi = _uniform(len(state.pi))
         flag = "model_update_degenerate"
-    resampled, estimate = mix_and_resample(prop, posterior.pi, E, scale, rng)
-    new_state = DmaState._trusted(resampled, posterior, state.candidates, frame.time_index)
+    resampled, estimate = mix_and_resample(prop, pi, E, scale, rng)
+    new_state = DmaState._trusted(resampled, pi, state.candidates, frame.time_index)
     if trace is not None:
-        trace.record(frame.time_index, model_weights=posterior.pi, marginals=log_g, flag=flag)
-    return new_state, estimate, posterior
+        trace.record(frame.time_index, model_weights=pi, marginals=log_g, flag=flag)
+    return new_state, estimate, pi

@@ -66,7 +66,7 @@ class Trusted:
         """An instance from field values (in field order) that already meet
         the invariants, without __post_init__'s checks; for the library's
         in-loop builds only. Keywords seed cached array properties
-        (``weights``, ``pi``); the arrays are made read-only."""
+        (``weights``); the arrays are made read-only."""
         obj = object.__new__(cls)
         obj.__dict__.update(zip(cls.__dataclass_fields__, values))
         for name, a in cached.items():

@@ -402,6 +402,26 @@ class TestTsStep:
             with pytest.raises(ValueError, match=r"failure probabilities must lie in \[0, 1\]"):
                 baselines_mod.TsState(p0, np.array(alpha))
 
+    def test_nan_alpha_rejected(self, model, rng):
+        # NaN passed the [0, 1] test and stayed NaN for the whole run
+        p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)
+        with pytest.raises(ValueError, match=r"failure probabilities must lie in \[0, 1\]"):
+            baselines_mod.TsState(p0, np.array([np.nan, 0.5]))
+
+    @pytest.mark.parametrize("alpha", [[[0.1, 0.2]], 0.5], ids=["two_dim", "scalar"])
+    def test_alpha_that_is_not_a_vector_rejected(self, model, rng, alpha):
+        p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)
+        with pytest.raises(ValueError, match="failure probabilities must be a vector"):
+            baselines_mod.TsState(p0, np.array(alpha))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_alpha_count_other_than_the_modality_count_rejected(self, model, rng, count):
+        # three entries on the 2-modality model ran silently, one raised a bare IndexError
+        p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 4, rng)
+        with pytest.raises(ValueError, match=f"TS state has {count} failure probabilities, model has 2 modalities"):
+            ts_step(init_ts(p0, count), ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities,
+                    rng)
+
 
 class CountingModality:
     """Test double: delegates to a real modality and counts loglik calls."""

@@ -31,7 +31,6 @@ from modalfuse.bench import (
     main,
     run_table1,
     write_summary,
-    write_table1,
 )
 from modalfuse.ssm import DEFAULT_Q, LinearGaussianTransition
 from modalfuse.tracksim import builtin_scenario, generate_run
@@ -388,7 +387,6 @@ class TestCli:
             "--out", str(out),
         ])
         assert code == 0
-        assert (out / "table1.csv").exists()
         assert (out / "summary.csv").exists()
         with open(out / "summary.csv") as f:
             assert len(list(csv.DictReader(f))) == 16

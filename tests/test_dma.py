@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import modalfuse.dma as dma_mod
 from modalfuse import (
     DmaState,
-    ModelPosterior,
     ModelUpdateDegenerate,
     ObservationFrame,
     ParticleSet,
@@ -129,49 +128,49 @@ class TestMarginalLoglik:
 
 class TestUpdateModelPosterior:
     def test_equal_marginals_leave_posterior(self):
-        prev = ModelPosterior(np.log([0.4, 0.3, 0.2, 0.1]))
+        prev = np.array([0.4, 0.3, 0.2, 0.1])
         out = update_model_posterior(prev, np.full(4, -1.3))
-        np.testing.assert_allclose(out.pi, prev.pi, atol=1e-12)
+        np.testing.assert_allclose(out, prev, atol=1e-12)
 
     def test_uniform_prior_hand_case(self):
         # oracle: direct Bayes arithmetic, pi_m ∝ (1/4) g_m with g = (2,1,1,0)
-        prev = ModelPosterior.uniform(4)
+        prev = np.full(4, 0.25)
         with np.errstate(divide="ignore"):
             log_g = np.log(np.array([2.0, 1.0, 1.0, 0.0]))
         out = update_model_posterior(prev, log_g)
-        np.testing.assert_allclose(out.pi, [0.5, 0.25, 0.25, 0.0], atol=1e-5)
+        np.testing.assert_allclose(out, [0.5, 0.25, 0.25, 0.0], atol=1e-5)
         # the floor keeps the dead model recoverable
-        assert out.pi[3] > 0.0
+        assert out[3] > 0.0
 
     def test_scaling_invariance(self, rng):
-        prev = ModelPosterior(np.log([0.7, 0.2, 0.1]))
+        prev = np.array([0.7, 0.2, 0.1])
         log_g = rng.normal(size=3)
         a = update_model_posterior(prev, log_g)
         b = update_model_posterior(prev, log_g + 11.3)
-        np.testing.assert_allclose(a.pi, b.pi, atol=1e-12)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_all_zero_marginals_degenerate(self):
-        prev = ModelPosterior.uniform(3)
+        prev = np.full(3, 1 / 3)
         with pytest.raises(ModelUpdateDegenerate):
             update_model_posterior(prev, np.full(3, -np.inf))
 
     def test_nan_marginal_is_zero_evidence(self):
-        out = update_model_posterior(ModelPosterior.uniform(4), np.array([0.0, np.nan, -1.0, -2.0]))
+        out = update_model_posterior(np.full(4, 0.25), np.array([0.0, np.nan, -1.0, -2.0]))
         with np.errstate(divide="ignore"):
-            want = update_model_posterior(ModelPosterior.uniform(4), np.array([0.0, -np.inf, -1.0, -2.0]))
-        assert np.array_equal(out.log_pi, want.log_pi)
-        assert out.pi[1] == pytest.approx(dma_mod.PI_FLOOR, rel=1e-5)
-        assert abs(logsumexp(out.log_pi)) < 1e-12
+            want = update_model_posterior(np.full(4, 0.25), np.array([0.0, -np.inf, -1.0, -2.0]))
+        assert np.array_equal(np.log(out), np.log(want))
+        assert out[1] == pytest.approx(dma_mod.PI_FLOOR, rel=1e-5)
+        assert abs(out.sum() - 1.0) < 1e-12
 
     def test_all_nan_marginals_degenerate(self):
         with pytest.raises(ModelUpdateDegenerate, match="no candidate has a finite marginal"):
-            update_model_posterior(ModelPosterior.uniform(3), np.full(3, np.nan))
+            update_model_posterior(np.full(3, 1 / 3), np.full(3, np.nan))
 
     def test_floor_applied(self):
-        prev = ModelPosterior.uniform(2)
+        prev = np.full(2, 0.5)
         out = update_model_posterior(prev, np.array([0.0, -200.0]))
-        assert out.pi[1] >= 1e-6 / (1.0 + 2e-6)
-        assert np.all(np.isfinite(out.log_pi))
+        assert out[1] >= 1e-6 / (1.0 + 2e-6)
+        assert np.all(np.isfinite(np.log(out)))
 
 
 def _setup(model, rng, n=64, x0=(1.0, 1.0, 200.0, 200.0)):
@@ -193,7 +192,7 @@ class TestDmaStep:
             state, est_dma, post = dma_step(state, f, model.transition, model.modalities, rng_dma)
             assert np.array_equal(est_pf, est_dma)
             assert np.array_equal(pf_particles.states, state.particles.states)
-        np.testing.assert_array_equal(post.pi, [1.0])
+        np.testing.assert_array_equal(post, [1.0])
 
     def test_mixture_mean_identity(self, model, rng):
         # estimate from mixture weights == sum_m pi_m * per-model mean
@@ -201,10 +200,10 @@ class TestDmaStep:
         state = init_dma(p0, 2)
         prop = propagate(p0, model.transition, np.random.default_rng(3))
         log_g, E, scale = candidate_reweight(prop, frame, model.modalities, state.candidates)
-        posterior = update_model_posterior(state.posterior, log_g)
+        posterior = update_model_posterior(state.pi, log_g)
         per_model = (scale[:, None] * E) @ prop.states
-        _, mixture_mean = mix_and_resample(prop, posterior.pi, E, scale, rng)
-        np.testing.assert_allclose(mixture_mean, posterior.pi @ per_model, atol=1e-10)
+        _, mixture_mean = mix_and_resample(prop, posterior, E, scale, rng)
+        np.testing.assert_allclose(mixture_mean, posterior @ per_model, atol=1e-10)
 
     def test_all_zeros_candidate_keeps_incoming_weights(self, model, rng):
         p0, frame = _setup(model, rng)
@@ -244,7 +243,7 @@ class TestDmaStep:
         for t in range(1, 21):
             frame = ObservationFrame.of(t, [0.78, 283.0])
             state, est, post = dma_step(state, frame, model.transition, model.modalities, step_rng)
-            assert abs(post.pi.sum() - 1.0) < 1e-9
+            assert abs(post.sum() - 1.0) < 1e-9
             assert abs(logsumexp(state.particles.log_weights)) < 1e-9
 
     def test_determinism_byte_for_byte(self, model):
@@ -258,7 +257,7 @@ class TestDmaStep:
                 frame = ObservationFrame.of(t, [0.78 + 0.001 * t, 283.0 + t])
                 state, est, post = dma_step(state, frame, model.transition, model.modalities, rng)
                 ests.append(est)
-            results.append((np.array(ests), state.particles.states.copy(), post.pi.copy()))
+            results.append((np.array(ests), state.particles.states.copy(), post.copy()))
         np.testing.assert_array_equal(results[0][0], results[1][0])
         np.testing.assert_array_equal(results[0][1], results[1][1])
         np.testing.assert_array_equal(results[0][2], results[1][2])
@@ -275,7 +274,7 @@ class TestDmaStep:
         state = init_dma(p0, 2)
         frame = ObservationFrame.of(1, [None, None])
         new_state, est, post = dma_step(state, frame, model.transition, model.modalities, rng)
-        np.testing.assert_allclose(post.pi, state.posterior.pi, atol=1e-12)
+        np.testing.assert_allclose(post, state.pi, atol=1e-12)
 
     def test_degenerate_update_resets_uniform_and_flags(self, model, rng, monkeypatch):
         p0, frame = _setup(model, rng)
@@ -287,7 +286,7 @@ class TestDmaStep:
         monkeypatch.setattr(dma_mod, "update_model_posterior", boom)
         trace = RunTrace()
         _, _, post = dma_mod.dma_step(state, frame, model.transition, model.modalities, rng, trace=trace)
-        np.testing.assert_allclose(post.pi, np.full(4, 0.25), atol=1e-12)
+        np.testing.assert_allclose(post, np.full(4, 0.25), atol=1e-12)
         assert trace.flags == ["model_update_degenerate"]
         assert trace.n_flagged == 1
 
@@ -376,9 +375,9 @@ def _log_domain_step(state, frame, transition, models, seed):
     prop = propagate(state.particles, transition, np.random.default_rng(seed))
     log_g, log_w = log_domain_reweight(prop, candidate_loglik_matrix(state.candidates, frame, prop.states, models))
     try:
-        log_pi = update_model_posterior(state.posterior, log_g).log_pi
+        log_pi = np.log(update_model_posterior(state.pi, log_g))
     except ModelUpdateDegenerate:
-        log_pi = ModelPosterior.uniform(state.posterior.n_models).log_pi
+        log_pi = np.full(len(state.pi), -np.log(len(state.pi)))
     mix = log_domain_mixture(log_pi, log_w)
     return log_g, mix, estimate_mean(ParticleSet(prop.states, mix)), prop
 
@@ -473,16 +472,32 @@ class TestMinusInfLoglik:
         np.testing.assert_allclose(trace.marginals[0], log_g, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(est, want, rtol=0.0, atol=1e-10)
         # [1,1] and [0,1] trust the dead reading: demoted to the floor
-        assert post.pi[0] + post.pi[2] < 1e-5
+        assert post[0] + post[2] < 1e-5
         assert np.isfinite(log_g[[1, 3]]).all()
 
 
 class TestDmaStateValidates:
+    """The public constructor checks the posterior; dma_step builds its states trusted."""
+
+    @staticmethod
+    def _particles():
+        return ParticleSet(np.zeros((4, 4)), np.full(4, -np.log(4)))
+
     def test_posterior_length_mismatch_rejected(self):
-        # the public constructor checks; dma_step builds its states trusted
-        p = ParticleSet(np.zeros((4, 4)), np.full(4, -np.log(4)))
         with pytest.raises(ValueError, match="posterior length must match the candidate count"):
-            DmaState(p, ModelPosterior.uniform(3), enumerate_candidates(2))
+            DmaState(self._particles(), np.full(3, 1 / 3), enumerate_candidates(2))
+
+    @pytest.mark.parametrize("pi", [[0.5, np.nan, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25], [0.3, 0.2, 0.2, 0.2]],
+                             ids=["nan", "zero_entry", "sums_to_0.9"])
+    def test_posterior_not_positive_and_normalised_rejected(self, pi):
+        with pytest.raises(ValueError, match="posterior entries must be > 0 and sum to 1"):
+            DmaState(self._particles(), np.array(pi), enumerate_candidates(2))
+
+    def test_posterior_is_a_read_only_copy(self):
+        pi = np.full(4, 0.25)
+        state = DmaState(self._particles(), pi, enumerate_candidates(2))
+        assert not state.pi.flags.writeable and pi.flags.writeable
+        np.testing.assert_array_equal(state.pi, pi)
 
 
 class TestCandidateSetChecked:
@@ -503,17 +518,20 @@ class TestCandidateSetChecked:
             dma_step(state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities, rng)
 
     @pytest.mark.parametrize("candidates", [[[1, 2], [0, 1]], [[5, 1]], [[1, 0.5]], [[-1, 1]], np.ones((0, 2)),
-                                            [1, 1], np.ones((1, 1, 2))],
-                             ids=["two", "five", "half", "minus_one", "empty", "one_dim", "three_dim"])
+                                            [1, 1], np.ones((1, 1, 2)), [[2, 1], [5, 0]]],
+                             ids=["two", "five", "half", "minus_one", "empty", "one_dim", "three_dim", "two_five"])
     def test_not_a_0_1_matrix_rejected(self, candidates):
-        # an entry of 2 or 5 made the null term (1 - bits) @ nulls negative
+        # an entry of 2 or 5 made the null term (1 - bits) @ nulls negative;
+        # init_dma and the public DmaState constructor share the one check
         with pytest.raises(ValueError, match=r"non-empty \(M, n\) array of 0/1 entries"):
             init_dma(self._particles(), candidates=candidates)
+        with pytest.raises(ValueError, match=r"non-empty \(M, n\) array of 0/1 entries"):
+            DmaState(self._particles(), np.full(2, 0.5), np.array(candidates))
 
     def test_all_ones_row_accepted(self):
         # the A9 oracle's single candidate, as ints, floats and bools
         for ones in (np.ones((1, 2), dtype=np.int64), np.ones((1, 2)), np.ones((1, 2), dtype=bool)):
-            assert init_dma(self._particles(), 2, candidates=ones).posterior.n_models == 1
+            assert init_dma(self._particles(), 2, candidates=ones).pi.shape == (1,)
 
 
 class TestCandidateMemoryBudget:
