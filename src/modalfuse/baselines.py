@@ -52,14 +52,23 @@ def _collapse_flag(log_g):
 class SmaState(Trusted):
     """One particle set and one random stream per modality, indexed by
     modality. The streams are generators that advance as the members
-    step, so a state is stepped once."""
+    step, so a state is stepped once. The public constructor checks that
+    the members are ParticleSets of one size, one stream each;
+    ``sma_step`` builds its states trusted."""
 
     sub_filters: tuple[ParticleSet, ...]
     rngs: tuple[np.random.Generator, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sub_filters", tuple(self.sub_filters))
-        object.__setattr__(self, "rngs", tuple(self.rngs))
+        subs, rngs = tuple(self.sub_filters), tuple(self.rngs)
+        if not subs or not all(isinstance(p, ParticleSet) for p in subs):
+            raise ValueError("SMA members must be one or more ParticleSets")
+        if len({p.n for p in subs}) != 1:
+            raise ValueError(f"SMA members must hold equal particle counts, got {[p.n for p in subs]}")
+        if len(rngs) != len(subs):
+            raise ValueError(f"SMA state has {len(subs)} members and {len(rngs)} streams")
+        object.__setattr__(self, "sub_filters", subs)
+        object.__setattr__(self, "rngs", rngs)
 
 
 def init_sma(particles: ParticleSet, n_modalities: int, rng) -> SmaState:
@@ -88,7 +97,7 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     n = len(models)
     if len(frame.observations) != n:
         raise ValueError(f"frame has {len(frame.observations)} modality readings, model has {n}")
-    if len(state.sub_filters) != n or len(state.rngs) != n:
+    if len(state.sub_filters) != n:  # SmaState holds one stream per member
         raise ValueError(f"SMA state has {len(state.sub_filters)} members and {len(state.rngs)} streams, "
                          f"model has {n} modalities")
     props = [propagate(p, transition, r) for p, r in zip(state.sub_filters, state.rngs)]

@@ -6,7 +6,9 @@ particle set, one for the filter itself. Dataset and initial particles
 are functions of ``(master_seed, r)`` only -- never of the algorithm --
 so all algorithms are evaluated on identical data from identical
 starting particles, and cross-algorithm RMSE comparisons are
-seed-shared.
+seed-shared. ``run_table1`` holds this by construction: it builds each
+run's dataset and initial particle set once and steps all four filters
+on them, each from a fresh filter stream.
 
 Usage from a shell (installed as ``bench``)::
 
@@ -26,6 +28,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -155,7 +158,9 @@ class RunResult:
 
 
 @dataclass
-class ExperimentSummary:
+class ExperimentResult:
+    """One algorithm's Monte Carlo batch on one scenario: its runs and their statistics."""
+
     algorithm: str
     scenario: str
     n_particles: int
@@ -164,11 +169,6 @@ class ExperimentSummary:
     var_rmse: float
     mean_time: float
     var_time: float
-
-
-@dataclass
-class ExperimentResult:
-    summary: ExperimentSummary
     results: list[RunResult]
 
 
@@ -178,35 +178,41 @@ def make_dataset(spec: ScenarioSpec, cfg: ExperimentConfig, master_seed: int, ru
     return generate_run(spec, cfg.x0, cfg.truth_transition(), cfg.model.modalities, rng)
 
 
-def _single_run(algorithm, spec, cfg, n_particles, master_seed, run_index, prior_mode, rmse_mode, outdir):
+def _single_run(algorithms, spec, cfg, n_particles, master_seed, prior_mode, rmse_mode, outdir, run_index):
     dataset = make_dataset(spec, cfg, master_seed, run_index)
     prior = init_prior(prior_mode, cfg.x0)
     particles0 = init_particles(prior, n_particles, stream_rng(master_seed, run_index, STREAM_INIT))
-    filter_rng = stream_rng(master_seed, run_index, STREAM_FILTER)
-    start = time.perf_counter()
-    estimates, trace = run_filter(
-        algorithm, dataset.frames, particles0, cfg.model.transition, cfg.model.modalities, filter_rng
-    )
-    elapsed = time.perf_counter() - start
-    err = per_step_error(estimates, dataset.states, rmse_mode)
-    result = RunResult(
-        algorithm=algorithm,
-        scenario=spec.label,
-        run_index=run_index,
-        rmse=float(np.sqrt(np.mean(err * err))),
-        per_step_error=err,
-        wall_time_seconds=elapsed,
-        estimates=estimates,
-        weight_trace=trace.weight_matrix(),
-        n_flagged_steps=trace.n_flagged,
-    )
-    if outdir is not None:
-        _write_run_files(outdir, result, dataset)
-    return result
+    results = []
+    for algorithm in algorithms:
+        filter_rng = stream_rng(master_seed, run_index, STREAM_FILTER)
+        start = time.perf_counter()
+        estimates, trace = run_filter(
+            algorithm, dataset.frames, particles0, cfg.model.transition, cfg.model.modalities, filter_rng
+        )
+        elapsed = time.perf_counter() - start
+        err = per_step_error(estimates, dataset.states, rmse_mode)
+        result = RunResult(
+            algorithm=algorithm,
+            scenario=spec.label,
+            run_index=run_index,
+            rmse=float(np.sqrt(np.mean(err * err))),
+            per_step_error=err,
+            wall_time_seconds=elapsed,
+            estimates=estimates,
+            weight_trace=trace.weight_matrix(),
+            n_flagged_steps=trace.n_flagged,
+        )
+        if outdir is not None:
+            _write_run_files(outdir, result, dataset)
+        results.append(result)
+    return results
 
 
 def _resolve_scenario(scenario, cfg: ExperimentConfig) -> ScenarioSpec:
     if cfg.scenario is not None:
+        if scenario != cfg.scenario:
+            raise ValueError(f"scenario {scenario!r} and the config's [scenario] section "
+                             "both give the scenario; give one of them")
         return cfg.scenario
     if isinstance(scenario, ScenarioSpec):
         return scenario
@@ -230,10 +236,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Monte Carlo batch of one algorithm on one scenario.
 
-    ``scenario`` is a built-in index (1-4) or a ScenarioSpec. Runs may
-    execute in parallel (``jobs``); results are reduced in run order, so
-    the output is independent of the schedule. Degenerate steps inside a
-    run are flagged and counted, never fatal.
+    ``scenario`` is a built-in index (1-4) or a ScenarioSpec; with a
+    config that holds a [scenario] section, pass that section's spec or
+    nothing else. Runs may execute in parallel (``jobs``); results are
+    reduced in run order, so the output is independent of the schedule.
+    Degenerate steps inside a run are flagged and counted, never fatal.
 
     With ``outdir`` set, each run writes its weights, trajectory and
     replayable dataset files there as it finishes, from the dataset it
@@ -241,6 +248,16 @@ def run_experiment(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    [experiment] = _run_batch((algorithm,), scenario, n_particles, runs, master_seed,
+                              prior, rmse_mode, config, jobs, outdir)
+    if outdir is not None:
+        _write_runs(Path(outdir) / "runs.csv", experiment.results)
+        write_summary(Path(outdir) / "summary.csv", [experiment])
+    return experiment
+
+
+def _run_batch(algorithms, scenario, n_particles, runs, master_seed, prior, rmse_mode, config, jobs, outdir=None):
+    """One ExperimentResult per algorithm, in order; ``outdir`` takes one algorithm's run files."""
     if n_particles < 1 or runs < 1:
         raise ValueError("particles and runs must be >= 1")
     if jobs < 1:
@@ -254,32 +271,29 @@ def run_experiment(
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-    args = [
-        (algorithm, spec, cfg, n_particles, master_seed, r, prior, rmse_mode, outdir)
-        for r in range(runs)
-    ]
+    run = partial(_single_run, algorithms, spec, cfg, n_particles, master_seed, prior, rmse_mode, outdir)
     if jobs > 1:
         # a forking pool starts all its workers at once, so no more than runs
         with ProcessPoolExecutor(max_workers=min(jobs, runs)) as pool:
-            results = list(pool.map(_single_run, *zip(*args)))
+            per_run = list(pool.map(run, range(runs)))
     else:
-        results = [_single_run(*a) for a in args]
-    rmses = np.array([r.rmse for r in results])
-    times = np.array([r.wall_time_seconds for r in results])
-    summary = ExperimentSummary(
-        algorithm=algorithm,
-        scenario=spec.label,
-        n_particles=n_particles,
-        runs=runs,
-        mean_rmse=float(rmses.mean()),
-        var_rmse=float(rmses.var(ddof=1)) if runs > 1 else 0.0,
-        mean_time=float(times.mean()),
-        var_time=float(times.var(ddof=1)) if runs > 1 else 0.0,
-    )
-    if outdir is not None:
-        _write_runs(outdir / "runs.csv", results)
-        write_summary(outdir / "summary.csv", [summary])
-    return ExperimentResult(summary=summary, results=results)
+        per_run = [run(r) for r in range(runs)]
+    experiments = []
+    for algorithm, results in zip(algorithms, zip(*per_run)):
+        rmses = np.array([r.rmse for r in results])
+        times = np.array([r.wall_time_seconds for r in results])
+        experiments.append(ExperimentResult(
+            algorithm=algorithm,
+            scenario=spec.label,
+            n_particles=n_particles,
+            runs=runs,
+            mean_rmse=float(rmses.mean()),
+            var_rmse=float(rmses.var(ddof=1)) if runs > 1 else 0.0,
+            mean_time=float(times.mean()),
+            var_time=float(times.var(ddof=1)) if runs > 1 else 0.0,
+            results=list(results),
+        ))
+    return experiments
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +311,12 @@ def _weight_header(algorithm: str, k: int) -> list[str]:
     return [f"alpha_{i}" for i in range(k)]
 
 
-def write_summary(path, summaries: list[ExperimentSummary]) -> None:
+def write_summary(path, experiments: list[ExperimentResult]) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["algorithm", "scenario", "particles", "runs",
                     "mean_rmse", "var_rmse", "mean_time", "var_time"])
-        for s in summaries:
+        for s in experiments:
             w.writerow([s.algorithm, s.scenario, s.n_particles, s.runs,
                         _fmt(s.mean_rmse), _fmt(s.var_rmse), _fmt(s.mean_time), _fmt(s.var_time)])
 
@@ -344,38 +358,31 @@ def _write_run_files(outdir: Path, r: RunResult, ds: GroundTruthRun) -> None:
 
 def run_table1(n_particles, runs, master_seed, config=None, rmse_mode="full",
                jobs=1, scenarios=(1, 2, 3, 4), progress=None):
-    """All algorithms x all scenarios; returns {(algorithm, scenario): ExperimentResult}."""
+    """All algorithms x the given scenarios, one batch each: {(algorithm, scenario): ExperimentResult}."""
     grid = {}
     for k in scenarios:
-        for algorithm in ALGORITHMS:
-            grid[(algorithm, k)] = run_experiment(
-                algorithm, k, n_particles, runs, master_seed,
-                rmse_mode=rmse_mode, config=config, jobs=jobs,
-            )
+        for e in _run_batch(ALGORITHMS, k, n_particles, runs, master_seed, "accurate", rmse_mode, config, jobs):
+            grid[(e.algorithm, k)] = e
             if progress is not None:
-                progress(algorithm, k, grid[(algorithm, k)].summary)
+                progress(e.algorithm, k, e)
     return grid
 
 
-def format_table1(grid, scenarios=(1, 2, 3, 4)) -> str:
-    """Text grid: mean RMSE (variance) per scenario, then averages and timing."""
-    lines = []
-    header = f"{'':<34}" + "".join(f"{a.upper():>22}" for a in ALGORITHMS)
-    lines.append(header)
+def format_table1(grid) -> str:
+    """Text grid: mean RMSE (variance) per scenario in the grid, then averages and timing."""
+    scenarios = list(dict.fromkeys(k for _, k in grid))
+    lines = [f"{'':<34}" + "".join(f"{a.upper():>22}" for a in ALGORITHMS)]
     mean_by_alg = {a: [] for a in ALGORITHMS}
     for k in scenarios:
         cells = []
         for a in ALGORITHMS:
-            s = grid[(a, k)].summary
+            s = grid[(a, k)]
             mean_by_alg[a].append(s.mean_rmse)
             cells.append(f"{s.mean_rmse:.2f} ({s.var_rmse:.3f})")
         lines.append(f"{'Scenario ' + str(k):<34}" + "".join(f"{c:>22}" for c in cells))
     avg_cells = [f"{np.mean(mean_by_alg[a]):.2f}" for a in ALGORITHMS]
     lines.append(f"{'averaged over scenarios':<34}" + "".join(f"{c:>22}" for c in avg_cells))
-    time_cells = []
-    for a in ALGORITHMS:
-        ts = [grid[(a, k)].summary.mean_time for k in scenarios]
-        time_cells.append(f"{np.mean(ts):.3f}")
+    time_cells = [f"{np.mean([grid[(a, k)].mean_time for k in scenarios]):.3f}" for a in ALGORITHMS]
     lines.append(f"{'computing time per run (s)':<34}" + "".join(f"{c:>22}" for c in time_cells))
     return "\n".join(lines)
 
@@ -424,19 +431,18 @@ def main(argv=None) -> int:
                       f"mean time {s.mean_time:8.3f}s", flush=True)
             grid = run_table1(args.particles, args.runs, args.seed, config=cfg,
                               rmse_mode=args.rmse, jobs=args.jobs, progress=progress)
-            write_summary(outdir / "summary.csv", [e.summary for e in grid.values()])
+            write_summary(outdir / "summary.csv", list(grid.values()))
             print(format_table1(grid))
             return 0
         if args.algorithm is None or (args.scenario is None and cfg.scenario is None):
             print("error: --algorithm and --scenario are required "
-                  "(a [scenario] config section replaces --scenario)", file=sys.stderr)
+                  "(a [scenario] config section takes the place of --scenario)", file=sys.stderr)
             return 2
-        experiment = run_experiment(
+        s = run_experiment(
             args.algorithm, args.scenario if args.scenario is not None else cfg.scenario,
             args.particles, args.runs, args.seed,
             prior=args.prior, rmse_mode=args.rmse, config=cfg, jobs=args.jobs, outdir=outdir,
         )
-        s = experiment.summary
         print(f"{s.algorithm} scenario {s.scenario}: mean RMSE {s.mean_rmse:.3f} "
               f"(var {s.var_rmse:.3f}), mean time {s.mean_time:.3f}s over {s.runs} runs")
         return 0

@@ -1,7 +1,9 @@
 """Key-value config files for model parameters and scenarios.
 
 INI-style text, parsed with :mod:`configparser`. Every key is optional;
-missing keys fall back to the built-in 2D tracking defaults. Matrices
+missing keys fall back to the built-in 2D tracking defaults. A section
+or key not listed below is an error, and so is any key in [DEFAULT],
+which configparser would copy into every section. Matrices
 are written as semicolon-separated rows, vectors and windows as
 whitespace-separated numbers. Modality indices are 0-based.
 
@@ -67,6 +69,12 @@ def _parse_entries(text: str) -> list[list[float]]:
 
 
 DEFAULT_TRUTH_NOISE_SCALE = 1e-4
+# every section and key _config_from reads (configparser lower-cases keys)
+CONFIG_KEYS = {
+    "model": ("sigma_angle", "sigma_range", "range_max", "a", "q"),
+    "simulation": ("horizon", "x0", "truth_noise_scale"),
+    "scenario": ("failures", "losses"),
+}
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ class ExperimentConfig:
     x0: np.ndarray = field(default_factory=lambda: DEFAULT_X0.copy())
     horizon: int = DEFAULT_HORIZON
     truth_noise_scale: float = DEFAULT_TRUTH_NOISE_SCALE
-    scenario: ScenarioSpec | None = None  # overrides the built-in scenario when present
+    scenario: ScenarioSpec | None = None  # used in place of a built-in scenario, never beside one
 
     def truth_transition(self):
         """Transition used to roll out ground truth."""
@@ -108,7 +116,23 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
 
 
+def _check_names(parser: configparser.ConfigParser) -> None:
+    """Reject a section or key that _config_from does not read, so that a
+    typo fails instead of leaving a default in place. [DEFAULT], whose keys
+    configparser copies into every section, must be empty."""
+    for section in parser:  # [DEFAULT] comes first
+        keys = list(parser[section])
+        if section not in CONFIG_KEYS and (keys or section != "DEFAULT"):
+            raise ConfigError(f"unknown section [{section}] (keys: {', '.join(keys) or 'none'}); "
+                              f"sections are {', '.join(f'[{s}]' for s in CONFIG_KEYS)}")
+        for key in keys:
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]; "
+                                  f"its keys are {', '.join(CONFIG_KEYS[section])}")
+
+
 def _config_from(parser: configparser.ConfigParser) -> ExperimentConfig:
+    _check_names(parser)
     model_sec = parser["model"] if parser.has_section("model") else {}
     try:
         sigma_angle = float(model_sec.get("sigma_angle", DEFAULT_SIGMA_ANGLE))

@@ -171,9 +171,10 @@ def _uniform(m: int) -> np.ndarray:
 @dataclass(frozen=True)
 class DmaState(Trusted):
     """Shared particle set plus the (M,) posterior ``pi`` over the M
-    candidate models. The public constructor is the one place both are
-    checked: 0/1 candidates, and a posterior of length M whose entries
-    are > 0 and sum to 1. ``dma_step`` builds its states trusted."""
+    candidate models. The public constructor is the one place the state
+    is checked: a ParticleSet, 0/1 candidates, a posterior of length M
+    whose entries are > 0 and sum to 1, and a time index ``t`` >= 0.
+    ``dma_step`` builds its states trusted."""
 
     particles: ParticleSet
     pi: np.ndarray          # (M,) candidate posterior, read-only
@@ -181,6 +182,10 @@ class DmaState(Trusted):
     t: int = 0              # time index of the last processed frame
 
     def __post_init__(self):
+        if not isinstance(self.particles, ParticleSet):
+            raise ValueError(f"particles must be a ParticleSet, got {type(self.particles).__name__}")
+        if not isinstance(self.t, (int, np.integer)) or self.t < 0:
+            raise ValueError(f"t must be a non-negative integer time index, got {self.t!r}")
         candidates = np.asarray(self.candidates)
         if candidates.ndim != 2 or candidates.size == 0 or not np.isin(candidates, (0, 1)).all():
             raise ValueError("candidates must be a non-empty (M, n) array of 0/1 entries")

@@ -72,7 +72,7 @@ def grid():
 
 
 def mean_rmse(grid, alg, k):
-    return grid[(alg, k)].summary.mean_rmse
+    return grid[(alg, k)].mean_rmse
 
 
 def test_A1_scenario1_parity(grid):
@@ -144,8 +144,8 @@ def test_A5_cross_scenario_average(grid):
 
 
 def test_A6_timing(grid):
-    t_pf = np.mean([grid[("pf", k)].summary.mean_time for k in (1, 2, 3, 4)])
-    t_dma = np.mean([grid[("dma", k)].summary.mean_time for k in (1, 2, 3, 4)])
+    t_pf = np.mean([grid[("pf", k)].mean_time for k in (1, 2, 3, 4)])
+    t_dma = np.mean([grid[("dma", k)].mean_time for k in (1, 2, 3, 4)])
     bound = 1.5 * SLACK
     ratio = t_dma / t_pf
     ok = ratio <= bound

@@ -492,12 +492,26 @@ class TestSmaStreams:
 
     @pytest.mark.parametrize("members, streams", [(3, 3), (1, 1), (2, 1), (2, 3)])
     def test_member_and_stream_counts_checked(self, model, members, streams):
-        # more members than modalities, fewer, and a stream count that differs
+        # more members than modalities and fewer fail in the step; a stream
+        # count that differs from the member count fails in the constructor
         p0 = init_particles(spread_prior, 20, np.random.default_rng(0))
-        state = SmaState((p0,) * members, np.random.default_rng(3).spawn(streams))
-        with pytest.raises(ValueError, match=f"SMA state has {members} members and {streams} streams, "
-                                             "model has 2 modalities"):
+        tail = ", model has 2 modalities" if members == streams else "$"
+        with pytest.raises(ValueError, match=f"SMA state has {members} members and {streams} streams{tail}"):
+            state = SmaState((p0,) * members, np.random.default_rng(3).spawn(streams))
             sma_step(state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities, None)
+
+    @pytest.mark.parametrize("members, message", [
+        ((), "one or more ParticleSets"),
+        ((4, 1.0), "one or more ParticleSets"),
+        ((4, 8), r"equal particle counts, got \[4, 8\]"),
+    ], ids=["no_members", "float_member", "sizes_4_8"])
+    def test_constructor_checks_members(self, members, message):
+        # unchecked, a 4- and an 8-particle member would fail only in the
+        # step, with numpy's "could not broadcast" error
+        members = tuple(init_particles(spread_prior, m, np.random.default_rng(0)) if isinstance(m, int) else m
+                        for m in members)
+        with pytest.raises(ValueError, match=message):
+            SmaState(members, np.random.default_rng(3).spawn(len(members)))
 
 
 class TestTailCostShape:

@@ -28,6 +28,7 @@ from modalfuse.bench import (
     BIAS_OFFSET,
     PRIOR_COV_DIAG,
     RunResult,
+    format_table1,
     main,
     run_table1,
     write_summary,
@@ -97,8 +98,8 @@ class TestRunExperiment:
         a = run_experiment("dma", 2, **DESK)
         b = run_experiment("dma", 2, **DESK)
         # everything except wall-clock measurements must reproduce exactly
-        assert a.summary.mean_rmse == b.summary.mean_rmse
-        assert a.summary.var_rmse == b.summary.var_rmse
+        assert a.mean_rmse == b.mean_rmse
+        assert a.var_rmse == b.var_rmse
         for ra, rb in zip(a.results, b.results):
             assert ra.rmse == rb.rmse
             np.testing.assert_array_equal(ra.per_step_error, rb.per_step_error)
@@ -126,13 +127,13 @@ class TestRunExperiment:
     def test_summary_variance_recomputable(self):
         out = run_experiment("pf", 1, n_particles=100, runs=5, master_seed=9)
         rmses = np.array([r.rmse for r in out.results])
-        assert out.summary.mean_rmse == pytest.approx(rmses.mean(), abs=1e-12)
-        assert out.summary.var_rmse == pytest.approx(rmses.var(ddof=1), abs=1e-12)
+        assert out.mean_rmse == pytest.approx(rmses.mean(), abs=1e-12)
+        assert out.var_rmse == pytest.approx(rmses.var(ddof=1), abs=1e-12)
 
     def test_parallel_matches_sequential(self):
         seq = run_experiment("pf", 1, **DESK)
         par = run_experiment("pf", 1, **DESK, jobs=2)
-        assert seq.summary.mean_rmse == par.summary.mean_rmse
+        assert seq.mean_rmse == par.mean_rmse
         for ra, rb in zip(seq.results, par.results):
             assert ra.rmse == rb.rmse
 
@@ -224,12 +225,12 @@ class TestCsvRoundTrip:
 
     def test_summary_csv_shape(self, tmp_path):
         exp = run_experiment("pf", 1, **DESK)
-        write_summary(tmp_path / "summary.csv", [exp.summary])
+        write_summary(tmp_path / "summary.csv", [exp])
         with open(tmp_path / "summary.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 1
         assert rows[0]["algorithm"] == "pf" and rows[0]["scenario"] == "1"
-        assert float(rows[0]["mean_rmse"]) == exp.summary.mean_rmse
+        assert float(rows[0]["mean_rmse"]) == exp.mean_rmse
 
     def test_dataset_replay_files(self, tmp_path):
         cfg = default_config()
@@ -336,6 +337,29 @@ class TestConfigFile:
         path.write_text(text)
         with pytest.raises(ConfigError, match=f"^{key} must be finite"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[model]\nsigma_angel = 0.5\n", r"unknown key 'sigma_angel' in section \[model\]"),
+        ("[simulaton]\nhorizon = 10\n", r"unknown section \[simulaton\] \(keys: horizon\)"),
+        ("[model]\nsigma_angle = 0.5\n[extra]\n", r"unknown section \[extra\] \(keys: none\)"),
+        ("[DEFAULT]\nhorizon = 10\n[simulation]\n", r"unknown section \[DEFAULT\] \(keys: horizon\)"),
+        ("[scenario]\nfailure = 0 10 20 1.0\n", r"unknown key 'failure' in section \[scenario\]"),
+    ], ids=["key_typo", "section_typo", "empty_unknown_section", "default_key", "scenario_key_typo"])
+    def test_unknown_section_or_key_rejected(self, tmp_path, capsys, text, message):
+        # unchecked, each would load and silently keep the default it meant to change
+        path = tmp_path / "typo.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        code = main(["--algorithm", "pf", "--scenario", "1", "--out", str(tmp_path / "o"),
+                     "--config", str(path), "--particles", "10", "--runs", "1"])
+        assert code == 2
+        assert "error: unknown" in capsys.readouterr().err
+
+    def test_empty_default_section_accepted(self, tmp_path):
+        path = tmp_path / "ok.cfg"
+        path.write_text("[DEFAULT]\n[model]\nA = 1 0 0 0; 0 1 0 0; 1 0 1 0; 0 1 0 1\n")
+        assert load_config(path).model.transition.A[2, 0] == 1.0
 
     def test_window_on_missing_modality_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -468,7 +492,90 @@ def test_table1_grid_structure():
     grid = run_table1(50, 1, 7, scenarios=(1,))
     assert set(grid) == {("pf", 1), ("ts", 1), ("sma", 1), ("dma", 1)}
     for exp in grid.values():
-        assert exp.summary.runs == 1
+        assert exp.runs == 1
+
+
+class TestTable1SharesRunInputs:
+    """run_table1 builds each (scenario, run) dataset and initial particle
+    set once and steps all four filters on them."""
+
+    def test_every_cell_equals_its_own_experiment(self):
+        grid = run_table1(60, 2, 7)
+        assert list(grid) == [(a, k) for k in (1, 2, 3, 4) for a in ("pf", "ts", "sma", "dma")]
+        for (algorithm, k), cell in grid.items():
+            alone = run_experiment(algorithm, k, 60, 2, 7)
+            assert (cell.algorithm, cell.scenario, cell.runs) == (alone.algorithm, alone.scenario, 2)
+            assert (cell.mean_rmse, cell.var_rmse) == (alone.mean_rmse, alone.var_rmse)
+            for a, b in zip(cell.results, alone.results, strict=True):
+                assert (a.algorithm, a.run_index, a.rmse, a.n_flagged_steps) == \
+                    (b.algorithm, b.run_index, b.rmse, b.n_flagged_steps)
+                np.testing.assert_array_equal(a.estimates, b.estimates)
+                np.testing.assert_array_equal(a.per_step_error, b.per_step_error)
+                np.testing.assert_array_equal(a.weight_trace, b.weight_trace)
+
+    def test_each_dataset_built_once_in_one_pool_per_scenario(self, monkeypatch):
+        calls, pools = [], []
+
+        def counting_make_dataset(*args):
+            calls.append(args[2:])
+            return make_dataset(*args)
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(modalfuse.bench, "make_dataset", counting_make_dataset)
+        monkeypatch.setattr(modalfuse.bench, "ProcessPoolExecutor", InlinePool)
+        grid = run_table1(20, 3, 7, scenarios=(1, 3), jobs=2)
+        assert len(grid) == 8
+        assert sorted(calls) == [(7, r) for r in range(3) for _ in range(2)]
+        assert pools == [2, 2]
+
+    def test_partial_grid_formats_its_own_scenarios(self):
+        text = format_table1(run_table1(50, 1, 7, scenarios=(1,)))
+        rows = [line for line in text.splitlines() if line.startswith("Scenario")]
+        assert len(rows) == 1 and rows[0].startswith("Scenario 1 ")
+        assert "averaged over scenarios" in text
+
+
+class TestScenarioGivenTwice:
+    @staticmethod
+    def _config(tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("[simulation]\nhorizon = 30\n[scenario]\nfailures = 0 10 20 1.0\n")
+        return path
+
+    def test_builtin_index_with_config_scenario_rejected(self, tmp_path):
+        cfg = load_config(self._config(tmp_path))
+        with pytest.raises(ValueError, match=r"scenario 2 and the config's \[scenario\] section"):
+            run_experiment("pf", 2, 30, 1, 7, config=cfg)
+        with pytest.raises(ValueError, match=r"scenario 1 and the config's \[scenario\] section"):
+            run_table1(30, 1, 7, config=cfg, scenarios=(1, 2))
+
+    def test_other_spec_with_config_scenario_rejected(self, tmp_path):
+        cfg = load_config(self._config(tmp_path))
+        with pytest.raises(ValueError, match=r"both give the scenario"):
+            run_experiment("pf", builtin_scenario(1), 30, 1, 7, config=cfg)
+
+    def test_config_own_spec_accepted(self, tmp_path):
+        cfg = load_config(self._config(tmp_path))
+        assert run_experiment("pf", cfg.scenario, 30, 1, 7, config=cfg).scenario == "custom"
+
+    def test_cli_flag_with_config_scenario_exits_2(self, tmp_path, capsys):
+        code = main(["--algorithm", "pf", "--scenario", "2", "--particles", "20", "--runs", "1",
+                     "--out", str(tmp_path / "o"), "--config", str(self._config(tmp_path))])
+        assert code == 2
+        assert "error: scenario 2 and the config's [scenario] section" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "runs.csv").exists()
 
 
 class TestReadingValueSpace:

@@ -477,7 +477,7 @@ class TestMinusInfLoglik:
 
 
 class TestDmaStateValidates:
-    """The public constructor checks the posterior; dma_step builds its states trusted."""
+    """The public constructor checks the state; dma_step builds its states trusted."""
 
     @staticmethod
     def _particles():
@@ -492,6 +492,21 @@ class TestDmaStateValidates:
     def test_posterior_not_positive_and_normalised_rejected(self, pi):
         with pytest.raises(ValueError, match="posterior entries must be > 0 and sum to 1"):
             DmaState(self._particles(), np.array(pi), enumerate_candidates(2))
+
+    @pytest.mark.parametrize("t", [1.5, -1, "0", None], ids=["half", "negative", "string", "none"])
+    def test_time_index_not_a_non_negative_integer_rejected(self, t):
+        # unchecked, t = 1.5 would have every frame refused as "expected frame 2.5"
+        with pytest.raises(ValueError, match="t must be a non-negative integer"):
+            DmaState(self._particles(), np.full(4, 0.25), enumerate_candidates(2), t=t)
+
+    def test_integer_time_indices_accepted(self):
+        for t in (0, 7, np.int64(3)):
+            assert DmaState(self._particles(), np.full(4, 0.25), enumerate_candidates(2), t=t).t == t
+
+    @pytest.mark.parametrize("particles", [1.0, np.zeros((4, 4))], ids=["float", "array"])
+    def test_particles_not_a_particle_set_rejected(self, particles):
+        with pytest.raises(ValueError, match="particles must be a ParticleSet"):
+            DmaState(particles, np.full(4, 0.25), enumerate_candidates(2))
 
     def test_posterior_is_a_read_only_copy(self):
         pi = np.full(4, 0.25)
