@@ -5,7 +5,8 @@
   the unweighted mean of their estimates as the output.
 * ``ts_step`` -- detect-then-fuse: a running per-modality failure
   probability alpha tempers each likelihood to L^(1-alpha) before
-  fusing in a single PF.
+  fusing in a single PF. Alpha is smoothed exponentially with the one
+  weight ``TS_SMOOTHING`` on its previous value, read at call time.
 
 PF and TS run DMA's reweighting kernel on one weighting row with
 pi = [1.0]: the all-ones candidate, or TS's tempered row (1 - alpha) @ L.
@@ -40,7 +41,7 @@ def pf_step(particles: ParticleSet, frame, transition, models, rng, trace=None):
     log_g, E, scale = dma.candidate_reweight(prop, frame, models, np.ones((1, len(models)), dtype=np.int64))
     resampled, estimate = dma.mix_and_resample(prop, np.ones(1), E, scale, rng)
     if trace is not None:
-        trace.record(frame.time_index, flag=_collapse_flag(log_g))
+        trace.record(flag=_collapse_flag(log_g))
     return resampled, estimate
 
 
@@ -124,7 +125,7 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     subs = tuple(residual_resample(m, r) for m, r in zip(mixed_sets, state.rngs))
     estimate = np.mean(estimates, axis=0)
     if trace is not None:
-        trace.record(frame.time_index, flag=_collapse_flag(log_g))
+        trace.record(flag=_collapse_flag(log_g))
     return SmaState._trusted(subs, state.rngs), estimate
 
 
@@ -134,7 +135,6 @@ class TsState(Trusted):
 
     particles: ParticleSet
     alpha: np.ndarray
-    smoothing: float = TS_SMOOTHING
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
@@ -142,16 +142,14 @@ class TsState(Trusted):
             raise ValueError(f"failure probabilities must be a vector, got shape {alpha.shape}")
         if not ((alpha >= 0.0) & (alpha <= 1.0)).all():
             raise ValueError("failure probabilities must lie in [0, 1]")
-        if not 0.0 <= self.smoothing <= 1.0:
-            raise ValueError("smoothing must lie in [0, 1]")
         object.__setattr__(self, "alpha", alpha)
 
 
-def init_ts(particles: ParticleSet, n_modalities: int, smoothing: float = TS_SMOOTHING) -> TsState:
-    return TsState(particles, np.zeros(n_modalities), smoothing)
+def init_ts(particles: ParticleSet, n_modalities: int) -> TsState:
+    return TsState(particles, np.zeros(n_modalities))
 
 
-def _failure_prob(prev_alpha, p: ParticleSet, frame, models, smoothing):
+def _failure_prob(prev_alpha, p: ParticleSet, frame, models):
     """Smoothed failure probabilities plus the ``(present, L)`` they came
     from. Per present modality, raw = g0 / (g0 + g) compares the marginal
     g of the reading under the pre-update particle cloud with the failure
@@ -162,7 +160,7 @@ def _failure_prob(prev_alpha, p: ParticleSet, frame, models, smoothing):
     # raw = g0 / (g0 + g), evaluated stably in the log domain
     raw = np.exp(-np.logaddexp(0.0, log_g - nulls))
     alpha = np.array(prev_alpha, dtype=float)
-    alpha[present] = smoothing * alpha[present] + (1.0 - smoothing) * raw
+    alpha[present] = TS_SMOOTHING * alpha[present] + (1.0 - TS_SMOOTHING) * raw
     return alpha, present, L
 
 
@@ -176,9 +174,9 @@ def ts_step(state: TsState, frame, transition, models, rng, trace=None):
     if len(state.alpha) != len(models):
         raise ValueError(f"TS state has {len(state.alpha)} failure probabilities, model has {len(models)} modalities")
     prop = propagate(state.particles, transition, rng)
-    alpha, present, L = _failure_prob(state.alpha, prop, frame, models, state.smoothing)
+    alpha, present, L = _failure_prob(state.alpha, prop, frame, models)
     log_g, E, scale = dma.reweight_rows(prop.log_weights, dma.weighted_logliks((1.0 - alpha[present])[None, :], L))
     resampled, estimate = dma.mix_and_resample(prop, np.ones(1), E, scale, rng)
     if trace is not None:
-        trace.record(frame.time_index, model_weights=alpha, flag=_collapse_flag(log_g))
-    return TsState._trusted(resampled, alpha, state.smoothing), estimate
+        trace.record(model_weights=alpha, flag=_collapse_flag(log_g))
+    return TsState._trusted(resampled, alpha), estimate

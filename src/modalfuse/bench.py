@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -238,8 +239,9 @@ def run_experiment(
 
     ``scenario`` is a built-in index (1-4) or a ScenarioSpec; with a
     config that holds a [scenario] section, pass that section's spec or
-    nothing else. Runs may execute in parallel (``jobs``); results are
-    reduced in run order, so the output is independent of the schedule.
+    nothing else. Runs may execute in parallel, in min(jobs, runs, CPUs)
+    worker processes; results are reduced in run order, so the output is
+    independent of the schedule.
     Degenerate steps inside a run are flagged and counted, never fatal.
 
     With ``outdir`` set, each run writes its weights, trajectory and
@@ -273,8 +275,8 @@ def _run_batch(algorithms, scenario, n_particles, runs, master_seed, prior, rmse
         outdir.mkdir(parents=True, exist_ok=True)
     run = partial(_single_run, algorithms, spec, cfg, n_particles, master_seed, prior, rmse_mode, outdir)
     if jobs > 1:
-        # a forking pool starts all its workers at once, so no more than runs
-        with ProcessPoolExecutor(max_workers=min(jobs, runs)) as pool:
+        # a forking pool starts all its workers at once, so no more than runs or CPUs
+        with ProcessPoolExecutor(max_workers=min(jobs, runs, os.cpu_count() or 1)) as pool:
             per_run = list(pool.map(run, range(runs)))
     else:
         per_run = [run(r) for r in range(runs)]
@@ -410,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="error over the full state or position only")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--config", help="key-value config file (model/simulation/scenario)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes (at most one per run and per CPU)")
     return parser
 
 

@@ -1,10 +1,10 @@
 """Per-step diagnostics collected while a filter runs.
 
 The trace is an in-memory record the benchmark harness reads back after
-a run: one entry per time step with the model weights (candidate
-posteriors for DMA, failure probabilities for the two-stage filter),
-per-candidate marginal log-likelihoods where they exist, and a flag for
-steps where a degeneracy fallback fired.
+a run: one entry per step with the model weights (candidate posteriors
+for DMA, failure probabilities for the two-stage filter, none for PF
+and SMA) and a flag for steps where a degeneracy fallback fired. Every
+step records once, so entry k belongs to frame k + 1.
 """
 
 from __future__ import annotations
@@ -14,19 +14,12 @@ import numpy as np
 
 class RunTrace:
     def __init__(self):
-        self.t: list[int] = []
         self.model_weights: list[np.ndarray | None] = []
-        self.marginals: list[np.ndarray | None] = []
         self.flags: list[str | None] = []
 
-    def record(self, t, model_weights=None, marginals=None, flag=None):
-        self.t.append(int(t))
+    def record(self, model_weights=None, flag=None):
         self.model_weights.append(None if model_weights is None else np.asarray(model_weights, dtype=float))
-        self.marginals.append(None if marginals is None else np.asarray(marginals, dtype=float))
         self.flags.append(flag)
-
-    def __len__(self) -> int:
-        return len(self.t)
 
     @property
     def n_flagged(self) -> int:

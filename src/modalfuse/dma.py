@@ -310,5 +310,5 @@ def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
     resampled, estimate = mix_and_resample(prop, pi, E, scale, rng)
     new_state = DmaState._trusted(resampled, pi, state.candidates, frame.time_index)
     if trace is not None:
-        trace.record(frame.time_index, model_weights=pi, marginals=log_g, flag=flag)
+        trace.record(model_weights=pi, flag=flag)
     return new_state, estimate, pi

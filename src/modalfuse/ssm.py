@@ -250,9 +250,6 @@ class ObservationFrame:
     def n_modalities(self) -> int:
         return len(self.observations)
 
-    def value(self, i: int):
-        return self.observations[i].value
-
 
 @dataclass(frozen=True)
 class TrackingModel:
@@ -263,10 +260,6 @@ class TrackingModel:
 
     def __post_init__(self):
         object.__setattr__(self, "modalities", tuple(self.modalities))
-
-    @property
-    def n_modalities(self) -> int:
-        return len(self.modalities)
 
 
 def tracking_model_2d(

@@ -199,10 +199,6 @@ class GroundTruthRun:
     def horizon(self) -> int:
         return len(self.frames)
 
-    @property
-    def n_modalities(self) -> int:
-        return self.failure_log.shape[1]
-
     def save(self, path) -> None:
         """Write one JSON record per step (replayable, exact floats)."""
         with open(path, "w") as f:

@@ -5,7 +5,7 @@ wrappers over production code that the tests share.
 
 import numpy as np
 
-from modalfuse.baselines import TS_SMOOTHING, SmaState, _failure_prob, pf_step
+from modalfuse.baselines import SmaState, _failure_prob, pf_step
 from modalfuse.dma import candidate_loglik_matrix
 from modalfuse.ssm import ModalityObservation, ObservationFrame
 
@@ -52,9 +52,9 @@ def candidate_loglik(u, frame, x, models):
     return float(row[0]) if x.ndim == 1 else row
 
 
-def estimate_failure_prob(prev_alpha, p, frame, models, smoothing=TS_SMOOTHING):
+def estimate_failure_prob(prev_alpha, p, frame, models):
     """TS's smoothed failure probabilities alone."""
-    return _failure_prob(prev_alpha, p, frame, models, smoothing)[0]
+    return _failure_prob(prev_alpha, p, frame, models)[0]
 
 
 def restrict_to(frame, keep):

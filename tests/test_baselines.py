@@ -217,8 +217,8 @@ def _frames(models, transition, rng, t_max, x0=(1.0, 1.0, 200.0, 200.0)):
 
 def _lose(frames, lost):
     """Frames with reading i of step t lost wherever ``lost(t, i)``."""
-    return [ObservationFrame.of(f.time_index, [None if lost(f.time_index, i) else f.value(i)
-                                               for i in range(f.n_modalities)]) for f in frames]
+    return [ObservationFrame.of(f.time_index, [None if lost(f.time_index, i) else obs.value
+                                               for i, obs in enumerate(f.observations)]) for f in frames]
 
 
 class TestSmaBatchGate:
@@ -257,19 +257,21 @@ class TestSmaBatchGate:
 
 
 class TestEstimateFailureProb:
-    def test_indifference_point(self, rng):
+    def test_indifference_point(self, rng, monkeypatch):
         # marginal equal to the null density => raw failure prob 0.5
+        monkeypatch.setattr(baselines_mod, "TS_SMOOTHING", 0.0)
         mod = ConstantModality(0.0)  # loglik == null_loglik == 0
         p = ParticleSet(np.zeros((4, 1)), np.log(np.full(4, 0.25)))
         frame = ObservationFrame.of(1, [0.3])
-        alpha = estimate_failure_prob(np.zeros(1), p, frame, (mod,), smoothing=0.0)
+        alpha = estimate_failure_prob(np.zeros(1), p, frame, (mod,))
         assert alpha[0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_strong_evidence_drives_alpha_to_zero(self):
+    def test_strong_evidence_drives_alpha_to_zero(self, monkeypatch):
+        monkeypatch.setattr(baselines_mod, "TS_SMOOTHING", 0.0)
         mod = ConstantModality(40.0)
         p = ParticleSet(np.zeros((4, 1)), np.log(np.full(4, 0.25)))
         frame = ObservationFrame.of(1, [0.3])
-        alpha = estimate_failure_prob(np.ones(1), p, frame, (mod,), smoothing=0.0)
+        alpha = estimate_failure_prob(np.ones(1), p, frame, (mod,))
         assert alpha[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_three_particle_arithmetic_oracle(self, model):
@@ -279,9 +281,9 @@ class TestEstimateFailureProb:
         p = ParticleSet(states, np.log(w))
         frame = ObservationFrame.of(1, [0.8, 287.0])
         prev = np.array([0.3, 0.6])
-        got = estimate_failure_prob(prev, p, frame, model.modalities, smoothing=0.5)
+        got = estimate_failure_prob(prev, p, frame, model.modalities)
         for i, mod in enumerate(model.modalities):
-            g = sum(w[j] * np.exp(mod.loglik(frame.value(i), states[j])) for j in range(3))
+            g = sum(w[j] * np.exp(mod.loglik(frame.observations[i].value, states[j])) for j in range(3))
             g0 = 1.0 / np.ptp(mod.value_space)
             raw = g0 / (g0 + g)
             assert got[i] == pytest.approx(0.5 * prev[i] + 0.5 * raw, abs=1e-12)
@@ -303,8 +305,8 @@ class TestEstimateFailureProb:
 
         monkeypatch.setattr(dma_mod, "reweight_rows", spy)
         prev = np.array([0.77, 0.2, 0.4])
-        got = estimate_failure_prob(prev, p, frame, models, smoothing=0.5)
-        L = np.stack([models[i].loglik(frame.value(i), p.states) for i in (1, 2)])
+        got = estimate_failure_prob(prev, p, frame, models)
+        L = np.stack([models[i].loglik(frame.observations[i].value, p.states) for i in (1, 2)])
         want = logsumexp(p.log_weights + L, axis=1)
         assert want[1] == -np.inf
         assert np.array_equal(seen[0], want)
@@ -316,18 +318,19 @@ class TestEstimateFailureProb:
         p = ParticleSet(np.zeros((3, 4)), np.log(np.full(3, 1 / 3)))
         frame = ObservationFrame.of(1, [None, 100.0])
         prev = np.array([0.77, 0.2])
-        got = estimate_failure_prob(prev, p, frame, model.modalities, smoothing=0.5)
+        got = estimate_failure_prob(prev, p, frame, model.modalities)
         assert got[0] == 0.77
         assert got[1] != 0.2
 
 
 class TestTsStep:
-    def test_alpha_pinned_zero_equals_pf(self, model):
+    def test_alpha_pinned_zero_equals_pf(self, model, monkeypatch):
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 80, np.random.default_rng(0))
         frames = frames_from(model, np.random.default_rng(1), 40)
         rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
         pf_p = p0
-        ts_s = init_ts(p0, 2, smoothing=1.0)  # alpha frozen at its initial zeros
+        monkeypatch.setattr(baselines_mod, "TS_SMOOTHING", 1.0)  # alpha frozen at its initial zeros
+        ts_s = init_ts(p0, 2)
         for f in frames:
             pf_p, est_pf = pf_step(pf_p, f, model.transition, model.modalities, rng_a)
             ts_s, est_ts = ts_step(ts_s, f, model.transition, model.modalities, rng_b)
@@ -335,38 +338,41 @@ class TestTsStep:
             assert np.array_equal(pf_p.states, ts_s.particles.states)
         np.testing.assert_array_equal(ts_s.alpha, [0.0, 0.0])
 
-    def test_alpha_pinned_one_means_no_update(self, model):
+    def test_alpha_pinned_one_means_no_update(self, model, monkeypatch):
+        monkeypatch.setattr(baselines_mod, "TS_SMOOTHING", 1.0)
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 50, np.random.default_rng(0))
-        state = baselines_mod.TsState(p0, np.ones(2), smoothing=1.0)
+        state = baselines_mod.TsState(p0, np.ones(2))
         frame = ObservationFrame.of(1, [0.78, 283.0])
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
         _, est = ts_step(state, frame, model.transition, model.modalities, rng_a)
         prop = propagate(p0, model.transition, rng_b)
         np.testing.assert_array_equal(est, estimate_mean(prop))
 
-    def test_tempered_row_matches_loop_reference(self, model):
+    def test_tempered_row_matches_loop_reference(self, model, monkeypatch):
         # reference: the tempered sum accumulated modality by modality; the
         # step takes it as one matmul, so only the summation order differs
         p0 = init_particles(lambda n, r: r.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (n, 4)),
                             100, np.random.default_rng(0))
         alpha = np.array([0.3, 0.6])
         frame = ObservationFrame.of(1, [0.78, 283.0])
-        state = baselines_mod.TsState(p0, alpha, smoothing=1.0)  # alpha frozen
+        monkeypatch.setattr(baselines_mod, "TS_SMOOTHING", 1.0)  # alpha frozen
+        state = baselines_mod.TsState(p0, alpha)
         _, est = ts_step(state, frame, model.transition, model.modalities, np.random.default_rng(5))
         prop = propagate(p0, model.transition, np.random.default_rng(5))
         tempered = np.zeros(prop.n)
         for i, mod in enumerate(model.modalities):
-            tempered += (1.0 - alpha[i]) * mod.loglik(frame.value(i), prop.states)
+            tempered += (1.0 - alpha[i]) * mod.loglik(frame.observations[i].value, prop.states)
         _, log_w = log_domain_reweight(prop, tempered[None, :])
         np.testing.assert_allclose(est, estimate_mean(ParticleSet(prop.states, log_w[0])), rtol=1e-12)
 
-    def test_dead_modality_at_alpha_one_drops_out(self, model):
+    def test_dead_modality_at_alpha_one_drops_out(self, model, monkeypatch):
         # alpha = 1 on a -inf modality: its term is dropped, not 0 * -inf = NaN
         p0 = init_particles(lambda n, r: r.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (n, 4)),
                             100, np.random.default_rng(0))
         models = (model.modalities[0], ConstantModality(-np.inf))
         frame = ObservationFrame.of(1, [0.78, 283.0])
-        state = baselines_mod.TsState(p0, np.array([0.3, 1.0]), smoothing=1.0)  # alpha frozen
+        monkeypatch.setattr(baselines_mod, "TS_SMOOTHING", 1.0)  # alpha frozen
+        state = baselines_mod.TsState(p0, np.array([0.3, 1.0]))
         trace = RunTrace()
         _, est = ts_step(state, frame, model.transition, models, np.random.default_rng(5), trace=trace)
         prop = propagate(p0, model.transition, np.random.default_rng(5))

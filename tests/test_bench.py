@@ -38,6 +38,29 @@ from modalfuse.tracksim import builtin_scenario, generate_run
 
 from conftest import point_prior
 
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace bench's process pool with one that maps in this process;
+    returns the list of ``max_workers`` each pool was opened with."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(modalfuse.bench, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
 DESK = dict(n_particles=100, runs=3, master_seed=5)
 
 
@@ -153,25 +176,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment("pf", 1, n_particles=10, runs=1, master_seed=0, prior="x")
 
-    def test_pool_never_larger_than_runs(self, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(modalfuse.bench, "ProcessPoolExecutor", InlinePool)
+    def test_pool_never_larger_than_runs(self, pool_sizes):
         run_experiment("pf", 1, n_particles=10, runs=2, master_seed=0, jobs=8)
-        assert sizes == [2]
+        assert pool_sizes == [2]
+
+    def test_pool_never_larger_than_cpus(self, pool_sizes):
+        cpus = os.cpu_count() or 1
+        run_experiment("pf", 1, n_particles=5, runs=cpus + 1, master_seed=0, jobs=10**6)
+        assert pool_sizes == [cpus]
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs, tmp_path, capsys):
@@ -513,32 +525,18 @@ class TestTable1SharesRunInputs:
                 np.testing.assert_array_equal(a.per_step_error, b.per_step_error)
                 np.testing.assert_array_equal(a.weight_trace, b.weight_trace)
 
-    def test_each_dataset_built_once_in_one_pool_per_scenario(self, monkeypatch):
-        calls, pools = [], []
+    def test_each_dataset_built_once_in_one_pool_per_scenario(self, monkeypatch, pool_sizes):
+        calls = []
 
         def counting_make_dataset(*args):
             calls.append(args[2:])
             return make_dataset(*args)
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
         monkeypatch.setattr(modalfuse.bench, "make_dataset", counting_make_dataset)
-        monkeypatch.setattr(modalfuse.bench, "ProcessPoolExecutor", InlinePool)
         grid = run_table1(20, 3, 7, scenarios=(1, 3), jobs=2)
         assert len(grid) == 8
         assert sorted(calls) == [(7, r) for r in range(3) for _ in range(2)]
-        assert pools == [2, 2]
+        assert pool_sizes == [2, 2]
 
     def test_partial_grid_formats_its_own_scenarios(self):
         text = format_table1(run_table1(50, 1, 7, scenarios=(1,)))
@@ -644,7 +642,7 @@ class TestBenchmarkTracerSeams:
         # one health reading per resample: the benchmark's health.* figures
         # take np.min of these lists, read off residual_resample's ParticleSet
         for run_id, algorithm in enumerate(algorithms):
-            resamples = len(frames) * (model.n_modalities if algorithm == "sma" else 1)
+            resamples = len(frames) * (len(model.modalities) if algorithm == "sma" else 1)
             health = tracer.health[run_id]
             assert len(health["ess_frac"]) == len(health["unique_frac"]) == resamples, algorithm
             assert all(0.0 < f <= 1.0 for f in health["ess_frac"] + health["unique_frac"]), algorithm

@@ -187,7 +187,7 @@ class TestDmaStep:
         state = init_dma(p0, candidates=np.ones((1, 2), dtype=np.int64))
         pf_particles = p0
         for t in range(1, 31):
-            f = ObservationFrame.of(t, [frame.value(0), frame.value(1)])
+            f = ObservationFrame.of(t, [obs.value for obs in frame.observations])
             pf_particles, est_pf = pf_step(pf_particles, f, model.transition, model.modalities, rng_pf)
             state, est_dma, post = dma_step(state, f, model.transition, model.modalities, rng_dma)
             assert np.array_equal(est_pf, est_dma)
@@ -229,7 +229,7 @@ class TestDmaStep:
                 lik = 1.0
                 for i, mod in enumerate(model.modalities):
                     lik *= (
-                        np.exp(mod.loglik(frame.value(i), states[j]))
+                        np.exp(mod.loglik(frame.observations[i].value, states[j]))
                         if bits[i]
                         else 1.0 / np.ptp(mod.value_space)
                     )
@@ -290,14 +290,14 @@ class TestDmaStep:
         assert trace.flags == ["model_update_degenerate"]
         assert trace.n_flagged == 1
 
-    def test_trace_records_posteriors_and_marginals(self, model, rng):
+    def test_trace_records_one_posterior_per_step(self, model, rng):
         p0, frame = _setup(model, rng)
         state = init_dma(p0, 2)
         trace = RunTrace()
-        dma_step(state, frame, model.transition, model.modalities, rng, trace=trace)
-        assert trace.t == [1]
+        _, _, post = dma_step(state, frame, model.transition, model.modalities, rng, trace=trace)
         assert trace.weight_matrix().shape == (1, 4)
-        assert trace.marginals[0].shape == (4,)
+        assert np.array_equal(trace.weight_matrix()[0], post)
+        assert trace.flags == [None]
 
 
 class TestMixAndResample:
@@ -426,7 +426,8 @@ class TestInPlaceCandidateKernel:
         with np.errstate(over="ignore"):  # -1e308 readings overflow to -inf rows
             _, est, _ = dma_step(state, frame, model.transition, models, np.random.default_rng(11), trace=trace)
             log_g, mix, want, prop = _log_domain_step(state, frame, model.transition, models, 11)
-        np.testing.assert_allclose(trace.marginals[0], log_g, rtol=0.0, atol=1e-10)
+            got_g = candidate_reweight(prop, frame, models, state.candidates)[0]
+        np.testing.assert_allclose(got_g, log_g, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(mixed[0], mix, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(est, want, rtol=0.0, atol=1e-10)
         if name == "minus_inf_row":
@@ -467,9 +468,10 @@ class TestMinusInfLoglik:
         frame = ObservationFrame.of(1, [0.8, 285.0])
         trace = RunTrace()
         _, est, post = dma_step(state, frame, model.transition, models, np.random.default_rng(11), trace=trace)
-        log_g, mix, want, _ = _log_domain_step(state, frame, model.transition, models, 11)
+        log_g, mix, want, prop = _log_domain_step(state, frame, model.transition, models, 11)
         assert trace.flags == [None]
-        np.testing.assert_allclose(trace.marginals[0], log_g, rtol=0.0, atol=1e-10)
+        got_g = candidate_reweight(prop, frame, models, state.candidates)[0]
+        np.testing.assert_allclose(got_g, log_g, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(est, want, rtol=0.0, atol=1e-10)
         # [1,1] and [0,1] trust the dead reading: demoted to the floor
         assert post[0] + post[2] < 1e-5

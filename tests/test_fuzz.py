@@ -22,11 +22,28 @@ ATOMS = st.sampled_from(["0", "1", "-1", "0.5", "2", "4", "5", "20", "300", "1e-
 # a scalar, vector, matrix or window list: ';'-separated rows of atoms
 VALUES = st.lists(st.lists(ATOMS, max_size=5).map(" ".join), max_size=5).map("; ".join)
 KEYS = st.sampled_from([k for keys in CONFIG_KEYS.values() for k in keys] + ["junk"])
-SECTIONS = st.lists(
+# any names: unknown sections and keys, another section's keys, repeats
+ANY_SECTIONS = st.lists(
     st.tuples(st.sampled_from([*CONFIG_KEYS, "DEFAULT", "other"]),
               st.lists(st.tuples(KEYS, VALUES), max_size=5)),
     max_size=4,
 )
+
+
+def _name(pair):
+    return pair[0]
+
+
+# known names only: each section at most once, holding its own keys once each
+KNOWN_SECTIONS = st.lists(
+    st.sampled_from([*CONFIG_KEYS]).flatmap(lambda name: st.tuples(
+        st.just(name), st.lists(st.tuples(st.sampled_from(CONFIG_KEYS[name]), VALUES), max_size=5, unique_by=_name))),
+    max_size=3, unique_by=_name,
+)
+# a config with an unknown or repeated name is rejected before any value is
+# parsed, so about one example in ten draws any names and the rest reach
+# value parsing
+SECTIONS = st.integers(1, 10).flatmap(lambda k: ANY_SECTIONS if k == 1 else KNOWN_SECTIONS)
 
 
 def config_text(sections) -> str:

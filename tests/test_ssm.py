@@ -218,8 +218,8 @@ class TestObservationFrame:
         frame = ObservationFrame.of(3, [0.5, None])
         assert frame.time_index == 3
         assert frame.n_modalities == 2
-        assert frame.value(0) == 0.5
-        assert frame.value(1) is None
+        assert frame.observations[0].value == 0.5
+        assert frame.observations[1].value is None
         assert frame.observations[0].present
         assert not frame.observations[1].present
 
@@ -261,13 +261,13 @@ class TestObservationFrame:
     def test_restrict_to(self):
         frame = ObservationFrame.of(2, [0.5, 0.7])
         only1 = restrict_to(frame, 1)
-        assert only1.value(0) is None
-        assert only1.value(1) == 0.7
+        assert only1.observations[0].value is None
+        assert only1.observations[1].value == 0.7
         assert only1.time_index == 2
 
 
 def test_tracking_model_2d_defaults(model):
-    assert model.n_modalities == 2
+    assert len(model.modalities) == 2
     np.testing.assert_array_equal(model.transition.A, A)
     np.testing.assert_array_equal(model.transition.Q, Q)
     assert isinstance(model.modalities[0], AngleModality)

@@ -114,14 +114,14 @@ class TestObserve:
         quiet = tracking_model_2d(sigma_angle=1e-300, sigma_range=1e-300)
         x = np.array([0.0, 0.0, 3.0, 4.0])
         frame = observe(1, x, [ObservationStatus.NORMAL] * 2, quiet.modalities, rng)
-        assert frame.value(0) == pytest.approx(np.arctan(0.75), abs=1e-12)
-        assert frame.value(1) == pytest.approx(5.0, abs=1e-12)
+        assert frame.observations[0].value == pytest.approx(np.arctan(0.75), abs=1e-12)
+        assert frame.observations[1].value == pytest.approx(5.0, abs=1e-12)
 
     def test_lost_maps_to_absent(self, model, rng):
         x = np.array([0.0, 0.0, 3.0, 4.0])
         frame = observe(1, x, [ObservationStatus.NORMAL, ObservationStatus.LOST], model.modalities, rng)
-        assert frame.value(0) is not None
-        assert frame.value(1) is None
+        assert frame.observations[0].value is not None
+        assert frame.observations[1].value is None
 
     def test_failed_angle_uniform_chi_square(self, model):
         rng = np.random.default_rng(2024)
@@ -140,12 +140,12 @@ class TestGenerateRun:
     def test_scenario1_all_normal(self, model, rng):
         run = generate_run(builtin_scenario(1), DEFAULT_X0, model.transition, model.modalities, rng)
         assert np.all(run.failure_log == ObservationStatus.NORMAL)
-        assert run.horizon == 300 and run.n_modalities == 2
+        assert run.horizon == 300 and run.failure_log.shape[1] == 2
 
     def test_scenario3_losses_at_t195(self, model, rng):
         run = generate_run(builtin_scenario(3), DEFAULT_X0, model.transition, model.modalities, rng)
         assert run.failure_log[194, 0] == ObservationStatus.LOST
-        assert run.frames[194].value(0) is None
+        assert run.frames[194].observations[0].value is None
         assert run.failure_log[194, 1] == ObservationStatus.NORMAL
 
     def test_bernoulli_failure_frequency(self, model):
@@ -171,9 +171,9 @@ class TestGenerateRun:
             for i in range(2):
                 status = run.failure_log[k, i]
                 if status == ObservationStatus.LOST:
-                    assert frame.value(i) is None
+                    assert frame.observations[i].value is None
                 else:
-                    assert frame.value(i) is not None
+                    assert frame.observations[i].value is not None
             t = k + 1
             assert (run.failure_log[k, 0] == ObservationStatus.FAILED) == (10 <= t <= 30)
             assert (run.failure_log[k, 1] == ObservationStatus.LOST) == (20 <= t <= 40)
@@ -240,7 +240,7 @@ MALFORMED = {
     "states not (T, d)": (lambda s, f, log: (s[:-1], f, log), r"states are shaped \(9, 4\)"),
     "failure_log not (T, n)": (lambda s, f, log: (s, f, log[:, 0]), r"failure_log is shaped \(10,\)"),
     "frame one reading short": (
-        lambda s, f, log: (s, _replace_frame6(f, ObservationFrame.of(6, [f[5].value(0)])), log),
+        lambda s, f, log: (s, _replace_frame6(f, ObservationFrame.of(6, [f[5].observations[0].value])), log),
         "frame 6 has 1 readings"),
 }
 
@@ -301,4 +301,4 @@ class TestMalformedRun:
         path.write_text("".join(line + "\n" for line in lines))
         back = GroundTruthRun.load(path)
         np.testing.assert_array_equal(back.states[5], [1.0, 1.0, 200.0, 200.0])
-        assert [type(v) for v in (back.frames[5].value(0), back.frames[5].value(1))] == [float, float]
+        assert [type(v) for v in (obs.value for obs in back.frames[5].observations)] == [float, float]
