@@ -40,7 +40,7 @@ print("\nscenario 2, steps 188-193 (modality 0 fails with p=1.0 from t=190):")
 for t in range(188, 194):
     frame = run.frames[t - 1]
     statuses = [ObservationStatus(s).name for s in run.failure_log[t - 1]]
-    obs = [f"{v:8.3f}" if v is not None else "    lost" for v in (obs.value for obs in frame.observations)]
+    obs = [f"{o.value:8.3f}" if o.present else "    lost" for o in frame.observations]
     print(f"  t={t}: bearing {obs[0]} ({statuses[0]:6s})  range {obs[1]} ({statuses[1]})")
 
 # runs serialise to newline-delimited JSON for archival and replay

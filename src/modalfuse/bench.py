@@ -412,7 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="error over the full state or position only")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--config", help="key-value config file (model/simulation/scenario)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes (at most one per run and per CPU)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="parallel worker processes (at most one per run and per CPU)")
     return parser
 
 

@@ -61,6 +61,7 @@ def pool_sizes(monkeypatch):
     monkeypatch.setattr(modalfuse.bench, "ProcessPoolExecutor", InlinePool)
     return sizes
 
+
 DESK = dict(n_particles=100, runs=3, master_seed=5)
 
 
@@ -178,7 +179,7 @@ class TestRunExperiment:
 
     def test_pool_never_larger_than_runs(self, pool_sizes):
         run_experiment("pf", 1, n_particles=10, runs=2, master_seed=0, jobs=8)
-        assert pool_sizes == [2]
+        assert pool_sizes == [min(2, os.cpu_count() or 1)]
 
     def test_pool_never_larger_than_cpus(self, pool_sizes):
         cpus = os.cpu_count() or 1
@@ -536,7 +537,7 @@ class TestTable1SharesRunInputs:
         grid = run_table1(20, 3, 7, scenarios=(1, 3), jobs=2)
         assert len(grid) == 8
         assert sorted(calls) == [(7, r) for r in range(3) for _ in range(2)]
-        assert pool_sizes == [2, 2]
+        assert pool_sizes == [min(2, os.cpu_count() or 1)] * 2
 
     def test_partial_grid_formats_its_own_scenarios(self):
         text = format_table1(run_table1(50, 1, 7, scenarios=(1,)))

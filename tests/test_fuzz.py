@@ -3,6 +3,7 @@ the command line. Each either accepts its input or rejects it with its
 documented error; nothing else may escape."""
 
 import json
+from operator import itemgetter
 
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -28,17 +29,12 @@ ANY_SECTIONS = st.lists(
               st.lists(st.tuples(KEYS, VALUES), max_size=5)),
     max_size=4,
 )
-
-
-def _name(pair):
-    return pair[0]
-
-
 # known names only: each section at most once, holding its own keys once each
 KNOWN_SECTIONS = st.lists(
     st.sampled_from([*CONFIG_KEYS]).flatmap(lambda name: st.tuples(
-        st.just(name), st.lists(st.tuples(st.sampled_from(CONFIG_KEYS[name]), VALUES), max_size=5, unique_by=_name))),
-    max_size=3, unique_by=_name,
+        st.just(name),
+        st.lists(st.tuples(st.sampled_from(CONFIG_KEYS[name]), VALUES), max_size=5, unique_by=itemgetter(0)))),
+    max_size=3, unique_by=itemgetter(0),
 )
 # a config with an unknown or repeated name is rejected before any value is
 # parsed, so about one example in ten draws any names and the rest reach
