@@ -5,7 +5,7 @@ NORMAL (genuine reading), FAILED (uniform garbage over the sensor's
 value space) or LOST (no reading). Scenario scripts control when each
 sensor misbehaves; the filters never see the script.
 
-Run:  python demos/02_simulate_scenarios.py
+Run:  python demos/02_simulate_scenarios.py   (writes scenario2_run.ndjson to the working directory)
 """
 
 import numpy as np
@@ -44,5 +44,5 @@ for t in range(188, 194):
     print(f"  t={t}: bearing {obs[0]} ({statuses[0]:6s})  range {obs[1]} ({statuses[1]})")
 
 # runs serialise to newline-delimited JSON for archival and replay
-run.save("/tmp/scenario2_run.ndjson")
-print("\nsaved a replayable copy to /tmp/scenario2_run.ndjson")
+run.save("scenario2_run.ndjson")
+print("\nsaved a replayable copy to scenario2_run.ndjson in the working directory")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dma
-from .particles import ParticleSet, Trusted, estimate_mean, propagate, residual_resample
+from .particles import ParticleSet, Trusted, propagate
 
 TS_SMOOTHING = 0.5
 
@@ -39,7 +39,7 @@ def pf_step(particles: ParticleSet, frame, transition, models, rng, trace=None):
     """
     prop = propagate(particles, transition, rng)
     log_g, E, scale = dma.candidate_reweight(prop, frame, models, np.ones((1, len(models)), dtype=np.int64))
-    resampled, estimate = dma.mix_and_resample(prop, np.ones(1), E, scale, rng)
+    (resampled,), (estimate,) = dma.mix_and_resample([prop], np.ones((1, 1)), E, scale, [rng])
     if trace is not None:
         trace.record(flag=_collapse_flag(log_g))
     return resampled, estimate
@@ -90,8 +90,8 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     resamples on its own stream, and the B members' weight work is one
     batch through the shared kernel: a (B, N) log-likelihood matrix (row
     i is reading i on member i's states, zeros when it is lost), one
-    ``dma.reweight_rows`` call, each row its own mixture, and one
-    row-wise division by the row sums. Member i equals ``pf_step`` on the
+    ``dma.reweight_rows`` call and one ``dma.mix_and_resample`` call over
+    the B members with W = eye(B). Member i equals ``pf_step`` on the
     frame with every other reading lost, on stream i, bit for bit. A step
     with a member whose every weight underflowed is flagged.
     """
@@ -107,22 +107,8 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
         obs = frame.observations[i]
         if obs.present:
             ll[i] = models[i].loglik(obs.value, p.states)
-    lw = np.stack([p.log_weights for p in props])
-    log_g, E, scale = dma.reweight_rows(lw, ll)
-    # mix_and_resample with pi = [1.0], row-wise: a row whose marginal
-    # underflowed keeps its member's incoming weights
-    mixed = np.multiply(scale[:, None], E, out=E)
-    dead = scale == 0.0
-    if dead.any():
-        mixed[dead] = np.exp(lw[dead])
-    mixed /= mixed.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        mix_lw = np.log(mixed)
-    mixed_sets = [ParticleSet._trusted(p.states, lw_i, weights=w) for p, lw_i, w in zip(props, mix_lw, mixed)]
-    estimates = np.array([estimate_mean(m) for m in mixed_sets])
-    if not np.isfinite(estimates).all():
-        raise ValueError("particle states must be finite")
-    subs = tuple(residual_resample(m, r) for m, r in zip(mixed_sets, state.rngs))
+    log_g, E, scale = dma.reweight_rows(np.stack([p.log_weights for p in props]), ll)
+    subs, estimates = dma.mix_and_resample(props, np.eye(len(props)), E, scale, state.rngs)
     estimate = np.mean(estimates, axis=0)
     if trace is not None:
         trace.record(flag=_collapse_flag(log_g))
@@ -176,7 +162,7 @@ def ts_step(state: TsState, frame, transition, models, rng, trace=None):
     prop = propagate(state.particles, transition, rng)
     alpha, present, L = _failure_prob(state.alpha, prop, frame, models)
     log_g, E, scale = dma.reweight_rows(prop.log_weights, dma.weighted_logliks((1.0 - alpha[present])[None, :], L))
-    resampled, estimate = dma.mix_and_resample(prop, np.ones(1), E, scale, rng)
+    (resampled,), (estimate,) = dma.mix_and_resample([prop], np.ones((1, 1)), E, scale, [rng])
     if trace is not None:
         trace.record(model_weights=alpha, flag=_collapse_flag(log_g))
     return TsState._trusted(resampled, alpha), estimate

@@ -259,34 +259,41 @@ def candidate_reweight(p: ParticleSet, frame, models, candidates):
     return reweight_rows(p.log_weights, candidate_loglik_matrix(candidates, frame, p.states, models))
 
 
-def mix_and_resample(p: ParticleSet, pi: np.ndarray, E: np.ndarray, scale, rng):
-    """Mix the weightings scale[m] * E[m] of ``reweight_rows`` with the
-    probabilities ``pi``, estimate, resample; returns (resampled, estimate).
+def mix_and_resample(sets, W: np.ndarray, E: np.ndarray, scale, rngs):
+    """Mix, estimate and resample B particle sets at once; returns
+    (resampled sets, (B, d) estimates).
 
-    A row whose marginal underflowed keeps the incoming weights: zero
-    evidence updates nothing. One row with pi = [1.0] is its own
-    mixture, which is how PF and TS use it.
+    ``E`` and ``scale`` are the R rows of ``reweight_rows`` and ``W`` is
+    (B, R): set b's mixture is row b of ``(W * scale) @ E``, the rows'
+    normalised weightings mixed with probabilities W[b]. A row whose
+    marginal underflowed adds its share of set b's incoming weights: zero
+    evidence updates nothing. PF and TS pass one set with W = [[1.0]],
+    DMA one set with its posterior as W's one row, and SMA its B members
+    with W = eye(B), member b's row being its own mixture.
 
-    The particle sets built here are trusted (see ``particles``), so
-    this is where a transition that overflowed to non-finite states is
-    caught: raises ValueError when the estimate is not finite. The test
-    is exact at O(d) cost, because an inf or NaN state makes ``w @
-    states`` non-finite even at zero weight (0 * inf is NaN).
+    Each mixture is normalised by its sum, and set b is estimated and
+    then resampled on its own stream ``rngs[b]``. The particle sets built
+    here are trusted (see ``particles``), so this is where a transition
+    that overflowed to non-finite states is caught: raises ValueError
+    when an estimate is not finite. The test is exact at O(B * d) cost,
+    because an inf or NaN state makes ``w @ states`` non-finite even at
+    zero weight (0 * inf is NaN).
     """
-    mixed = (pi * scale) @ E
+    mixed = (W * scale) @ E
     dead = scale == 0.0
     if dead.any():
-        mixed += pi[dead].sum() * p.weights
+        mixed += W[:, dead].sum(axis=1)[:, None] * np.stack([p.weights for p in sets])
     # normalised once more, by the sum: the row scales leave residue
     # ~ulp(|loglik|) when likelihoods are astronomically small (e.g. garbage
-    # readings). The normalised weights are the set's cached ``weights``
-    mixed /= mixed.sum()
+    # readings). The normalised weights are the sets' cached ``weights``
+    mixed /= mixed.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore"):
-        mixed_set = ParticleSet._trusted(p.states, np.log(mixed), weights=mixed)
-    estimate = estimate_mean(mixed_set)
-    if not np.isfinite(estimate).all():
+        log_mixed = np.log(mixed)
+    mixed_sets = [ParticleSet._trusted(p.states, lw, weights=w) for p, lw, w in zip(sets, log_mixed, mixed)]
+    estimates = np.array([estimate_mean(m) for m in mixed_sets])
+    if not np.isfinite(estimates).all():
         raise ValueError("particle states must be finite")
-    return residual_resample(mixed_set, rng), estimate
+    return tuple(residual_resample(m, r) for m, r in zip(mixed_sets, rngs)), estimates
 
 
 def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
@@ -307,7 +314,7 @@ def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
     except ModelUpdateDegenerate:
         pi = _uniform(len(state.pi))
         flag = "model_update_degenerate"
-    resampled, estimate = mix_and_resample(prop, pi, E, scale, rng)
+    (resampled,), (estimate,) = mix_and_resample([prop], pi[None], E, scale, [rng])
     new_state = DmaState._trusted(resampled, pi, state.candidates, frame.time_index)
     if trace is not None:
         trace.record(model_weights=pi, flag=flag)

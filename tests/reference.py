@@ -1,12 +1,12 @@
 """Test-side references: ``logsumexp`` and the log-domain reweighting
-oracle built on it, SMA's per-member reference, and thin one-row
-wrappers over production code that the tests share.
+oracle built on it, SMA's per-member reference, and thin one-row and
+one-set wrappers over production code that the tests share.
 """
 
 import numpy as np
 
 from modalfuse.baselines import SmaState, _failure_prob, pf_step
-from modalfuse.dma import candidate_loglik_matrix
+from modalfuse.dma import candidate_loglik_matrix, mix_and_resample
 from modalfuse.ssm import ModalityObservation, ObservationFrame
 
 
@@ -42,6 +42,13 @@ def log_domain_mixture(log_pi, log_w):
     """Oracle for ``dma.mix_and_resample``'s mixed log-weights."""
     mix = logsumexp(log_pi[:, None] + log_w, axis=0)
     return mix - logsumexp(mix)
+
+
+def mix_one(p, pi, E, scale, rng):
+    """``dma.mix_and_resample`` on the one set ``p``, mixing the rows with
+    the (R,) probabilities ``pi``; returns (resampled, estimate)."""
+    (resampled,), (estimate,) = mix_and_resample([p], np.asarray(pi, dtype=float)[None], E, scale, [rng])
+    return resampled, estimate
 
 
 def candidate_loglik(u, frame, x, models):

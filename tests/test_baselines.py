@@ -25,12 +25,12 @@ from modalfuse import (
     ts_step,
 )
 from modalfuse.diagnostics import RunTrace
-from modalfuse.dma import mix_and_resample, reweight_rows
+from modalfuse.dma import reweight_rows
 from modalfuse.ssm import null_loglik
 
 from conftest import point_prior
 import reference
-from reference import estimate_failure_prob, log_domain_reweight, logsumexp, restrict_to, sma_by_member
+from reference import estimate_failure_prob, log_domain_reweight, logsumexp, mix_one, restrict_to, sma_by_member
 
 
 class ConstantModality:
@@ -79,7 +79,7 @@ class TestPfStep:
         # a hand-built step using only the angle modality
         prop = propagate(p0, model.transition, rng_b)
         _, E, scale = reweight_rows(prop.log_weights, model.modalities[0].loglik(0.78, prop.states)[None, :])
-        _, est_b = mix_and_resample(prop, np.ones(1), E, scale, rng_b)
+        _, est_b = mix_one(prop, np.ones(1), E, scale, rng_b)
         np.testing.assert_array_equal(est_a, est_b)
 
     def test_weight_collapse_resets_and_flags(self, model, rng):
@@ -561,19 +561,24 @@ class TestTailCostShape:
         for module in [modalfuse] + [importlib.import_module(f"modalfuse.{name}") for name in names]:
             assert "logsumexp" not in vars(module), module.__name__
 
-    @pytest.mark.parametrize("step", ["pf", "ts", "dma"])
+    @pytest.mark.parametrize("step", ["pf", "ts", "dma", "sma"])
     def test_estimate_and_resample_read_the_normalised_mixture(self, model, monkeypatch, step):
+        # one set per filter, SMA's B members included: B estimates, then B
+        # resamples, each reading the set its estimate read
         p0 = init_particles(spread_prior, 64, np.random.default_rng(0))
         seen = []
         for name in ("estimate_mean", "residual_resample"):
             real = getattr(dma_mod, name)
-            monkeypatch.setattr(dma_mod, name, lambda p, *a, _real=real: seen.append(p) or _real(p, *a))
+            monkeypatch.setattr(dma_mod, name,
+                                lambda p, *a, _real=real, _name=name: seen.append((_name, p)) or _real(p, *a))
         self.STEPS[step](self._states(p0, model.modalities, step), ObservationFrame.of(1, [0.79, 284.0]),
                          model.transition, model.modalities, np.random.default_rng(3))
-        estimated, resampled = seen
-        assert estimated is resampled and "weights" in vars(estimated)  # seeded, not re-exponentiated
-        assert not estimated.weights.flags.writeable
-        assert estimated.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        sets = 2 if step == "sma" else 1
+        assert [name for name, _ in seen] == ["estimate_mean"] * sets + ["residual_resample"] * sets
+        for (_, estimated), (_, resampled) in zip(seen[:sets], seen[sets:]):
+            assert estimated is resampled and "weights" in vars(estimated)  # seeded, not re-exponentiated
+            assert not estimated.weights.flags.writeable
+            assert estimated.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("step", ["sma", "ts", "dma"])
     def test_in_loop_states_skip_the_checks(self, model, monkeypatch, step):

@@ -17,3 +17,6 @@ def test_demo_exits_0(name, tmp_path):
     done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    if name == "02_simulate_scenarios":
+        # the replay copy lands in the working directory, not a shared path
+        assert (tmp_path / "scenario2_run.ndjson").stat().st_size > 0

@@ -29,17 +29,28 @@ ANY_SECTIONS = st.lists(
               st.lists(st.tuples(KEYS, VALUES), max_size=5)),
     max_size=4,
 )
-# known names only: each section at most once, holding its own keys once each
-KNOWN_SECTIONS = st.lists(
-    st.sampled_from([*CONFIG_KEYS]).flatmap(lambda name: st.tuples(
-        st.just(name),
-        st.lists(st.tuples(st.sampled_from(CONFIG_KEYS[name]), VALUES), max_size=5, unique_by=itemgetter(0)))),
-    max_size=3, unique_by=itemgetter(0),
-)
+
+
+def known_sections(names, max_keys):
+    """Known names only: each of ``names`` at most once, holding its own keys once each."""
+    return st.lists(
+        st.sampled_from(names).flatmap(lambda name: st.tuples(
+            st.just(name),
+            st.lists(st.tuples(st.sampled_from(CONFIG_KEYS[name]), VALUES), max_size=max_keys,
+                     unique_by=itemgetter(0)))),
+        max_size=len(names), unique_by=itemgetter(0),
+    )
+
+
+def mostly(usual, rare):
+    """``usual`` in about nine examples of ten, ``rare`` in the rest."""
+    return st.integers(1, 10).flatmap(lambda k: rare if k == 1 else usual)
+
+
 # a config with an unknown or repeated name is rejected before any value is
 # parsed, so about one example in ten draws any names and the rest reach
 # value parsing
-SECTIONS = st.integers(1, 10).flatmap(lambda k: ANY_SECTIONS if k == 1 else KNOWN_SECTIONS)
+SECTIONS = mostly(known_sections([*CONFIG_KEYS], 5), ANY_SECTIONS)
 
 
 def config_text(sections) -> str:
@@ -111,13 +122,16 @@ def test_load_replay_arbitrary_lines(tmp_path, edits):
 
 @FUZZ
 @given(
-    horizon=st.sampled_from(["0", "3", "12"]),
-    sections=st.lists(st.tuples(st.sampled_from([*CONFIG_KEYS, "other"]),
-                                st.lists(st.tuples(KEYS, VALUES), max_size=2)), max_size=2),
+    # the CLI rejects an out-of-range number or a bad config name before
+    # it runs, so each argument is valid in about nine examples of ten
+    horizon=mostly(st.sampled_from(["3", "12"]), st.just("0")),
+    sections=mostly(known_sections(["model", "scenario"], 2),
+                    st.lists(st.tuples(st.sampled_from([*CONFIG_KEYS, "other"]),
+                                       st.lists(st.tuples(KEYS, VALUES), max_size=2)), max_size=2)),
     algorithm=st.sampled_from(ALGORITHMS),
-    particles=st.integers(0, 4),
-    runs=st.integers(0, 2),
-    seed=st.integers(-1, 3),
+    particles=mostly(st.integers(1, 4), st.just(0)),
+    runs=mostly(st.integers(1, 2), st.just(0)),
+    seed=mostly(st.integers(0, 3), st.just(-1)),
 )
 def test_cli_exits_0_or_2(tmp_path, capsys, horizon, sections, algorithm, particles, runs, seed):
     # a short horizon first keeps each accepted run small; later

