@@ -8,12 +8,13 @@
   fusing in a single PF. Alpha is smoothed exponentially with the one
   weight ``TS_SMOOTHING`` on its previous value, read at call time.
 
-PF and TS run DMA's reweighting kernel on one weighting row with
-pi = [1.0]: the all-ones candidate, or TS's tempered row (1 - alpha) @ L.
-SMA is B one-row members through the same kernel in one call: row i is
-member i's likelihood of reading i, and each row is its own mixture,
-normalised by its sum like PF's. Each SMA member draws from its own
-random stream, spawned once per run by ``init_sma`` and kept in the
+PF and TS run DMA's reweighting kernel and tail on one set and one
+weighting row with W = [[1.0]]: the all-ones candidate, or TS's tempered
+row (1 - alpha) @ L. SMA's B members are B sets of the same kernel and
+tail in one call each: row i is member i's likelihood of reading i, and
+``dma.mix_and_resample`` mixes it with W = eye(B), so each member's
+mixture is its own row. Each SMA member draws from its own random
+stream, spawned once per run by ``init_sma`` and kept in the
 ``SmaState``. TS's per-modality marginals come from the same kernel.
 """
 
@@ -109,10 +110,9 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
             ll[i] = models[i].loglik(obs.value, p.states)
     log_g, E, scale = dma.reweight_rows(np.stack([p.log_weights for p in props]), ll)
     subs, estimates = dma.mix_and_resample(props, np.eye(len(props)), E, scale, state.rngs)
-    estimate = np.mean(estimates, axis=0)
     if trace is not None:
         trace.record(flag=_collapse_flag(log_g))
-    return SmaState._trusted(subs, state.rngs), estimate
+    return SmaState._trusted(subs, state.rngs), np.mean(estimates, axis=0)
 
 
 @dataclass(frozen=True)

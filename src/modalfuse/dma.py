@@ -29,11 +29,16 @@ One step:
 Steps 5 and 6 read the normalised mixture as the set's cached
 ``weights``, so the step exponentiates each weight once.
 
-Steps 2 and 4 are ``reweight_rows`` and ``mix_and_resample``, the
-package's one reweighting kernel: PF and TS run them on a single row
-with pi = [1.0], so PF is DMA restricted to the all-ones candidate, bit
-for bit, because the same code runs the same row. No other code in a
-filter step computes a marginal likelihood (TS's and SMA's included).
+Step 2 is ``reweight_rows`` and steps 4-6 are ``mix_and_resample``, the
+package's one reweighting kernel and its one tail. The tail takes a
+leading set axis: B particle sets, each mixed from the rows by its own
+row of a (B, R) weight matrix W, estimated and resampled on its own
+stream. DMA passes its one set with W = pi[None]; PF and TS pass one
+set and one row with W = [[1.0]], so PF is DMA restricted to the
+all-ones candidate, bit for bit, because the same code runs the same
+row; SMA passes its B members with W = eye(B). No other code in a
+filter step computes a marginal likelihood, an estimate or a resample
+(TS's and SMA's included).
 
 The candidate posterior is a plain read-only (M,) probability vector:
 ``DmaState.pi`` holds it and ``dma_step`` returns it.

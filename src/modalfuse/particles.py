@@ -4,13 +4,15 @@ Initialisation, propagation, residual resampling and posterior means,
 shared by every filter in the package. Weights are stored in the log
 domain: with large particle counts raw likelihood products underflow.
 Reweighting lives in ``dma.reweight_rows`` and ``dma.mix_and_resample``,
-the one kernel every filter runs: it exponentiates each weighted
-log-likelihood row once, shifted by the row maximum so that no value
-exceeds 1 and none can overflow, and takes the marginals, the mixture
-and its normalisation from that one buffer in the probability domain.
-The normalised mixture reaches ``estimate_mean`` and
-``residual_resample`` as the set's cached ``weights``, so neither
-exponentiates the log-weights again.
+the one kernel and tail every filter runs: it exponentiates each
+weighted log-likelihood row once, shifted by the row maximum so that no
+value exceeds 1 and none can overflow, and takes the marginals, the
+mixtures and their normalisation from that one buffer in the
+probability domain. The tail runs over a leading set axis (one set for
+PF, TS and DMA, one per member for SMA) and is the filters' one caller
+of ``estimate_mean`` and ``residual_resample``; each normalised mixture
+reaches them as its set's cached ``weights``, so neither exponentiates
+the log-weights again.
 
 ParticleSet is a value type; none of the operations mutate their
 inputs, and every operation that returns a ParticleSet returns one with

@@ -47,7 +47,7 @@ def log_domain_mixture(log_pi, log_w):
 def mix_one(p, pi, E, scale, rng):
     """``dma.mix_and_resample`` on the one set ``p``, mixing the rows with
     the (R,) probabilities ``pi``; returns (resampled, estimate)."""
-    (resampled,), (estimate,) = mix_and_resample([p], np.asarray(pi, dtype=float)[None], E, scale, [rng])
+    (resampled,), (estimate,) = mix_and_resample([p], pi[None], E, scale, [rng])
     return resampled, estimate
 
 
