@@ -25,9 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dma
-from .particles import ParticleSet, Trusted, propagate
+from .particles import ParticleSet, Trusted, _read_only, propagate
 
 TS_SMOOTHING = 0.5
+# PF's and TS's mixing weights: one set, one row
+_ONE_ROW = _read_only(np.ones((1, 1)))
 
 
 def pf_step(particles: ParticleSet, frame, transition, models, rng, trace=None):
@@ -40,7 +42,7 @@ def pf_step(particles: ParticleSet, frame, transition, models, rng, trace=None):
     """
     prop = propagate(particles, transition, rng)
     log_g, E, scale = dma.candidate_reweight(prop, frame, models, np.ones((1, len(models)), dtype=np.int64))
-    (resampled,), (estimate,) = dma.mix_and_resample([prop], np.ones((1, 1)), E, scale, [rng])
+    (resampled,), (estimate,) = dma.mix_and_resample([prop], _ONE_ROW, E, scale, [rng])
     if trace is not None:
         trace.record(flag=_collapse_flag(log_g))
     return resampled, estimate
@@ -112,7 +114,7 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     subs, estimates = dma.mix_and_resample(props, np.eye(len(props)), E, scale, state.rngs)
     if trace is not None:
         trace.record(flag=_collapse_flag(log_g))
-    return SmaState._trusted(subs, state.rngs), np.mean(estimates, axis=0)
+    return SmaState._trusted(tuple(subs), state.rngs), np.mean(estimates, axis=0)
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ def ts_step(state: TsState, frame, transition, models, rng, trace=None):
     prop = propagate(state.particles, transition, rng)
     alpha, present, L = _failure_prob(state.alpha, prop, frame, models)
     log_g, E, scale = dma.reweight_rows(prop.log_weights, dma.weighted_logliks((1.0 - alpha[present])[None, :], L))
-    (resampled,), (estimate,) = dma.mix_and_resample([prop], np.ones((1, 1)), E, scale, [rng])
+    (resampled,), (estimate,) = dma.mix_and_resample([prop], _ONE_ROW, E, scale, [rng])
     if trace is not None:
         trace.record(model_weights=alpha, flag=_collapse_flag(log_g))
     return TsState._trusted(resampled, alpha), estimate

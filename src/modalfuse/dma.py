@@ -284,9 +284,11 @@ def mix_and_resample(sets, W: np.ndarray, E: np.ndarray, scale, rngs):
     because an inf or NaN state makes ``w @ states`` non-finite even at
     zero weight (0 * inf is NaN).
     """
-    mixed = (W * scale) @ E
-    dead = scale == 0.0
-    if dead.any():
+    # ``dot`` rather than ``@``: the same product, bit for bit, without the
+    # matmul ufunc's set-up cost, which a one-row call would pay every step
+    mixed = (W * scale).dot(E)
+    if not scale.all():
+        dead = scale == 0.0
         mixed += W[:, dead].sum(axis=1)[:, None] * np.stack([p.weights for p in sets])
     # normalised once more, by the sum: the row scales leave residue
     # ~ulp(|loglik|) when likelihoods are astronomically small (e.g. garbage
@@ -298,7 +300,7 @@ def mix_and_resample(sets, W: np.ndarray, E: np.ndarray, scale, rngs):
     estimates = np.array([estimate_mean(m) for m in mixed_sets])
     if not np.isfinite(estimates).all():
         raise ValueError("particle states must be finite")
-    return tuple(residual_resample(m, r) for m, r in zip(mixed_sets, rngs)), estimates
+    return [residual_resample(m, r) for m, r in zip(mixed_sets, rngs)], estimates
 
 
 def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
