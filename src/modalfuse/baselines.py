@@ -119,18 +119,20 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
 
 @dataclass(frozen=True)
 class TsState(Trusted):
-    """Particles plus per-modality failure-probability estimates."""
+    """Particles plus per-modality failure-probability estimates. The
+    public constructor stores a read-only copy of ``alpha``; ``ts_step``
+    builds its states trusted, from a fresh read-only vector."""
 
     particles: ParticleSet
-    alpha: np.ndarray
+    alpha: np.ndarray  # (n,) failure probabilities, read-only
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
+        alpha = np.array(self.alpha, dtype=float)
         if alpha.ndim != 1:
             raise ValueError(f"failure probabilities must be a vector, got shape {alpha.shape}")
         if not ((alpha >= 0.0) & (alpha <= 1.0)).all():
             raise ValueError("failure probabilities must lie in [0, 1]")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _read_only(alpha))
 
 
 def init_ts(particles: ParticleSet, n_modalities: int) -> TsState:
@@ -138,10 +140,11 @@ def init_ts(particles: ParticleSet, n_modalities: int) -> TsState:
 
 
 def _failure_prob(prev_alpha, p: ParticleSet, frame, models):
-    """Smoothed failure probabilities plus the ``(present, L)`` they came
-    from. Per present modality, raw = g0 / (g0 + g) compares the marginal
-    g of the reading under the pre-update particle cloud with the failure
-    density g0 (``ssm.null_loglik``); a lost modality keeps its previous value.
+    """Smoothed failure probabilities, a new read-only vector, plus the
+    ``(present, L)`` they came from. Per present modality, raw = g0 /
+    (g0 + g) compares the marginal g of the reading under the pre-update
+    particle cloud with the failure density g0 (``ssm.null_loglik``); a
+    lost modality keeps its previous value.
     """
     present, L, nulls = dma.modality_logliks(frame, p.states, models)
     log_g = dma.reweight_rows(p.log_weights, L.copy())[0]
@@ -149,7 +152,7 @@ def _failure_prob(prev_alpha, p: ParticleSet, frame, models):
     raw = np.exp(-np.logaddexp(0.0, log_g - nulls))
     alpha = np.array(prev_alpha, dtype=float)
     alpha[present] = TS_SMOOTHING * alpha[present] + (1.0 - TS_SMOOTHING) * raw
-    return alpha, present, L
+    return _read_only(alpha), present, L
 
 
 def ts_step(state: TsState, frame, transition, models, rng, trace=None):

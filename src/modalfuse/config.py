@@ -1,11 +1,14 @@
 """Key-value config files for model parameters and scenarios.
 
 INI-style text, parsed with :mod:`configparser`. Every key is optional;
-missing keys fall back to the built-in 2D tracking defaults. A section
+a missing key keeps the default of ``tracking_model_2d``,
+``ExperimentConfig`` or ``ScenarioSpec``, whichever takes it. A section
 or key not listed below is an error, and so is any key in [DEFAULT],
 which configparser would copy into every section. Matrices
 are written as semicolon-separated rows, vectors and windows as
-whitespace-separated numbers. Modality indices are 0-based.
+whitespace-separated numbers. A window takes exactly one number per
+field, and its modality and times must be whole. Modality indices are
+0-based.
 
 ::
 
@@ -31,17 +34,12 @@ whitespace-separated numbers. Modality indices are 0-based.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
-from .ssm import (
-    DEFAULT_RANGE_MAX,
-    DEFAULT_SIGMA_ANGLE,
-    DEFAULT_SIGMA_RANGE,
-    TrackingModel,
-    tracking_model_2d,
-)
+from .ssm import TrackingModel, tracking_model_2d
 from .tracksim import DEFAULT_HORIZON, DEFAULT_X0, FailureWindow, LossWindow, ScenarioSpec
 
 
@@ -50,30 +48,54 @@ class ConfigError(ValueError):
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(v) for v in text.split()])
-    except ValueError as exc:
-        raise ConfigError(f"bad vector {text!r}") from exc
+    return np.array([float(v) for v in text.split()])
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    rows = [r.strip() for r in text.split(";") if r.strip()]
-    mat = [_parse_vector(r) for r in rows]
+    mat = [_parse_vector(r) for r in text.split(";") if r.strip()]
     if len({len(r) for r in mat}) != 1:
-        raise ConfigError(f"ragged matrix {text!r}")
+        raise ValueError(f"ragged matrix {text!r}")
     return np.array(mat)
 
 
-def _parse_entries(text: str) -> list[list[float]]:
-    return [list(_parse_vector(part)) for part in text.split(";") if part.strip()]
+def _whole(text: str) -> int:
+    value = float(text)
+    if not value.is_integer():  # also false for nan and inf
+        raise ValueError(f"{text!r} is not a whole number")
+    return int(value)
 
 
-DEFAULT_TRUTH_NOISE_SCALE = 1e-4
-# every section and key _config_from reads (configparser lower-cases keys)
+def _parse_windows(window, text: str) -> tuple:
+    """';'-separated entries of ``window``: exactly one number per field, a
+    whole one for the modality and the times."""
+    parsers = [float if f.type == "float" else _whole for f in fields(window)]
+    windows = []
+    for entry in filter(str.strip, text.split(";")):
+        numbers = entry.split()
+        try:
+            if len(numbers) != len(parsers):
+                raise ValueError(f"expected {len(parsers)} numbers, got {len(numbers)}")
+            windows.append(window(*(to_number(v) for to_number, v in zip(parsers, numbers))))
+        except ValueError as exc:
+            raise ValueError(f"entry {entry.strip()!r}: {exc}") from None
+    return tuple(windows)
+
+
+def _arguments(*pairs) -> dict:
+    """{key: (argument, parser)} for (argument, parser) pairs; the key is the
+    argument's name lower-cased, as configparser reads keys."""
+    return {argument.lower(): (argument, parse) for argument, parse in pairs}
+
+
+# every section and key a file may give: {section: {key: (argument, parser)}},
+# each value parsed and passed as that argument of tracking_model_2d,
+# ExperimentConfig or ScenarioSpec, so theirs are the only defaults
 CONFIG_KEYS = {
-    "model": ("sigma_angle", "sigma_range", "range_max", "a", "q"),
-    "simulation": ("horizon", "x0", "truth_noise_scale"),
-    "scenario": ("failures", "losses"),
+    "model": _arguments(("sigma_angle", float), ("sigma_range", float), ("range_max", float),
+                        ("A", _parse_matrix), ("Q", _parse_matrix)),
+    "simulation": _arguments(("horizon", int), ("x0", _parse_vector), ("truth_noise_scale", float)),
+    "scenario": {"failures": ("failure_windows", partial(_parse_windows, FailureWindow)),
+                 "losses": ("loss_windows", partial(_parse_windows, LossWindow))},
 }
 
 
@@ -85,13 +107,26 @@ class ExperimentConfig:
     out ground truth, keeping trajectories smooth and inside the range
     sensor's value space; every filter still assumes the unscaled
     covariance. Set it to 1 to generate truth from the filters' model.
+    The constructor checks ``x0`` (finite, one entry per state
+    component), ``horizon`` (>= 1) and ``truth_noise_scale`` (finite,
+    >= 0), so a config built in code fails as a config file does.
     """
 
     model: TrackingModel
     x0: np.ndarray = field(default_factory=lambda: DEFAULT_X0.copy())
     horizon: int = DEFAULT_HORIZON
-    truth_noise_scale: float = DEFAULT_TRUTH_NOISE_SCALE
+    truth_noise_scale: float = 1e-4
     scenario: ScenarioSpec | None = None  # used in place of a built-in scenario, never beside one
+
+    def __post_init__(self):
+        x0 = np.array(self.x0, dtype=float)
+        if x0.shape != (self.model.transition.dim,) or not np.isfinite(x0).all():
+            raise ValueError(f"x0 must be finite with {self.model.transition.dim} entries, got {x0}")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if not 0.0 <= self.truth_noise_scale < np.inf:
+            raise ValueError(f"truth_noise_scale must be finite and >= 0, got {self.truth_noise_scale}")
+        object.__setattr__(self, "x0", x0)
 
     def truth_transition(self):
         """Transition used to roll out ground truth."""
@@ -133,49 +168,18 @@ def _check_names(parser: configparser.ConfigParser) -> None:
 
 def _config_from(parser: configparser.ConfigParser) -> ExperimentConfig:
     _check_names(parser)
-    model_sec = parser["model"] if parser.has_section("model") else {}
+    given = {section: {} for section in CONFIG_KEYS}
+    for section in parser.sections():
+        for key, text in parser[section].items():
+            argument, parse = CONFIG_KEYS[section][key]
+            try:
+                given[section][argument] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for key {key!r} in section [{section}]: {exc}") from exc
     try:
-        sigma_angle = float(model_sec.get("sigma_angle", DEFAULT_SIGMA_ANGLE))
-        sigma_range = float(model_sec.get("sigma_range", DEFAULT_SIGMA_RANGE))
-        range_max = float(model_sec.get("range_max", DEFAULT_RANGE_MAX))
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value in [model]: {exc}") from exc
-    a = _parse_matrix(model_sec["a"]) if "a" in model_sec else None
-    q = _parse_matrix(model_sec["q"]) if "q" in model_sec else None
-    try:
-        model = tracking_model_2d(sigma_angle, sigma_range, range_max, A=a, Q=q)
+        cfg = ExperimentConfig(tracking_model_2d(**given["model"]), **given["simulation"])
+        if parser.has_section("scenario"):
+            cfg = replace(cfg, scenario=ScenarioSpec(cfg.horizon, **given["scenario"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    sim_sec = parser["simulation"] if parser.has_section("simulation") else {}
-    try:
-        horizon = int(sim_sec.get("horizon", DEFAULT_HORIZON))
-        truth_noise_scale = float(sim_sec.get("truth_noise_scale", DEFAULT_TRUTH_NOISE_SCALE))
-    except ValueError as exc:
-        raise ConfigError(f"bad [simulation] value: {exc}") from exc
-    if not 0.0 <= truth_noise_scale < np.inf:
-        raise ConfigError(f"truth_noise_scale must be finite and >= 0, got {truth_noise_scale}")
-    x0 = _parse_vector(sim_sec["x0"]) if "x0" in sim_sec else DEFAULT_X0.copy()
-    if x0.shape != (model.transition.dim,):
-        raise ConfigError(f"x0 must have {model.transition.dim} entries")
-    if not np.all(np.isfinite(x0)):
-        raise ConfigError(f"x0 must be finite, got {sim_sec['x0']!r}")
-
-    scenario = None
-    if parser.has_section("scenario"):
-        sec = parser["scenario"]
-        try:
-            failures = tuple(
-                FailureWindow(int(e[0]), int(e[1]), int(e[2]), float(e[3]))
-                for e in _parse_entries(sec.get("failures", ""))
-            )
-            losses = tuple(
-                LossWindow(int(e[0]), int(e[1]), int(e[2]))
-                for e in _parse_entries(sec.get("losses", ""))
-            )
-            scenario = ScenarioSpec(horizon, failures, losses)
-        except (ValueError, IndexError, OverflowError) as exc:
-            raise ConfigError(f"bad [scenario] section: {exc}") from exc
-
-    return ExperimentConfig(model=model, x0=x0, horizon=horizon,
-                            truth_noise_scale=truth_noise_scale, scenario=scenario)
+    return cfg

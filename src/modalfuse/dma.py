@@ -99,8 +99,9 @@ def candidate_label(bits) -> str:
 def modality_logliks(frame, states: np.ndarray, models):
     """``(present, L, nulls)``: the present modalities' indices, their
     (P, N) log-likelihoods at ``states`` and their (P,) null
-    log-likelihoods. The filters' one call site of ``Modality.loglik``;
-    a lost reading gets no row, since a missing value supports no
+    log-likelihoods. PF, TS and DMA take their modality log-likelihoods
+    from here (SMA calls ``loglik`` itself, one reading per member); a
+    lost reading gets no row, since a missing value supports no
     hypothesis.
     """
     if len(frame.observations) != len(models):

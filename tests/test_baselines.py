@@ -414,6 +414,27 @@ class TestTsStep:
         with pytest.raises(ValueError, match=r"failure probabilities must lie in \[0, 1\]"):
             baselines_mod.TsState(p0, np.array([np.nan, 0.5]))
 
+    def test_alpha_is_a_read_only_copy(self, model, rng):
+        # the state aliased the caller's writable array
+        p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)
+        alpha = np.array([0.3, 0.6])
+        state = baselines_mod.TsState(p0, alpha)
+        assert not state.alpha.flags.writeable and alpha.flags.writeable
+        alpha[0] = 0.9
+        np.testing.assert_array_equal(state.alpha, [0.3, 0.6])
+
+    def test_stepped_alpha_cannot_rewrite_the_trace(self, model):
+        # ts_step recorded the state's own alpha object in the trace
+        p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 40, np.random.default_rng(0))
+        trace = RunTrace()
+        state, _ = ts_step(init_ts(p0, 2), ObservationFrame.of(1, [0.78, 283.0]), model.transition,
+                           model.modalities, np.random.default_rng(5), trace=trace)
+        recorded = trace.weight_matrix().copy()
+        assert not state.alpha.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state.alpha[0] = 0.9
+        np.testing.assert_array_equal(trace.weight_matrix(), recorded)
+
     @pytest.mark.parametrize("alpha", [[[0.1, 0.2]], 0.5], ids=["two_dim", "scalar"])
     def test_alpha_that_is_not_a_vector_rejected(self, model, rng, alpha):
         p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)

@@ -11,6 +11,7 @@ import pytest
 import modalfuse
 from modalfuse import (
     ConfigError,
+    ExperimentConfig,
     GaussianPrior,
     ObservationFrame,
     default_config,
@@ -34,7 +35,7 @@ from modalfuse.bench import (
     write_summary,
 )
 from modalfuse.ssm import DEFAULT_Q, LinearGaussianTransition
-from modalfuse.tracksim import builtin_scenario, generate_run
+from modalfuse.tracksim import FailureWindow, ScenarioSpec, builtin_scenario, generate_run
 
 from conftest import point_prior
 
@@ -400,6 +401,67 @@ class TestConfigFile:
             "--config", str(path), "--particles", "10", "--runs", "1",
         ])
         assert code == 2
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("line, message", [
+        ("failures = 0 10 20 0.8 99", r"'failures' .*entry '0 10 20 0.8 99': expected 4 numbers, got 5"),
+        ("failures = 0.5 10.7 20.2 1.0", r"'failures' .*entry '0.5 10.7 20.2 1.0': '0.5' is not a whole number"),
+        ("losses = 1 30", r"'losses' .*entry '1 30': expected 3 numbers, got 2"),
+        ("losses = 1 30 40; 0 nan 50", r"'losses' .*entry '0 nan 50': 'nan' is not a whole number"),
+    ], ids=["extra_number", "fractional", "missing_number", "nan_time"])
+    def test_malformed_window_names_its_entry(self, tmp_path, line, message):
+        # the first two loaded, as a window on modality 0 over [10, 20]
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[scenario]\n{line}\n")
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+    def test_whole_numbers_in_float_notation_accepted(self, tmp_path):
+        path = tmp_path / "ok.cfg"
+        path.write_text("[scenario]\nfailures = 0 1e1 20.0 1\n")
+        assert load_config(path).scenario.failure_windows[0] == FailureWindow(0, 10, 20, 1.0)
+
+    @pytest.mark.parametrize("scenario", ["", "[scenario]\nlosses = 1 3 4\n"], ids=["alone", "with_scenario"])
+    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    def test_horizon_below_one_rejected(self, tmp_path, capsys, horizon, scenario):
+        # the file loaded and the run failed later, or blamed the [scenario] section
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[simulation]\nhorizon = {horizon}\n{scenario}")
+        with pytest.raises(ConfigError, match=f"^horizon must be >= 1, got {horizon}$"):
+            load_config(path)
+        code = main(["--algorithm", "pf", "--scenario", "1", "--out", str(tmp_path / "o"),
+                     "--config", str(path), "--particles", "10", "--runs", "1"])
+        assert code == 2
+        assert "error: horizon must be >= 1" in capsys.readouterr().err
+
+    def test_missing_keys_keep_the_constructors_defaults(self, tmp_path):
+        path = tmp_path / "ok.cfg"
+        path.write_text("[model]\n[simulation]\n[scenario]\n")
+        cfg, default = load_config(path), default_config()
+        assert cfg.model.modalities == default.model.modalities
+        np.testing.assert_array_equal(cfg.model.transition.A, default.model.transition.A)
+        np.testing.assert_array_equal(cfg.model.transition.Q, default.model.transition.Q)
+        np.testing.assert_array_equal(cfg.x0, default.x0)
+        assert (cfg.horizon, cfg.truth_noise_scale) == (default.horizon, default.truth_noise_scale)
+        assert cfg.scenario == ScenarioSpec()
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"x0": [np.nan, 1.0, 200.0, 200.0]}, "^x0 must be finite"),
+        ({"x0": [1.0, 1.0]}, "^x0 must be finite with 4 entries"),
+        ({"horizon": 0}, "^horizon must be >= 1"),
+        ({"truth_noise_scale": -1.0}, "^truth_noise_scale must be finite and >= 0"),
+    ], ids=["nan_x0", "short_x0", "horizon_0", "negative_truth_noise_scale"])
+    def test_config_built_in_code_checked(self, kwargs, message):
+        # each built, and failed only inside the run with a message about something else
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(default_config().model, **kwargs)
+
+    def test_x0_is_a_float_copy(self):
+        x0 = np.array([1, 1, 200, 200])
+        cfg = ExperimentConfig(default_config().model, x0=x0)
+        x0[0] = 5
+        assert cfg.x0.dtype == float and cfg.x0[0] == 1.0
 
 
 class TestCli:

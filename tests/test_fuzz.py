@@ -31,20 +31,32 @@ ANY_SECTIONS = st.lists(
 )
 
 
+def mostly(usual, rare):
+    """``usual`` in about nine examples of ten, ``rare`` in the rest."""
+    return st.integers(1, 10).flatmap(lambda k: rare if k == 1 else usual)
+
+
+# window lists shaped as the [scenario] keys expect: entries of 3 to 5
+# numbers, usually whole, so the count and whole-number checks are reached
+WINDOW_ATOMS = mostly(st.sampled_from(["0", "1", "2", "10", "20", "300"]),
+                      st.sampled_from(["0.5", "0.8", "10.7", "nan"]))
+WINDOWS = st.lists(st.lists(WINDOW_ATOMS, min_size=3, max_size=5).map(" ".join),
+                   min_size=1, max_size=3).map("; ".join)
+
+
+def key_value(key):
+    return st.tuples(st.just(key), mostly(WINDOWS, VALUES) if key in ("failures", "losses") else VALUES)
+
+
 def known_sections(names, max_keys):
     """Known names only: each of ``names`` at most once, holding its own keys once each."""
     return st.lists(
         st.sampled_from(names).flatmap(lambda name: st.tuples(
             st.just(name),
-            st.lists(st.tuples(st.sampled_from(CONFIG_KEYS[name]), VALUES), max_size=max_keys,
+            st.lists(st.sampled_from(CONFIG_KEYS[name]).flatmap(key_value), max_size=max_keys,
                      unique_by=itemgetter(0)))),
         max_size=len(names), unique_by=itemgetter(0),
     )
-
-
-def mostly(usual, rare):
-    """``usual`` in about nine examples of ten, ``rare`` in the rest."""
-    return st.integers(1, 10).flatmap(lambda k: rare if k == 1 else usual)
 
 
 # a config with an unknown or repeated name is rejected before any value is
