@@ -34,8 +34,9 @@ field, and its modality and times must be whole. Modality indices are
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import get_type_hints
 
 import numpy as np
 
@@ -68,7 +69,7 @@ def _whole(text: str) -> int:
 def _parse_windows(window, text: str) -> tuple:
     """';'-separated entries of ``window``: exactly one number per field, a
     whole one for the modality and the times."""
-    parsers = [float if f.type == "float" else _whole for f in fields(window)]
+    parsers = [float if kind is float else _whole for kind in get_type_hints(window).values()]
     windows = []
     for entry in filter(str.strip, text.split(";")):
         numbers = entry.split()
@@ -113,7 +114,7 @@ class ExperimentConfig:
     """
 
     model: TrackingModel
-    x0: np.ndarray = field(default_factory=lambda: DEFAULT_X0.copy())
+    x0: np.ndarray = field(default_factory=DEFAULT_X0.copy)
     horizon: int = DEFAULT_HORIZON
     truth_noise_scale: float = 1e-4
     scenario: ScenarioSpec | None = None  # used in place of a built-in scenario, never beside one

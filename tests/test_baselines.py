@@ -415,7 +415,7 @@ class TestTsStep:
             baselines_mod.TsState(p0, np.array([np.nan, 0.5]))
 
     def test_alpha_is_a_read_only_copy(self, model, rng):
-        # the state aliased the caller's writable array
+        # as DmaState.pi: a later write to the caller's array must not reach the state
         p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)
         alpha = np.array([0.3, 0.6])
         state = baselines_mod.TsState(p0, alpha)
@@ -424,7 +424,7 @@ class TestTsStep:
         np.testing.assert_array_equal(state.alpha, [0.3, 0.6])
 
     def test_stepped_alpha_cannot_rewrite_the_trace(self, model):
-        # ts_step recorded the state's own alpha object in the trace
+        # the trace holds the state's alpha object, so the state must not be writable
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 40, np.random.default_rng(0))
         trace = RunTrace()
         state, _ = ts_step(init_ts(p0, 2), ObservationFrame.of(1, [0.78, 283.0]), model.transition,

@@ -411,7 +411,7 @@ class TestConfigChecks:
         ("losses = 1 30 40; 0 nan 50", r"'losses' .*entry '0 nan 50': 'nan' is not a whole number"),
     ], ids=["extra_number", "fractional", "missing_number", "nan_time"])
     def test_malformed_window_names_its_entry(self, tmp_path, line, message):
-        # the first two loaded, as a window on modality 0 over [10, 20]
+        # a stray or fractional number must not be truncated into another window
         path = tmp_path / "bad.cfg"
         path.write_text(f"[scenario]\n{line}\n")
         with pytest.raises(ConfigError, match=message):
@@ -425,7 +425,7 @@ class TestConfigChecks:
     @pytest.mark.parametrize("scenario", ["", "[scenario]\nlosses = 1 3 4\n"], ids=["alone", "with_scenario"])
     @pytest.mark.parametrize("horizon", ["0", "-5"])
     def test_horizon_below_one_rejected(self, tmp_path, capsys, horizon, scenario):
-        # the file loaded and the run failed later, or blamed the [scenario] section
+        # ExperimentConfig names horizon before the [scenario] section is built
         path = tmp_path / "bad.cfg"
         path.write_text(f"[simulation]\nhorizon = {horizon}\n{scenario}")
         with pytest.raises(ConfigError, match=f"^horizon must be >= 1, got {horizon}$"):
@@ -453,7 +453,7 @@ class TestConfigChecks:
         ({"truth_noise_scale": -1.0}, "^truth_noise_scale must be finite and >= 0"),
     ], ids=["nan_x0", "short_x0", "horizon_0", "negative_truth_noise_scale"])
     def test_config_built_in_code_checked(self, kwargs, message):
-        # each built, and failed only inside the run with a message about something else
+        # checked at construction, not first inside a run under another message
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(default_config().model, **kwargs)
 
