@@ -109,8 +109,9 @@ class ExperimentConfig:
     sensor's value space; every filter still assumes the unscaled
     covariance. Set it to 1 to generate truth from the filters' model.
     The constructor checks ``x0`` (finite, one entry per state
-    component), ``horizon`` (>= 1) and ``truth_noise_scale`` (finite,
-    >= 0), so a config built in code fails as a config file does.
+    component), ``horizon`` (>= 1), ``truth_noise_scale`` (finite,
+    >= 0) and that a scenario runs for ``horizon`` steps, so a config
+    built in code fails as a config file does.
     """
 
     model: TrackingModel
@@ -127,6 +128,9 @@ class ExperimentConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not 0.0 <= self.truth_noise_scale < np.inf:
             raise ValueError(f"truth_noise_scale must be finite and >= 0, got {self.truth_noise_scale}")
+        if self.scenario is not None and self.scenario.horizon != self.horizon:
+            raise ValueError(f"the scenario's horizon {self.scenario.horizon} differs from "
+                             f"the config's horizon {self.horizon}")
         object.__setattr__(self, "x0", x0)
 
     def truth_transition(self):

@@ -148,7 +148,9 @@ class RangeModality:
         return _gauss_loglik(resid, self.sigma)
 
     def sample(self, x, rng):
-        return np.clip(rng.normal(self.mean(x), self.sigma), 0.0, self.r_max)
+        # np.clip gives the same values; on one reading its set-up costs
+        # more than the two ufuncs
+        return np.minimum(np.maximum(rng.normal(self.mean(x), self.sigma), 0.0), self.r_max)
 
     def sample_failed(self, rng, size=None):
         return rng.uniform(0.0, self.r_max, size=size)
@@ -203,6 +205,26 @@ class LinearGaussianTransition:
         out = x @ self._A_t + rng.standard_normal(x.shape) @ self._noise_factor_t
         return out[0] if single else out
 
+    def rollout(self, x0, horizon: int, rng) -> np.ndarray:
+        """(T, d) Markov path from one state (d,); row t-1 is the state at
+        time t. Bit for bit what T calls of ``sample`` give on the same
+        stream: the T x d normals are one draw, which yields the values of
+        T draws of 1 x d, and each step forms sample's (1, d) products. A
+        path that leaves the finite floats raises ValueError."""
+        x = np.asarray(x0, dtype=float)
+        if x.shape != (self.dim,) or not np.all(np.isfinite(x)):
+            raise ValueError(f"start state must be finite with {self.dim} entries, got {x}")
+        noise = rng.standard_normal((horizon, self.dim))
+        x = x[None]
+        path = np.empty((horizon, self.dim))
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names the fault
+            for t in range(horizon):
+                x = x @ self._A_t + noise[t:t + 1] @ self._noise_factor_t
+                path[t] = x[0]
+        if not np.all(np.isfinite(path)):
+            raise ValueError("non-finite state in the transition's rollout")
+        return path
+
 
 @dataclass(frozen=True)
 class ModalityObservation:
@@ -243,8 +265,16 @@ class ObservationFrame:
 
     @classmethod
     def of(cls, time_index: int, values) -> "ObservationFrame":
-        """Build a frame from raw per-modality values (None = lost)."""
-        return cls(time_index, tuple(map(ModalityObservation, values)))
+        """Build a frame from raw per-modality values (None = lost). Each
+        value is checked as it becomes a ModalityObservation, so the frame
+        is built without the constructor's per-entry type check."""
+        observations = tuple(map(ModalityObservation, values))
+        if time_index < 1:
+            raise ValueError("time_index starts at 1")
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "time_index", time_index)
+        object.__setattr__(frame, "observations", observations)
+        return frame
 
     @property
     def n_modalities(self) -> int:

@@ -11,7 +11,15 @@ modality the sensor status is one of
 
 The four built-in scenarios cover: no failures; alternating one-sided
 failures; losses; and simultaneous failures of both modalities.
-Everything the simulator produces is a pure function of its seed.
+Everything the simulator produces is a pure function of its seed, and
+the order of the draws on that one stream is part of a dataset's
+definition: first the truth's T x d transition normals, then, step by
+step, a coin for each modality inside a failure window, in modality
+order, followed by the step's readings in modality order (a lost
+reading draws nothing). Drawing the same values in another order gives
+another dataset. ``tests/reference.py`` keeps the per-step form of the
+simulator and of the NDJSON writer, which the library must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter
 
 import numpy as np
 
@@ -79,15 +88,30 @@ class ScenarioSpec:
                 if lw.modality == fw.modality and lw.t_start <= fw.t_end and fw.t_start <= lw.t_end:
                     raise ValueError("loss and failure windows overlap for one modality")
 
+    def script(self, n_modalities: int) -> tuple[np.ndarray, np.ndarray]:
+        """(T, n) scripted statuses and failure probabilities; row t-1 is
+        time t. Loss windows come before failure windows, and the first
+        window that covers a cell sets it: LOST, or FAILED with the window's
+        probability. A cell no window covers is NORMAL with probability 0.
+        Windows on a modality outside [0, n) are left out."""
+        status = np.full((self.horizon, n_modalities), ObservationStatus.NORMAL, dtype=np.int64)
+        prob = np.zeros((self.horizon, n_modalities))
+        # a later write wins, so the windows are written lowest precedence first
+        for w in reversed(self.loss_windows + self.failure_windows):
+            if 0 <= w.modality < n_modalities:
+                rows = slice(w.t_start - 1, w.t_end)
+                lost = isinstance(w, LossWindow)
+                status[rows, w.modality] = ObservationStatus.LOST if lost else ObservationStatus.FAILED
+                prob[rows, w.modality] = 0.0 if lost else w.probability
+        return status, prob
+
     def status_at(self, t: int, modality: int) -> tuple[ObservationStatus, float]:
-        """Scripted status at (t, modality); FAILED comes with its probability."""
-        for w in self.loss_windows:
-            if w.modality == modality and w.t_start <= t <= w.t_end:
-                return ObservationStatus.LOST, 0.0
-        for w in self.failure_windows:
-            if w.modality == modality and w.t_start <= t <= w.t_end:
-                return ObservationStatus.FAILED, w.probability
-        return ObservationStatus.NORMAL, 0.0
+        """Scripted status at (t, modality), read off :meth:`script`; FAILED
+        comes with its probability."""
+        if not (1 <= t <= self.horizon and modality >= 0):
+            return ObservationStatus.NORMAL, 0.0
+        status, prob = self.script(modality + 1)
+        return ObservationStatus(status[t - 1, modality]), float(prob[t - 1, modality])
 
 
 def builtin_scenario(k: int) -> ScenarioSpec:
@@ -140,13 +164,7 @@ def simulate_truth(horizon: int, x0, transition, rng) -> np.ndarray:
     """(T, d) Markov rollout; row t-1 is the state at time t (x0 excluded)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    x0 = np.asarray(x0, dtype=float)
-    states = np.empty((horizon, x0.shape[0]))
-    x = x0
-    for t in range(horizon):
-        x = transition.sample(x, rng)
-        states[t] = x
-    return states
+    return transition.rollout(x0, horizon, rng)
 
 
 def observe(t: int, x, statuses, models, rng) -> ObservationFrame:
@@ -185,6 +203,9 @@ class GroundTruthRun:
             raise ValueError(f"states are shaped {states.shape}, expected ({T}, d)")
         if log.ndim != 2 or log.shape[0] != T:
             raise ValueError(f"failure_log is shaped {log.shape}, expected ({T}, n)")
+        if log.size and not 0 <= log.min() <= log.max() < len(_STATUS_NAMES):
+            raise ValueError(f"failure_log holds a code outside 0..{len(_STATUS_NAMES) - 1}, "
+                             f"the ObservationStatus values")
         for k, frame in enumerate(frames, start=1):
             if frame.time_index != k:
                 raise ValueError(f"frame {k} has time index {frame.time_index}, expected {k}")
@@ -201,18 +222,17 @@ class GroundTruthRun:
 
     def save(self, path) -> None:
         """Write one JSON record per step (replayable, exact floats)."""
+        lines = [
+            json.dumps({
+                "t": frame.time_index,
+                "state": state,
+                "observations": [None if obs.value is None else float(obs.value) for obs in frame.observations],
+                "status": [_STATUS_NAMES[s] for s in codes],
+            }) + "\n"
+            for frame, state, codes in zip(self.frames, self.states.tolist(), self.failure_log.tolist())
+        ]
         with open(path, "w") as f:
-            for k, frame in enumerate(self.frames):
-                rec = {
-                    "t": frame.time_index,
-                    "state": [float(v) for v in self.states[k]],
-                    "observations": [
-                        None if obs.value is None else float(obs.value)
-                        for obs in frame.observations
-                    ],
-                    "status": [ObservationStatus(s).name for s in self.failure_log[k]],
-                }
-                f.write(json.dumps(rec) + "\n")
+            f.write("".join(lines))
 
     @classmethod
     def load(cls, path) -> "GroundTruthRun":
@@ -232,8 +252,14 @@ class GroundTruthRun:
 
 
 _RECORD_KEYS = ("t", "state", "observations", "status")
-_NUMBER_TYPES = (int, float)   # matched by exact type, so true and false are not numbers
+_record_fields = itemgetter(*_RECORD_KEYS)
+# types are matched exactly, so true and false are not numbers
+_NUMBER_TYPES = frozenset({int, float})
+_READING_TYPES = _NUMBER_TYPES | {type(None)}
+_STRING_TYPE = frozenset({str})
 _STATUS_CODES = {s.name: int(s) for s in ObservationStatus}
+_STATUS_NAMES = tuple(_STATUS_CODES)   # indexed by code
+_STATUS_NAME_SET = frozenset(_STATUS_NAMES)
 
 
 def _parse_record(line: str):
@@ -243,21 +269,23 @@ def _parse_record(line: str):
     rec = json.loads(line)
     if type(rec) is not dict:
         raise ValueError(f"record is a {type(rec).__name__}, not an object")
-    missing = [k for k in _RECORD_KEYS if k not in rec]
-    if missing:
-        raise ValueError(f"record lacks {', '.join(missing)}")
-    t, state, readings, status = (rec[k] for k in _RECORD_KEYS)
+    try:
+        t, state, readings, status = _record_fields(rec)
+    except KeyError:
+        raise ValueError(f"record lacks {', '.join(k for k in _RECORD_KEYS if k not in rec)}") from None
     if type(t) is not int:
         raise ValueError(f"t {t!r} is not an integer")
-    if type(state) is not list or not all(type(v) in _NUMBER_TYPES for v in state):
+    if type(state) is not list or not _NUMBER_TYPES.issuperset(map(type, state)):
         raise ValueError(f"state {state!r} is not a list of numbers")
-    if type(readings) is not list or not all(v is None or type(v) in _NUMBER_TYPES for v in readings):
+    if type(readings) is not list or not _READING_TYPES.issuperset(map(type, readings)):
         raise ValueError(f"observations {readings!r} are not a list of numbers or nulls")
-    if type(status) is not list or not all(type(s) is str and s in _STATUS_CODES for s in status):
+    # the names are looked up only once every entry is known to be a string
+    if type(status) is not list or not (_STRING_TYPE.issuperset(map(type, status))
+                                        and _STATUS_NAME_SET.issuperset(status)):
         raise ValueError(f"status {status!r} is not a list of {', '.join(_STATUS_CODES)}")
     # float() raises OverflowError for an int past float range
-    return (t, [float(v) for v in state], [v if v is None else float(v) for v in readings],
-            [_STATUS_CODES[s] for s in status])
+    return (t, [*map(float, state)], [v if v is None else float(v) for v in readings],
+            [*map(_STATUS_CODES.__getitem__, status)])
 
 
 def generate_run(spec: ScenarioSpec, x0, transition, models, rng) -> GroundTruthRun:
@@ -273,15 +301,12 @@ def generate_run(spec: ScenarioSpec, x0, transition, models, rng) -> GroundTruth
         if not 0 <= w.modality < n:
             raise ValueError(f"{w} names modality {w.modality}, outside [0, {n}) for {n} modalities")
     states = simulate_truth(spec.horizon, x0, transition, rng)
-    frames = []
-    log = np.empty((spec.horizon, n), dtype=np.int64)
-    for t in range(1, spec.horizon + 1):
-        statuses = []
-        for i in range(n):
-            status, prob = spec.status_at(t, i)
-            if status == ObservationStatus.FAILED and rng.random() >= prob:
-                status = ObservationStatus.NORMAL
-            statuses.append(status)
-        log[t - 1] = statuses
-        frames.append(observe(t, states[t - 1], statuses, models, rng))
-    return GroundTruthRun(states, tuple(frames), log)
+    scripted, probs = spec.script(n)
+    frames, log = [], []
+    for t, (x, script, prob) in enumerate(zip(states, scripted.tolist(), probs.tolist()), start=1):
+        # the step's failure coins in modality order, then its readings
+        statuses = [ObservationStatus.NORMAL if s == ObservationStatus.FAILED and rng.random() >= p else s
+                    for s, p in zip(script, prob)]
+        log.append(statuses)
+        frames.append(observe(t, x, statuses, models, rng))
+    return GroundTruthRun(states, tuple(frames), np.array(log, dtype=np.int64).reshape(spec.horizon, n))

@@ -457,6 +457,18 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(default_config().model, **kwargs)
 
+    def test_scenario_horizon_must_match(self):
+        # a run would take the scenario's 120 steps and ignore horizon=50
+        with pytest.raises(ValueError, match="^the scenario's horizon 120 differs from the config's horizon 50$"):
+            ExperimentConfig(default_config().model, horizon=50, scenario=ScenarioSpec(120))
+
+    def test_matching_scenario_horizon_accepted(self, tmp_path):
+        # as the benchmark builds its wide-6mod config: both horizons 300
+        assert ExperimentConfig(model=default_config().model, scenario=ScenarioSpec()).horizon == 300
+        path = tmp_path / "ok.cfg"
+        path.write_text("[simulation]\nhorizon = 50\n[scenario]\nlosses = 1 3 4\n")
+        assert load_config(path).scenario.horizon == 50
+
     def test_x0_is_a_float_copy(self):
         x0 = np.array([1, 1, 200, 200])
         cfg = ExperimentConfig(default_config().model, x0=x0)

@@ -1,15 +1,32 @@
 """Fuzzing of the input boundaries: config files, NDJSON replay files and
 the command line. Each either accepts its input or rejects it with its
-documented error; nothing else may escape."""
+documented error; nothing else may escape. Replay files are also checked
+against the per-record loader in tests/reference.py, and drawn scenarios
+against the per-step simulator there."""
 
 import json
 from operator import itemgetter
 
+import numpy as np
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from modalfuse import ConfigError, ExperimentConfig, GroundTruthRun, load_config
+from modalfuse import (
+    DEFAULT_X0,
+    ConfigError,
+    ExperimentConfig,
+    FailureWindow,
+    GroundTruthRun,
+    LossWindow,
+    ScenarioSpec,
+    default_config,
+    generate_run,
+    load_config,
+    tracking_model_2d,
+)
 from modalfuse.bench import ALGORITHMS, main
+
+import reference
 
 FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -44,8 +61,25 @@ WINDOWS = st.lists(st.lists(WINDOW_ATOMS, min_size=3, max_size=5).map(" ".join),
                    min_size=1, max_size=3).map("; ".join)
 
 
+def valid_windows(key):
+    """Entries that pass the parser and each window's own checks for a
+    horizon of 3 or more and two modalities: 1 <= t_start <= t_end <= 3
+    and, for failures, a probability in [0, 1]. Two entries may still
+    overlap, which ScenarioSpec rejects for a loss and a failure."""
+    entry = st.tuples(st.sampled_from(["0", "1"]),
+                      st.lists(st.sampled_from(["1", "2", "3"]), min_size=2, max_size=2).map(sorted),
+                      st.sampled_from(["0", "0.5", "0.8", "1"]) if key == "failures" else st.just(None))
+    return st.lists(entry.map(lambda e: " ".join([e[0], *e[1]] + ([e[2]] if e[2] else []))),
+                    min_size=1, max_size=2).map("; ".join)
+
+
 def key_value(key):
-    return st.tuples(st.just(key), mostly(WINDOWS, VALUES) if key in ("failures", "losses") else VALUES)
+    if key in ("failures", "losses"):
+        # valid windows in about half the examples, so the window checks are
+        # reached as well as the parser's
+        return st.tuples(st.just(key), st.booleans().flatmap(
+            lambda valid: valid_windows(key) if valid else mostly(WINDOWS, VALUES)))
+    return st.tuples(st.just(key), VALUES)
 
 
 def known_sections(names, max_keys):
@@ -70,14 +104,19 @@ def config_text(sections) -> str:
                    for name, entries in sections)
 
 
+# the messages of ScenarioSpec's own window checks
+WINDOW_CHECKS = ("outside [1,", "failure probability must lie", "windows overlap")
+
+
 def _load_or_reject(path, text):
     path.write_text(text, encoding="utf-8")
     try:
         cfg = load_config(path)
-    except ConfigError:
-        event("ConfigError")
+    except ConfigError as exc:
+        event("ConfigError, by a window check" if any(m in str(exc) for m in WINDOW_CHECKS) else "ConfigError")
         return
-    event("accepted")
+    windows = cfg.scenario is not None and cfg.scenario.failure_windows + cfg.scenario.loss_windows
+    event("accepted, with windows" if windows else "accepted")
     assert isinstance(cfg, ExperimentConfig)
 
 
@@ -115,21 +154,79 @@ VALID_LINES = [
 ]
 
 
-@FUZZ
-@given(edits=st.lists(st.tuples(st.integers(0, 3), LINE), max_size=3))
-def test_load_replay_arbitrary_lines(tmp_path, edits):
+EDITS = st.lists(st.tuples(st.integers(0, 3), LINE), max_size=3)
+
+
+def replay_file(tmp_path, edits):
+    """VALID_LINES with each (i, line) of ``edits`` put in place of line i."""
     lines = list(VALID_LINES)
     for i, line in edits:
         lines[i:i + 1] = [line]
     path = tmp_path / "fuzz.ndjson"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+@FUZZ
+@given(edits=EDITS)
+def test_load_replay_arbitrary_lines(tmp_path, edits):
     try:
-        run = GroundTruthRun.load(path)
+        run = GroundTruthRun.load(replay_file(tmp_path, edits))
     except ValueError:
         event("ValueError")
         return
     event("accepted")
     assert isinstance(run, GroundTruthRun)
+
+
+@FUZZ
+@given(edits=EDITS)
+def test_load_replay_matches_the_per_record_loader(tmp_path, edits):
+    # the same run, or the same error naming the same line
+    path = replay_file(tmp_path, edits)
+    outcomes = []
+    for load in (GroundTruthRun.load, reference.load):
+        try:
+            outcomes.append(reference.run_values(load(path)))
+        except Exception as exc:  # compared, not swallowed
+            outcomes.append((type(exc), str(exc)))
+    event("accepted" if len(outcomes[0]) == 4 else outcomes[0][0].__name__)
+    assert outcomes[0] == outcomes[1]
+
+
+MODALITIES = tracking_model_2d().modalities
+
+
+@st.composite
+def scenarios(draw):
+    """(ScenarioSpec, models): 1 to 4 modalities, failure windows with any
+    probability in [0, 1] and loss windows, which may overlap each other
+    but not a failure window on the same modality."""
+    horizon, n = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    modality, times = st.integers(0, n - 1), st.lists(st.integers(1, horizon), min_size=2, max_size=2).map(sorted)
+    failures = draw(st.lists(st.builds(lambda m, ts, p: FailureWindow(m, *ts, p), modality, times,
+                                       st.floats(0.0, 1.0)), max_size=4))
+    losses = [w for w in draw(st.lists(st.builds(lambda m, ts: LossWindow(m, *ts), modality, times), max_size=3))
+              if not any(f.modality == w.modality and f.t_start <= w.t_end and w.t_start <= f.t_end
+                         for f in failures)]
+    return ScenarioSpec(horizon, failures, losses), (MODALITIES * 2)[:n]
+
+
+
+@FUZZ
+@given(drawn=scenarios(), seed=st.integers(0, 2 ** 32 - 1))
+def test_generated_run_round_trips(tmp_path, drawn, seed):
+    spec, models = drawn
+    transition = default_config().truth_transition()
+    run = generate_run(spec, DEFAULT_X0, transition, models, np.random.default_rng(seed))
+    ref = reference.generate_run(spec, DEFAULT_X0, transition, models, np.random.default_rng(seed))
+    assert reference.run_values(run) == reference.run_values(ref)
+    run.save(tmp_path / "run.ndjson")
+    reference.save(ref, tmp_path / "ref.ndjson")
+    assert (tmp_path / "run.ndjson").read_bytes() == (tmp_path / "ref.ndjson").read_bytes()
+    back = GroundTruthRun.load(tmp_path / "run.ndjson")
+    assert reference.run_values(back) == reference.run_values(run)
+    assert all(type(obs.value) in (float, type(None)) for frame in back.frames for obs in frame.observations)
 
 
 @FUZZ

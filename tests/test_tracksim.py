@@ -20,6 +20,8 @@ from modalfuse import (
 )
 from modalfuse.ssm import DEFAULT_A, DEFAULT_Q, LinearGaussianTransition, ObservationFrame
 
+import reference
+
 
 class TestBuiltinScenarios:
     def test_scenario1_empty(self):
@@ -239,6 +241,7 @@ MALFORMED = {
         "frame 6 has time index 99"),
     "states not (T, d)": (lambda s, f, log: (s[:-1], f, log), r"states are shaped \(9, 4\)"),
     "failure_log not (T, n)": (lambda s, f, log: (s, f, log[:, 0]), r"failure_log is shaped \(10,\)"),
+    "failure_log code not a status": (lambda s, f, log: (s, f, log + 3), r"failure_log holds a code outside 0\.\.2"),
     "frame one reading short": (
         lambda s, f, log: (s, _replace_frame6(f, ObservationFrame.of(6, [f[5].observations[0].value])), log),
         "frame 6 has 1 readings"),
@@ -273,13 +276,14 @@ class TestMalformedRun:
     @pytest.mark.parametrize("corrupt, message", [
         (lambda r: {k: v for k, v in r.items() if k != "status"}, "record lacks status"),
         (lambda r: {**r, "status": ["NORMAL", "BROKEN"]}, r"status \['NORMAL', 'BROKEN'\] is not a list of"),
+        (lambda r: {**r, "status": [["NORMAL"], "LOST"]}, r"status \[\['NORMAL'\], 'LOST'\] is not a list of"),
         (lambda r: {**r, "observations": ["0.5", 283.0]}, "observations .* are not a list of numbers or nulls"),
         (lambda r: list(r.values()), "record is a list, not an object"),
         (lambda r: {**r, "observations": [[0.1, 0.2], 283.0]}, "observations .* are not a list of numbers or nulls"),
         (lambda r: {**r, "observations": [True, 283.0]}, "observations .* are not a list of numbers or nulls"),
         (lambda r: {**r, "state": [1, 1, 10 ** 400, 200]}, "int too large to convert to float"),
         (lambda r: {**r, "t": 6.0}, r"t 6.0 is not an integer"),
-    ], ids=["missing_key", "unknown_status", "string_reading", "not_an_object", "list_reading",
+    ], ids=["missing_key", "unknown_status", "list_status", "string_reading", "not_an_object", "list_reading",
             "bool_reading", "int_past_float_range", "float_t"])
     def test_load_names_the_line_of_a_malformed_record(self, run, tmp_path, corrupt, message):
         path = tmp_path / "run.ndjson"
@@ -302,3 +306,122 @@ class TestMalformedRun:
         back = GroundTruthRun.load(path)
         np.testing.assert_array_equal(back.states[5], [1.0, 1.0, 200.0, 200.0])
         assert [type(v) for v in (obs.value for obs in back.frames[5].observations)] == [float, float]
+
+
+def _staggered_six():
+    """wide-6mod's shape: the two sensors three times over, each failing on
+    its own 15-step window."""
+    base = tracking_model_2d()
+    spec = ScenarioSpec(failure_windows=tuple(FailureWindow(i, 150 + 20 * i, 164 + 20 * i, 1.0) for i in range(6)))
+    return spec, base.transition, base.modalities * 3
+
+
+def _mixed_windows():
+    """Windows with p in (0, 1), overlapping failure windows on one modality
+    (the first listed wins), and loss windows on both modalities."""
+    model = tracking_model_2d()
+    spec = ScenarioSpec(
+        horizon=80,
+        failure_windows=(FailureWindow(0, 5, 30, 0.3), FailureWindow(0, 20, 40, 0.9),
+                         FailureWindow(1, 10, 12, 0.5), FailureWindow(1, 60, 80, 0.7)),
+        loss_windows=(LossWindow(1, 1, 4), LossWindow(0, 50, 55), LossWindow(0, 53, 70)),
+    )
+    return spec, model.transition, model.modalities
+
+
+def _random_psd_q():
+    """A random full-rank PSD Q and a random A near the identity."""
+    g = np.random.default_rng(99)
+    B = g.standard_normal((4, 4))
+    transition = LinearGaussianTransition(np.eye(4) + 0.05 * g.standard_normal((4, 4)), B @ B.T)
+    model = tracking_model_2d()
+    return builtin_scenario(2), transition, model.modalities
+
+
+def _builtin(k, truth_scale):
+    def case():
+        model = tracking_model_2d()
+        transition = LinearGaussianTransition(DEFAULT_A, DEFAULT_Q * truth_scale)
+        return builtin_scenario(k), transition, model.modalities
+    return case
+
+
+SAME_STREAM_CASES = {
+    **{f"builtin{k}": _builtin(k, 1e-4) for k in (1, 2, 3, 4)},
+    "builtin4_unscaled_q": _builtin(4, 1.0),
+    "staggered_six": _staggered_six,
+    "mixed_windows": _mixed_windows,
+    "random_psd_q": _random_psd_q,
+}
+
+
+class TestSameStreamAsPerStep:
+    """generate_run draws the truth's normals in one call and reads its
+    statuses off a table; save writes the file in one go. Each must give,
+    bit for bit, what the per-step forms in tests/reference.py give from
+    the same seed, and leave the stream where they leave it."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 20240501])
+    @pytest.mark.parametrize("case", list(SAME_STREAM_CASES))
+    def test_dataset_and_bytes_match_the_per_step_reference(self, tmp_path, case, seed):
+        spec, transition, models = SAME_STREAM_CASES[case]()
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        run = generate_run(spec, DEFAULT_X0, transition, models, rng)
+        ref = reference.generate_run(spec, DEFAULT_X0, transition, models, ref_rng)
+        assert reference.run_values(run) == reference.run_values(ref)
+        assert rng.random() == ref_rng.random()
+        run.save(tmp_path / "run.ndjson")
+        reference.save(ref, tmp_path / "ref.ndjson")
+        assert (tmp_path / "run.ndjson").read_bytes() == (tmp_path / "ref.ndjson").read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_truth_matches_the_per_step_reference(self, seed):
+        _, transition, _ = _random_psd_q()
+        np.testing.assert_array_equal(simulate_truth(200, DEFAULT_X0, transition, np.random.default_rng(seed)),
+                                      reference.simulate_truth(200, DEFAULT_X0, transition,
+                                                               np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("horizon", [2, 3, 50])
+    def test_overflowing_truth_raises(self, horizon):
+        # the state reaches 2e402 = inf at t = 2
+        transition = LinearGaussianTransition(1e200 * np.eye(4), DEFAULT_Q)
+        with pytest.raises(ValueError, match="non-finite state"):
+            simulate_truth(horizon, DEFAULT_X0, transition, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="non-finite state"):
+            generate_run(ScenarioSpec(horizon), DEFAULT_X0, transition, tracking_model_2d().modalities,
+                         np.random.default_rng(0))
+
+    @pytest.mark.parametrize("x0", [[1.0, 1.0, np.nan, 200.0], [1.0, 1.0, 200.0]], ids=["nan", "short"])
+    def test_bad_start_state_raises(self, x0):
+        with pytest.raises(ValueError, match="start state must be finite with 4 entries"):
+            simulate_truth(5, x0, LinearGaussianTransition(DEFAULT_A, DEFAULT_Q), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("case", ["mixed_windows", "staggered_six", "builtin2", "builtin3"])
+    def test_status_at_matches_the_per_window_reference(self, case):
+        spec, _, models = SAME_STREAM_CASES[case]()
+        for t in range(spec.horizon + 2):
+            for i in range(len(models) + 1):
+                status, prob = spec.status_at(t, i)
+                assert (status, prob) == reference.status_at(spec, t, i), (t, i)
+                assert type(status) is ObservationStatus and type(prob) is float
+
+    def test_script_is_the_table_status_at_reads(self):
+        spec, _, _ = _mixed_windows()
+        status, prob = spec.script(3)
+        assert status.shape == prob.shape == (80, 3)
+        assert (status[:, 2] == ObservationStatus.NORMAL).all() and (prob[:, 2] == 0.0).all()
+        # the first listed of two overlapping failure windows sets the probability
+        assert (status[21, 0], prob[21, 0]) == (ObservationStatus.FAILED, 0.3)
+        assert (status[35, 0], prob[35, 0]) == (ObservationStatus.FAILED, 0.9)
+
+    def test_range_sample_matches_clip(self, rng):
+        # RangeModality.sample clips with np.minimum/np.maximum; a reading
+        # near 0 and one past r_max exercise both bounds
+        range_model = tracking_model_2d(sigma_range=50.0, range_max=300.0).modalities[1]
+        states = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 280.0, 50.0], [0.0, 0.0, 100.0, 100.0]] * 50)
+        for x in (states, states[1]):
+            ref_rng = np.random.default_rng(5)
+            got = range_model.sample(x, np.random.default_rng(5))
+            want = np.clip(ref_rng.normal(range_model.mean(x), range_model.sigma), 0.0, range_model.r_max)
+            np.testing.assert_array_equal(got, want)
+        assert {0.0, 300.0} <= set(range_model.sample(states, rng).tolist())
