@@ -69,7 +69,6 @@ from .tracksim import (
     builtin_scenario,
     generate_run,
     observe,
-    simulate_truth,
 )
 
 __version__ = "0.1.0"

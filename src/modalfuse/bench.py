@@ -313,44 +313,37 @@ def _weight_header(algorithm: str, k: int) -> list[str]:
     return [f"alpha_{i}" for i in range(k)]
 
 
-def write_summary(path, experiments: list[ExperimentResult]) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["algorithm", "scenario", "particles", "runs",
-                    "mean_rmse", "var_rmse", "mean_time", "var_time"])
-        for s in experiments:
-            w.writerow([s.algorithm, s.scenario, s.n_particles, s.runs,
-                        _fmt(s.mean_rmse), _fmt(s.var_rmse), _fmt(s.mean_time), _fmt(s.var_time)])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_summary(path, experiments: list[ExperimentResult]) -> None:
+    _write_csv(path, ["algorithm", "scenario", "particles", "runs", "mean_rmse", "var_rmse", "mean_time", "var_time"],
+               ([s.algorithm, s.scenario, s.n_particles, s.runs,
+                 _fmt(s.mean_rmse), _fmt(s.var_rmse), _fmt(s.mean_time), _fmt(s.var_time)] for s in experiments))
 
 
 def _write_runs(path, results: list[RunResult]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["algorithm", "scenario", "run", "rmse", "wall_time_seconds", "n_flagged_steps"])
-        for r in results:
-            w.writerow([r.algorithm, r.scenario, r.run_index, _fmt(r.rmse),
-                        _fmt(r.wall_time_seconds), r.n_flagged_steps])
+    _write_csv(path, ["algorithm", "scenario", "run", "rmse", "wall_time_seconds", "n_flagged_steps"],
+               ([r.algorithm, r.scenario, r.run_index, _fmt(r.rmse), _fmt(r.wall_time_seconds), r.n_flagged_steps]
+                for r in results))
 
 
 def _write_run_files(outdir: Path, r: RunResult, ds: GroundTruthRun) -> None:
     """weights_<r>.csv (when the run has a weight trace), trajectory_<r>.csv
     and the replayable dataset_<r>.ndjson of one finished run."""
     if r.weight_trace is not None:
-        with open(outdir / f"weights_{r.run_index}.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t"] + _weight_header(r.algorithm, r.weight_trace.shape[1]))
-            for k, row in enumerate(r.weight_trace):
-                w.writerow([k + 1] + [_fmt(v) for v in row])
-    with open(outdir / f"trajectory_{r.run_index}.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        dim = ds.states.shape[1]
-        w.writerow(["t"] + [f"truth_{i}" for i in range(dim)]
-                   + [f"est_{i}" for i in range(dim)] + ["err"])
-        for k in range(ds.horizon):
-            w.writerow([k + 1]
-                       + [_fmt(v) for v in ds.states[k]]
-                       + [_fmt(v) for v in r.estimates[k]]
-                       + [_fmt(r.per_step_error[k])])
+        _write_csv(outdir / f"weights_{r.run_index}.csv",
+                   ["t"] + _weight_header(r.algorithm, r.weight_trace.shape[1]),
+                   ([k] + [_fmt(v) for v in row] for k, row in enumerate(r.weight_trace, start=1)))
+    dim = ds.states.shape[1]
+    _write_csv(outdir / f"trajectory_{r.run_index}.csv",
+               ["t"] + [f"truth_{i}" for i in range(dim)] + [f"est_{i}" for i in range(dim)] + ["err"],
+               ([k] + [_fmt(v) for v in (*truth, *est, err)]
+                for k, (truth, est, err) in enumerate(zip(ds.states, r.estimates, r.per_step_error), start=1)))
     ds.save(outdir / f"dataset_{r.run_index}.ndjson")
 
 

@@ -43,10 +43,13 @@ filter step computes a marginal likelihood, an estimate or a resample
 The candidate posterior is a plain read-only (M,) probability vector:
 ``DmaState.pi`` holds it and ``dma_step`` returns it.
 
-A posterior floor keeps every candidate at weight >= PI_FLOOR: under
-the identity hypothesis-transition a candidate whose weight reaches
-exactly zero could never recover, which would be fatal once a failed
-modality comes back.
+A posterior floor keeps every one of the M candidates at weight
+>= PI_FLOOR / (1 + M * PI_FLOOR): the update raises each entry to at
+least PI_FLOOR and renormalises by the sum S <= 1 + M * PI_FLOOR, so a
+floored entry ends at PI_FLOOR / S, just below PI_FLOOR. Under the
+identity hypothesis-transition a candidate whose weight reaches exactly
+zero could never recover, which would be fatal once a failed modality
+comes back.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ import numpy as np
 from .particles import WEIGHT_TOL, ParticleSet, Trusted, _read_only, estimate_mean, propagate, residual_resample
 from .ssm import null_loglik
 
+# The floor applies per candidate, so a usefulness pattern's floor mass
+# grows with the number of candidates that agree with it: with one
+# modality always lost, each pattern of the other bits has two candidates
+# (the lost bit 0 or 1), twice the floor mass, and is re-admitted sooner.
 PI_FLOOR = 1e-6
 # bytes one step's (M, N) float64 candidate matrix, or the (M, n) int64
 # candidate array, may take; init_dma and enumerate_candidates reject a
@@ -166,7 +173,8 @@ def update_model_posterior(prev_pi: np.ndarray, log_g) -> np.ndarray:
     pi /= pi.sum()
     np.maximum(pi, PI_FLOOR, out=pi)
     pi /= pi.sum()
-    # every entry >= PI_FLOOR and normalised by construction
+    # normalised by construction; a floored entry is PI_FLOOR / S, with the
+    # sum S <= 1 + M * PI_FLOOR, so every entry >= PI_FLOOR / (1 + M * PI_FLOOR)
     return _read_only(pi)
 
 

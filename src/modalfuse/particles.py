@@ -113,12 +113,10 @@ class ParticleSet(Trusted):
 
 
 def init_particles(prior, n: int, rng) -> ParticleSet:
-    """Draw n equally weighted particles from ``prior(n, rng)``."""
+    """Draw n equally weighted particles from ``prior(n, rng)``, an (n, d) array."""
     if n < 1:
         raise ValueError("particle count must be >= 1")
     states = np.asarray(prior(n, rng), dtype=float)
-    if states.ndim == 1:
-        states = states[:, None]
     if states.shape[0] != n:
         raise ValueError("prior returned the wrong number of samples")
     return ParticleSet(states, uniform_log_weights(n))

@@ -276,10 +276,6 @@ class ObservationFrame:
         object.__setattr__(frame, "observations", observations)
         return frame
 
-    @property
-    def n_modalities(self) -> int:
-        return len(self.observations)
-
 
 @dataclass(frozen=True)
 class TrackingModel:

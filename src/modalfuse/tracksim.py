@@ -59,6 +59,8 @@ class LossWindow:
 
 
 def _check_window(w, horizon):
+    if w.modality < 0:
+        raise ValueError(f"{w} names modality {w.modality}, below 0")
     if not 1 <= w.t_start <= w.t_end <= horizon:
         raise ValueError(f"window [{w.t_start}, {w.t_end}] outside [1, {horizon}]")
 
@@ -93,25 +95,21 @@ class ScenarioSpec:
         time t. Loss windows come before failure windows, and the first
         window that covers a cell sets it: LOST, or FAILED with the window's
         probability. A cell no window covers is NORMAL with probability 0.
-        Windows on a modality outside [0, n) are left out."""
+        A window on a modality outside [0, n) raises ValueError naming the
+        first such window, failure windows first."""
+        for w in self.failure_windows + self.loss_windows:
+            if w.modality >= n_modalities:
+                raise ValueError(f"{w} names modality {w.modality}, outside [0, {n_modalities}) "
+                                 f"for {n_modalities} modalities")
         status = np.full((self.horizon, n_modalities), ObservationStatus.NORMAL, dtype=np.int64)
         prob = np.zeros((self.horizon, n_modalities))
         # a later write wins, so the windows are written lowest precedence first
         for w in reversed(self.loss_windows + self.failure_windows):
-            if 0 <= w.modality < n_modalities:
-                rows = slice(w.t_start - 1, w.t_end)
-                lost = isinstance(w, LossWindow)
-                status[rows, w.modality] = ObservationStatus.LOST if lost else ObservationStatus.FAILED
-                prob[rows, w.modality] = 0.0 if lost else w.probability
+            rows = slice(w.t_start - 1, w.t_end)
+            lost = isinstance(w, LossWindow)
+            status[rows, w.modality] = ObservationStatus.LOST if lost else ObservationStatus.FAILED
+            prob[rows, w.modality] = 0.0 if lost else w.probability
         return status, prob
-
-    def status_at(self, t: int, modality: int) -> tuple[ObservationStatus, float]:
-        """Scripted status at (t, modality), read off :meth:`script`; FAILED
-        comes with its probability."""
-        if not (1 <= t <= self.horizon and modality >= 0):
-            return ObservationStatus.NORMAL, 0.0
-        status, prob = self.script(modality + 1)
-        return ObservationStatus(status[t - 1, modality]), float(prob[t - 1, modality])
 
 
 def builtin_scenario(k: int) -> ScenarioSpec:
@@ -160,13 +158,6 @@ def builtin_scenario(k: int) -> ScenarioSpec:
     raise ValueError("scenario index must be 1, 2, 3 or 4")
 
 
-def simulate_truth(horizon: int, x0, transition, rng) -> np.ndarray:
-    """(T, d) Markov rollout; row t-1 is the state at time t (x0 excluded)."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    return transition.rollout(x0, horizon, rng)
-
-
 def observe(t: int, x, statuses, models, rng) -> ObservationFrame:
     """One frame at time t given per-modality statuses."""
     values = []
@@ -209,8 +200,8 @@ class GroundTruthRun:
         for k, frame in enumerate(frames, start=1):
             if frame.time_index != k:
                 raise ValueError(f"frame {k} has time index {frame.time_index}, expected {k}")
-            if frame.n_modalities != log.shape[1]:
-                raise ValueError(f"frame {k} has {frame.n_modalities} readings, "
+            if len(frame.observations) != log.shape[1]:
+                raise ValueError(f"frame {k} has {len(frame.observations)} readings, "
                                  f"failure_log has {log.shape[1]} modalities")
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "states", states)
@@ -294,14 +285,12 @@ def generate_run(spec: ScenarioSpec, x0, transition, models, rng) -> GroundTruth
     Inside a failure window each step fails independently with the
     window's probability; the realised status of every (t, modality)
     pair is recorded in the failure log. A window on a modality outside
-    [0, len(models)) is rejected.
+    [0, len(models)) is rejected by :meth:`ScenarioSpec.script`, before
+    any draw.
     """
     n = len(models)
-    for w in spec.failure_windows + spec.loss_windows:
-        if not 0 <= w.modality < n:
-            raise ValueError(f"{w} names modality {w.modality}, outside [0, {n}) for {n} modalities")
-    states = simulate_truth(spec.horizon, x0, transition, rng)
     scripted, probs = spec.script(n)
+    states = transition.rollout(x0, spec.horizon, rng)
     frames, log = [], []
     for t, (x, script, prob) in enumerate(zip(states, scripted.tolist(), probs.tolist()), start=1):
         # the step's failure coins in modality order, then its readings

@@ -1,8 +1,11 @@
 import importlib
 import pkgutil
+from copy import deepcopy
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import modalfuse
 import modalfuse.baselines as baselines_mod
@@ -12,12 +15,16 @@ from modalfuse import (
     ObservationFrame,
     ParticleSet,
     SmaState,
+    builtin_scenario,
+    default_config,
     dma_step,
     estimate_mean,
     init_dma,
     init_particles,
+    init_prior,
     init_sma,
     init_ts,
+    make_dataset,
     pf_step,
     propagate,
     run_filter,
@@ -609,3 +616,60 @@ class TestTailCostShape:
         new = self.STEPS[step](state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities,
                                np.random.default_rng(3))[0]
         assert type(new) is type(state)
+
+
+@pytest.fixture(scope="module")
+def scenario2():
+    cfg = default_config()
+    return cfg, make_dataset(builtin_scenario(2), cfg, 7, 0).frames
+
+
+def _members(name, state, rng):
+    """(particle sets, their streams) of a filter state; SMA's members each
+    draw from their own stream, the other filters' one set from ``rng``."""
+    if name == "sma":
+        return state.sub_filters, state.rngs
+    return [state if name == "pf" else state.particles], [rng]
+
+
+class TestAllLostFrame:
+    """ROADMAP item 7's R3: a step on a frame whose every reading is lost
+    is a pure propagate. Each particle is copied once, in order, with no
+    resample draw (residual resampling's FLOOR_SLACK), the estimate is the
+    propagated mean, TS keeps its alpha and DMA's posterior moves only by
+    the floor's renormalisation."""
+
+    STEPS = {"pf": pf_step, "ts": ts_step, "sma": sma_step, "dma": dma_step}
+
+    @pytest.mark.parametrize("name", list(STEPS))
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 3000), lead=st.integers(1, 6))
+    @example(n=37, lead=3)
+    @example(n=100, lead=3)
+    @example(n=1000, lead=3)
+    @example(n=2000, lead=3)
+    @example(n=10_000, lead=3)
+    def test_step_is_a_pure_propagate(self, scenario2, name, n, lead):
+        cfg, frames = scenario2
+        transition, models = cfg.model.transition, cfg.model.modalities
+        step = self.STEPS[name]
+        rng = np.random.default_rng(n + 7919 * lead)
+        p0 = init_particles(init_prior("accurate", cfg.x0), n, np.random.default_rng(n))
+        state = {"pf": p0, "ts": init_ts(p0, 2), "sma": init_sma(p0, 2, rng), "dma": init_dma(p0, 2)}[name]
+        for frame in frames[:lead]:
+            state = step(state, frame, transition, models, rng)[0]
+        sets, streams = _members(name, state, rng)
+        clones = [deepcopy(r) for r in streams]
+        props = [propagate(p, transition, c) for p, c in zip(sets, clones)]
+
+        new_state, estimate = step(state, ObservationFrame.of(lead + 1, [None, None]), transition, models, rng)[:2]
+
+        for new, prop in zip(_members(name, new_state, rng)[0], props):
+            assert np.array_equal(new.states, prop.states)
+        assert [r.random() for r in streams] == [c.random() for c in clones]
+        expected = np.mean([estimate_mean(p) for p in props], axis=0)
+        assert np.linalg.norm(estimate - expected) <= 1e-12 * np.linalg.norm(expected)
+        if name == "ts":
+            assert np.array_equal(new_state.alpha, state.alpha)
+        if name == "dma":
+            assert np.abs(new_state.pi - state.pi).max() < 1e-10

@@ -70,6 +70,11 @@ class TestInit:
         with pytest.raises(ValueError):
             init_particles(point_prior([0.0]), 0, rng)
 
+    def test_one_dimensional_prior_sample_rejected(self, rng):
+        # a prior returns one (d,) row per particle; an (n,) sample is refused, not reshaped
+        with pytest.raises(ValueError, match=r"non-empty \(N, d\) array"):
+            init_particles(lambda n, r: r.normal(size=n), 5, rng)
+
 
 class TestParticleSetInvariants:
     def test_unnormalised_rejected(self):

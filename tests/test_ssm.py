@@ -217,7 +217,7 @@ class TestObservationFrame:
     def test_of_and_accessors(self):
         frame = ObservationFrame.of(3, [0.5, None])
         assert frame.time_index == 3
-        assert frame.n_modalities == 2
+        assert len(frame.observations) == 2
         assert frame.observations[0].value == 0.5
         assert frame.observations[1].value is None
         assert frame.observations[0].present

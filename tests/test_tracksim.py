@@ -15,7 +15,6 @@ from modalfuse import (
     builtin_scenario,
     generate_run,
     observe,
-    simulate_truth,
     tracking_model_2d,
 )
 from modalfuse.ssm import DEFAULT_A, DEFAULT_Q, LinearGaussianTransition, ObservationFrame
@@ -76,19 +75,31 @@ class TestScenarioSpecValidation:
             failure_windows=(FailureWindow(0, 10, 20, 1.0),),
             loss_windows=(LossWindow(1, 15, 25),),
         )
-        assert spec.status_at(17, 0)[0] == ObservationStatus.FAILED
-        assert spec.status_at(17, 1)[0] == ObservationStatus.LOST
+        status, prob = spec.script(2)
+        # reference: FAILED with probability 1.0 on modality 0, LOST on modality 1
+        for i in (0, 1):
+            assert (status[16, i], prob[16, i]) == reference.status_at(spec, 17, i)
+
+    def test_zero_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            ScenarioSpec(horizon=0)
+
+    @pytest.mark.parametrize("window", [FailureWindow(-1, 2, 4, 0.5), LossWindow(-1, 2, 4)], ids=repr)
+    def test_window_on_negative_modality_rejected(self, window):
+        kind = "loss_windows" if isinstance(window, LossWindow) else "failure_windows"
+        with pytest.raises(ValueError, match=rf"{re.escape(repr(window))} names modality -1, below 0"):
+            ScenarioSpec(horizon=10, **{kind: (window,)})
 
 
 class TestSimulateTruth:
     def test_deterministic_kinematics(self, rng):
         tm = LinearGaussianTransition(DEFAULT_A, np.zeros((4, 4)))
-        states = simulate_truth(3, np.array([1.0, 1.0, 0.0, 0.0]), tm, rng)
+        states = tm.rollout(np.array([1.0, 1.0, 0.0, 0.0]), 3, rng)
         np.testing.assert_allclose(states[:, 2:], [[1, 1], [2, 2], [3, 3]])
 
     def test_horizon_length(self, rng):
         tm = LinearGaussianTransition(DEFAULT_A, DEFAULT_Q)
-        assert simulate_truth(300, DEFAULT_X0, tm, rng).shape == (300, 4)
+        assert tm.rollout(DEFAULT_X0, 300, rng).shape == (300, 4)
 
     def test_variance_matches_covariance_propagation(self, rng):
         # oracle: Sigma_t = A Sigma_{t-1} A^T + Q from Sigma_0 = 0
@@ -99,15 +110,10 @@ class TestSimulateTruth:
         expected_var_dx = sigma[2, 2]
         assert expected_var_dx == pytest.approx(21.0)
         n = 20_000
-        second = np.array([simulate_truth(2, DEFAULT_X0, tm, rng)[1, 2] for _ in range(n)])
+        second = np.array([tm.rollout(DEFAULT_X0, 2, rng)[1, 2] for _ in range(n)])
         var = second.var(ddof=1)
         se = var * np.sqrt(2.0 / (n - 1))
         assert abs(var - expected_var_dx) < 3 * se
-
-    def test_zero_horizon_rejected(self, rng):
-        tm = LinearGaussianTransition(DEFAULT_A, DEFAULT_Q)
-        with pytest.raises(ValueError):
-            simulate_truth(0, DEFAULT_X0, tm, rng)
 
 
 class TestObserve:
@@ -199,8 +205,7 @@ class TestGenerateRun:
                 assert (oa.value is None and ob.value is None) or oa.value == ob.value
 
 
-    @pytest.mark.parametrize("window", [FailureWindow(5, 1, 10, 1.0), FailureWindow(-1, 2, 4, 0.5),
-                                        LossWindow(2, 1, 10)], ids=repr)
+    @pytest.mark.parametrize("window", [FailureWindow(5, 1, 10, 1.0), LossWindow(2, 1, 10)], ids=repr)
     def test_window_on_missing_modality_rejected(self, model, rng, window):
         if isinstance(window, LossWindow):
             spec = ScenarioSpec(horizon=10, loss_windows=(window,))
@@ -209,6 +214,17 @@ class TestGenerateRun:
         message = rf"{re.escape(repr(window))} names modality {window.modality}, outside \[0, 2\) for 2"
         with pytest.raises(ValueError, match=message):
             generate_run(spec, DEFAULT_X0, model.transition, model.modalities, rng)
+
+    def test_first_window_on_a_missing_modality_is_named_before_any_draw(self, model):
+        # failure windows are checked before loss windows, as the per-step reference does
+        spec = ScenarioSpec(horizon=10, failure_windows=(FailureWindow(0, 1, 3, 0.5), FailureWindow(4, 1, 10, 1.0)),
+                            loss_windows=(LossWindow(2, 1, 10),))
+        rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(ValueError) as ref_exc:
+            reference.generate_run(spec, DEFAULT_X0, model.transition, model.modalities, ref_rng)
+        with pytest.raises(ValueError, match=re.escape(str(ref_exc.value))):
+            generate_run(spec, DEFAULT_X0, model.transition, model.modalities, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestSerialization:
@@ -377,7 +393,7 @@ class TestSameStreamAsPerStep:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_truth_matches_the_per_step_reference(self, seed):
         _, transition, _ = _random_psd_q()
-        np.testing.assert_array_equal(simulate_truth(200, DEFAULT_X0, transition, np.random.default_rng(seed)),
+        np.testing.assert_array_equal(transition.rollout(DEFAULT_X0, 200, np.random.default_rng(seed)),
                                       reference.simulate_truth(200, DEFAULT_X0, transition,
                                                                np.random.default_rng(seed)))
 
@@ -386,7 +402,7 @@ class TestSameStreamAsPerStep:
         # the state reaches 2e402 = inf at t = 2
         transition = LinearGaussianTransition(1e200 * np.eye(4), DEFAULT_Q)
         with pytest.raises(ValueError, match="non-finite state"):
-            simulate_truth(horizon, DEFAULT_X0, transition, np.random.default_rng(0))
+            transition.rollout(DEFAULT_X0, horizon, np.random.default_rng(0))
         with pytest.raises(ValueError, match="non-finite state"):
             generate_run(ScenarioSpec(horizon), DEFAULT_X0, transition, tracking_model_2d().modalities,
                          np.random.default_rng(0))
@@ -394,18 +410,18 @@ class TestSameStreamAsPerStep:
     @pytest.mark.parametrize("x0", [[1.0, 1.0, np.nan, 200.0], [1.0, 1.0, 200.0]], ids=["nan", "short"])
     def test_bad_start_state_raises(self, x0):
         with pytest.raises(ValueError, match="start state must be finite with 4 entries"):
-            simulate_truth(5, x0, LinearGaussianTransition(DEFAULT_A, DEFAULT_Q), np.random.default_rng(0))
+            LinearGaussianTransition(DEFAULT_A, DEFAULT_Q).rollout(x0, 5, np.random.default_rng(0))
 
     @pytest.mark.parametrize("case", ["mixed_windows", "staggered_six", "builtin2", "builtin3"])
-    def test_status_at_matches_the_per_window_reference(self, case):
+    def test_script_matches_the_per_window_reference(self, case):
         spec, _, models = SAME_STREAM_CASES[case]()
-        for t in range(spec.horizon + 2):
+        # one column more than the models: a modality no window names is NORMAL
+        status, prob = spec.script(len(models) + 1)
+        for t in range(1, spec.horizon + 1):
             for i in range(len(models) + 1):
-                status, prob = spec.status_at(t, i)
-                assert (status, prob) == reference.status_at(spec, t, i), (t, i)
-                assert type(status) is ObservationStatus and type(prob) is float
+                assert (status[t - 1, i], prob[t - 1, i]) == reference.status_at(spec, t, i), (t, i)
 
-    def test_script_is_the_table_status_at_reads(self):
+    def test_script_precedence(self):
         spec, _, _ = _mixed_windows()
         status, prob = spec.script(3)
         assert status.shape == prob.shape == (80, 3)
