@@ -10,8 +10,6 @@ simulator with scripted sensor failures, and a benchmark harness.
 """
 
 from .baselines import (
-    SmaState,
-    TsState,
     init_sma,
     init_ts,
     pf_step,
@@ -33,7 +31,6 @@ from .bench import (
 from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .diagnostics import RunTrace
 from .dma import (
-    DmaState,
     ModelUpdateDegenerate,
     candidate_reweight,
     dma_step,

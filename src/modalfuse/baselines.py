@@ -16,6 +16,12 @@ tail in one call each: row i is member i's likelihood of reading i, and
 mixture is its own row. Each SMA member draws from its own random
 stream, spawned once per run by ``init_sma`` and kept in the
 ``SmaState``. TS's per-modality marginals come from the same kernel.
+
+``SmaState`` and ``TsState`` are plain frozen records that only
+``init_sma``, ``init_ts`` and the steps build: the inits check what the
+caller passes in, and every later state is built valid from its
+predecessor. The steps still check a state against the models and the
+frame, which come from outside on every call.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dma
-from .particles import ParticleSet, Trusted, _read_only, propagate
+from .particles import ParticleSet, _check_particle_set, _read_only, propagate
 
 TS_SMOOTHING = 0.5
 # PF's and TS's mixing weights: one set, one row
@@ -53,26 +59,14 @@ def _collapse_flag(log_g):
 
 
 @dataclass(frozen=True)
-class SmaState(Trusted):
+class SmaState:
     """One particle set and one random stream per modality, indexed by
-    modality. The streams are generators that advance as the members
-    step, so a state is stepped once. The public constructor checks that
-    the members are ParticleSets of one size, one stream each;
-    ``sma_step`` builds its states trusted."""
+    modality: ParticleSets of one size, one stream each. The streams are
+    generators that advance as the members step, so a state is stepped
+    once. Built by ``init_sma`` and ``sma_step`` only."""
 
     sub_filters: tuple[ParticleSet, ...]
     rngs: tuple[np.random.Generator, ...]
-
-    def __post_init__(self):
-        subs, rngs = tuple(self.sub_filters), tuple(self.rngs)
-        if not subs or not all(isinstance(p, ParticleSet) for p in subs):
-            raise ValueError("SMA members must be one or more ParticleSets")
-        if len({p.n for p in subs}) != 1:
-            raise ValueError(f"SMA members must hold equal particle counts, got {[p.n for p in subs]}")
-        if len(rngs) != len(subs):
-            raise ValueError(f"SMA state has {len(subs)} members and {len(rngs)} streams")
-        object.__setattr__(self, "sub_filters", subs)
-        object.__setattr__(self, "rngs", rngs)
 
 
 def init_sma(particles: ParticleSet, n_modalities: int, rng) -> SmaState:
@@ -80,7 +74,10 @@ def init_sma(particles: ParticleSet, n_modalities: int, rng) -> SmaState:
     draws from child stream i of ``rng.spawn(n_modalities)`` for the
     whole run (keyed by modality index, so the result does not depend on
     evaluation order)."""
-    return SmaState((particles,) * n_modalities, rng.spawn(n_modalities))
+    _check_particle_set(particles)
+    if n_modalities < 1:
+        raise ValueError(f"SMA needs one or more modalities, got {n_modalities}")
+    return SmaState((particles,) * n_modalities, tuple(rng.spawn(n_modalities)))
 
 
 def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
@@ -101,9 +98,8 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     n = len(models)
     if len(frame.observations) != n:
         raise ValueError(f"frame has {len(frame.observations)} modality readings, model has {n}")
-    if len(state.sub_filters) != n:  # SmaState holds one stream per member
-        raise ValueError(f"SMA state has {len(state.sub_filters)} members and {len(state.rngs)} streams, "
-                         f"model has {n} modalities")
+    if len(state.sub_filters) != n:
+        raise ValueError(f"SMA state has {len(state.sub_filters)} members, model has {n} modalities")
     props = [propagate(p, transition, r) for p, r in zip(state.sub_filters, state.rngs)]
     ll = np.zeros((len(props), props[0].n))
     for i, p in enumerate(props):
@@ -114,29 +110,23 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     subs, estimates = dma.mix_and_resample(props, np.eye(len(props)), E, scale, state.rngs)
     if trace is not None:
         trace.record(flag=_collapse_flag(log_g))
-    return SmaState._trusted(tuple(subs), state.rngs), np.mean(estimates, axis=0)
+    return SmaState(tuple(subs), state.rngs), np.mean(estimates, axis=0)
 
 
 @dataclass(frozen=True)
-class TsState(Trusted):
-    """Particles plus per-modality failure-probability estimates. The
-    public constructor stores a read-only copy of ``alpha``; ``ts_step``
-    builds its states trusted, from a fresh read-only vector."""
+class TsState:
+    """Particles plus per-modality failure-probability estimates. Built
+    by ``init_ts`` and ``ts_step`` only, each with a fresh read-only
+    ``alpha``."""
 
     particles: ParticleSet
-    alpha: np.ndarray  # (n,) failure probabilities, read-only
-
-    def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=float)
-        if alpha.ndim != 1:
-            raise ValueError(f"failure probabilities must be a vector, got shape {alpha.shape}")
-        if not ((alpha >= 0.0) & (alpha <= 1.0)).all():
-            raise ValueError("failure probabilities must lie in [0, 1]")
-        object.__setattr__(self, "alpha", _read_only(alpha))
+    alpha: np.ndarray  # (n,) failure probabilities in [0, 1], read-only
 
 
 def init_ts(particles: ParticleSet, n_modalities: int) -> TsState:
-    return TsState(particles, np.zeros(n_modalities))
+    """Every modality starts with failure probability alpha = 0."""
+    _check_particle_set(particles)
+    return TsState(particles, _read_only(np.zeros(n_modalities)))
 
 
 def _failure_prob(prev_alpha, p: ParticleSet, frame, models):
@@ -170,4 +160,4 @@ def ts_step(state: TsState, frame, transition, models, rng, trace=None):
     (resampled,), (estimate,) = dma.mix_and_resample([prop], _ONE_ROW, E, scale, [rng])
     if trace is not None:
         trace.record(model_weights=alpha, flag=_collapse_flag(log_g))
-    return TsState._trusted(resampled, alpha), estimate
+    return TsState(resampled, alpha), estimate

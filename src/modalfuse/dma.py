@@ -41,7 +41,10 @@ filter step computes a marginal likelihood, an estimate or a resample
 (TS's and SMA's included).
 
 The candidate posterior is a plain read-only (M,) probability vector:
-``DmaState.pi`` holds it and ``dma_step`` returns it.
+``DmaState.pi`` holds it and ``dma_step`` returns it. ``init_dma`` is
+where a state's inputs are checked (the particle set and the candidates);
+every later state is built valid by ``dma_step``, which still checks the
+frame and the models it is given against the state.
 
 A posterior floor keeps every one of the M candidates at weight
 >= PI_FLOOR / (1 + M * PI_FLOOR): the update raises each entry to at
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .particles import WEIGHT_TOL, ParticleSet, Trusted, _read_only, estimate_mean, propagate, residual_resample
+from .particles import ParticleSet, _check_particle_set, _read_only, estimate_mean, propagate, residual_resample
 from .ssm import null_loglik
 
 # The floor applies per candidate, so a usefulness pattern's floor mass
@@ -183,33 +186,15 @@ def _uniform(m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DmaState(Trusted):
+class DmaState:
     """Shared particle set plus the (M,) posterior ``pi`` over the M
-    candidate models. The public constructor is the one place the state
-    is checked: a ParticleSet, 0/1 candidates, a posterior of length M
-    whose entries are > 0 and sum to 1, and a time index ``t`` >= 0.
-    ``dma_step`` builds its states trusted."""
+    candidate models: entries > 0 that sum to 1. Built by ``init_dma``
+    and ``dma_step`` only."""
 
     particles: ParticleSet
     pi: np.ndarray          # (M,) candidate posterior, read-only
-    candidates: np.ndarray  # (M, n) usefulness vectors
+    candidates: np.ndarray  # (M, n) 0/1 usefulness vectors
     t: int = 0              # time index of the last processed frame
-
-    def __post_init__(self):
-        if not isinstance(self.particles, ParticleSet):
-            raise ValueError(f"particles must be a ParticleSet, got {type(self.particles).__name__}")
-        if not isinstance(self.t, (int, np.integer)) or self.t < 0:
-            raise ValueError(f"t must be a non-negative integer time index, got {self.t!r}")
-        candidates = np.asarray(self.candidates)
-        if candidates.ndim != 2 or candidates.size == 0 or not np.isin(candidates, (0, 1)).all():
-            raise ValueError("candidates must be a non-empty (M, n) array of 0/1 entries")
-        pi = np.array(self.pi, dtype=float)
-        if pi.shape != candidates.shape[:1]:
-            raise ValueError("posterior length must match the candidate count")
-        if not (pi > 0.0).all() or not abs(pi.sum() - 1.0) <= WEIGHT_TOL:
-            raise ValueError("posterior entries must be > 0 and sum to 1")
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "pi", _read_only(pi))
 
 
 def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates=None) -> DmaState:
@@ -218,16 +203,18 @@ def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates
     Pass ``candidates``, an (M, n) 0/1 array, to restrict the hypothesis
     set (e.g. a single all-ones row reduces the filter to a plain PF).
     """
+    _check_particle_set(particles)
     if candidates is None:
         if n_modalities is None:
             raise ValueError("give either n_modalities or an explicit candidate set")
         # M from n, so the budget is checked before the candidates are enumerated
         m = 2 ** operator.index(n_modalities)
     else:
-        # DmaState rejects a set that is not a non-empty (M, n) 0/1 array
         candidates = np.asarray(candidates)
-        m = len(candidates) if candidates.ndim else 0
-        if n_modalities is not None and candidates.ndim == 2 and candidates.shape[1] != n_modalities:
+        if candidates.ndim != 2 or candidates.size == 0 or not np.isin(candidates, (0, 1)).all():
+            raise ValueError("candidates must be a non-empty (M, n) array of 0/1 entries")
+        m = len(candidates)
+        if n_modalities is not None and candidates.shape[1] != n_modalities:
             raise ValueError(f"candidates cover {candidates.shape[1]} modalities, model has {n_modalities}")
     need = m * particles.n * 8
     if need > CANDIDATE_MATRIX_BUDGET:
@@ -331,7 +318,7 @@ def dma_step(state: DmaState, frame, transition, models, rng, trace=None):
         pi = _uniform(len(state.pi))
         flag = "model_update_degenerate"
     (resampled,), (estimate,) = mix_and_resample([prop], pi[None], E, scale, [rng])
-    new_state = DmaState._trusted(resampled, pi, state.candidates, frame.time_index)
+    new_state = DmaState(resampled, pi, state.candidates, frame.time_index)
     if trace is not None:
         trace.record(model_weights=pi, flag=flag)
     return new_state, estimate, pi

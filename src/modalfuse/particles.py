@@ -18,17 +18,18 @@ ParticleSet is a value type; none of the operations mutate their
 inputs, and every operation that returns a ParticleSet returns one with
 normalised weights.
 
-The public constructor validates: finite (N, d) states and log-weights
-whose exponentials sum to 1. The sets the library builds inside the filter
-loop (``propagate``, ``residual_resample`` and the mixture in
-``dma.mix_and_resample``) go through ``ParticleSet._trusted`` and skip
-those O(N * d) checks. That is safe because their inputs were checked
-already: the weights are either the incoming set's or built normalised
-(``uniform_log_weights``, the mixture divided by its sum), and
+``ParticleSet(states, log_weights)`` validates: finite (N, d) states
+and log-weights whose exponentials sum to 1. The sets the library builds
+inside the filter loop (``propagate``, ``residual_resample`` and the
+mixture in ``dma.mix_and_resample``) go through ``ParticleSet._trusted``
+and skip those O(N * d) checks. That is safe because their inputs were
+checked already: the weights are either the incoming set's or built
+normalised (``uniform_log_weights``, the mixture divided by its sum), and
 resampling only copies states. The one fault the loop can still make is
 a transition that overflows to non-finite states;
 ``mix_and_resample`` catches it at O(d) cost on the point estimate
-(see there).
+(see there). The filter states that carry a set from step to step are
+checked where they start, in the filters' ``init_*``.
 """
 
 from __future__ import annotations
@@ -60,24 +61,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class Trusted:
-    """Mixin for the frozen value types the filters rebuild every step."""
-
-    @classmethod
-    def _trusted(cls, *values, **cached):
-        """An instance from field values (in field order) that already meet
-        the invariants, without __post_init__'s checks; for the library's
-        in-loop builds only. Keywords seed cached array properties
-        (``weights``); the arrays are made read-only."""
-        obj = object.__new__(cls)
-        obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-        for name, a in cached.items():
-            obj.__dict__[name] = _read_only(a)
-        return obj
-
-
 @dataclass(frozen=True)
-class ParticleSet(Trusted):
+class ParticleSet:
     """N weighted state samples {x^i, w^i} with log-normalised weights."""
 
     states: np.ndarray      # (N, d)
@@ -98,6 +83,17 @@ class ParticleSet(Trusted):
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "log_weights", lw)
 
+    @classmethod
+    def _trusted(cls, states, log_weights, weights=None):
+        """A set whose arrays already meet the invariants, without
+        __post_init__'s checks; for the library's in-loop builds only.
+        ``weights``, if given, seeds the cached ``weights`` read-only."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(states=states, log_weights=log_weights)
+        if weights is not None:
+            obj.__dict__["weights"] = _read_only(weights)
+        return obj
+
     @property
     def n(self) -> int:
         return self.states.shape[0]
@@ -110,6 +106,12 @@ class ParticleSet(Trusted):
     def weights(self) -> np.ndarray:
         """exp(log_weights), computed once (or seeded by ``_trusted``); read-only."""
         return _read_only(np.exp(self.log_weights))
+
+
+def _check_particle_set(particles):
+    """The filters' ``init_*`` check on the set a run starts from."""
+    if not isinstance(particles, ParticleSet):
+        raise ValueError(f"particles must be a ParticleSet, got {type(particles).__name__}")
 
 
 def init_particles(prior, n: int, rng) -> ParticleSet:

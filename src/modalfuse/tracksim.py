@@ -59,6 +59,10 @@ class LossWindow:
 
 
 def _check_window(w, horizon):
+    for name in ("modality", "t_start", "t_end"):
+        value = getattr(w, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{w} has {name} {value!r}, not an integer")
     if w.modality < 0:
         raise ValueError(f"{w} names modality {w.modality}, below 0")
     if not 1 <= w.t_start <= w.t_end <= horizon:

@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 from copy import deepcopy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ import modalfuse.particles as particles_mod
 from modalfuse import (
     ObservationFrame,
     ParticleSet,
-    SmaState,
     builtin_scenario,
     default_config,
     dma_step,
@@ -29,10 +29,13 @@ from modalfuse import (
     propagate,
     run_filter,
     sma_step,
+    tracking_model_2d,
     ts_step,
 )
+from modalfuse.baselines import SmaState
 from modalfuse.diagnostics import RunTrace
 from modalfuse.dma import reweight_rows
+from modalfuse.particles import WEIGHT_TOL
 from modalfuse.ssm import null_loglik
 
 from conftest import point_prior
@@ -408,27 +411,14 @@ class TestTsStep:
         assert np.all(np.isfinite(est))
         assert 0.0 <= state.alpha[0] <= 1.0
 
-    def test_invalid_alpha_rejected(self, model, rng):
-        # the public constructor checks; ts_step builds its states trusted
-        p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)
-        for alpha in ([0.5, 1.5], [-0.1, 0.5]):
-            with pytest.raises(ValueError, match=r"failure probabilities must lie in \[0, 1\]"):
-                baselines_mod.TsState(p0, np.array(alpha))
-
-    def test_nan_alpha_rejected(self, model, rng):
-        # NaN passed the [0, 1] test and stayed NaN for the whole run
-        p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)
-        with pytest.raises(ValueError, match=r"failure probabilities must lie in \[0, 1\]"):
-            baselines_mod.TsState(p0, np.array([np.nan, 0.5]))
-
-    def test_alpha_is_a_read_only_copy(self, model, rng):
-        # as DmaState.pi: a later write to the caller's array must not reach the state
-        p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)
-        alpha = np.array([0.3, 0.6])
-        state = baselines_mod.TsState(p0, alpha)
-        assert not state.alpha.flags.writeable and alpha.flags.writeable
-        alpha[0] = 0.9
-        np.testing.assert_array_equal(state.alpha, [0.3, 0.6])
+    def test_alpha_is_read_only(self, model, rng):
+        # as DmaState.pi: init_ts's zeros and every stepped alpha
+        p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 4, rng)
+        state = init_ts(p0, 2)
+        assert not state.alpha.flags.writeable
+        np.testing.assert_array_equal(state.alpha, [0.0, 0.0])
+        stepped, _ = ts_step(state, ObservationFrame.of(1, [0.78, 283.0]), model.transition, model.modalities, rng)
+        assert not stepped.alpha.flags.writeable
 
     def test_stepped_alpha_cannot_rewrite_the_trace(self, model):
         # the trace holds the state's alpha object, so the state must not be writable
@@ -441,12 +431,6 @@ class TestTsStep:
         with pytest.raises(ValueError, match="read-only"):
             state.alpha[0] = 0.9
         np.testing.assert_array_equal(trace.weight_matrix(), recorded)
-
-    @pytest.mark.parametrize("alpha", [[[0.1, 0.2]], 0.5], ids=["two_dim", "scalar"])
-    def test_alpha_that_is_not_a_vector_rejected(self, model, rng, alpha):
-        p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 4, rng)
-        with pytest.raises(ValueError, match="failure probabilities must be a vector"):
-            baselines_mod.TsState(p0, np.array(alpha))
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_alpha_count_other_than_the_modality_count_rejected(self, model, rng, count):
@@ -524,35 +508,28 @@ class TestSmaStreams:
         run_filter("sma", frames, p0, model.transition, model.modalities, rng)
         assert rng.spawns == 1
 
-    @pytest.mark.parametrize("members, streams", [(3, 3), (1, 1), (2, 1), (2, 3)])
-    def test_member_and_stream_counts_checked(self, model, members, streams):
-        # more members than modalities and fewer fail in the step; a stream
-        # count that differs from the member count fails in the constructor
+    @pytest.mark.parametrize("members", [3, 1])
+    def test_member_count_other_than_the_modality_count_rejected(self, model, members):
+        # more members than modalities ran the extra ones unweighted; fewer
+        # left the extra modalities out
         p0 = init_particles(spread_prior, 20, np.random.default_rng(0))
-        tail = ", model has 2 modalities" if members == streams else "$"
-        with pytest.raises(ValueError, match=f"SMA state has {members} members and {streams} streams{tail}"):
-            state = SmaState((p0,) * members, np.random.default_rng(3).spawn(streams))
+        state = init_sma(p0, members, np.random.default_rng(3))
+        with pytest.raises(ValueError, match=f"SMA state has {members} members, model has 2 modalities"):
             sma_step(state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities, None)
 
-    @pytest.mark.parametrize("members, message", [
-        ((), "one or more ParticleSets"),
-        ((4, 1.0), "one or more ParticleSets"),
-        ((4, 8), r"equal particle counts, got \[4, 8\]"),
-    ], ids=["no_members", "float_member", "sizes_4_8"])
-    def test_constructor_checks_members(self, members, message):
-        # unchecked, a 4- and an 8-particle member would fail only in the
-        # step, with numpy's "could not broadcast" error
-        members = tuple(init_particles(spread_prior, m, np.random.default_rng(0)) if isinstance(m, int) else m
-                        for m in members)
-        with pytest.raises(ValueError, match=message):
-            SmaState(members, np.random.default_rng(3).spawn(len(members)))
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_init_needs_a_modality(self, count):
+        p0 = init_particles(spread_prior, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"SMA needs one or more modalities, got {count}"):
+            init_sma(p0, count, np.random.default_rng(3))
 
 
 class TestTailCostShape:
     """The shared tail normalises once, in the probability domain: no
     module of the package has a ``logsumexp`` (every marginal comes from
     ``reweight_rows``), the estimate and the resample read the mixture the
-    tail normalised, and the in-loop states are built trusted."""
+    tail normalised, and the filter states are plain records, checked
+    only in ``init_*``."""
 
     @staticmethod
     def _states(p0, models, step):
@@ -609,10 +586,10 @@ class TestTailCostShape:
             assert estimated.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("step", ["sma", "ts", "dma"])
-    def test_in_loop_states_skip_the_checks(self, model, monkeypatch, step):
+    def test_in_loop_states_skip_the_checks(self, model, step):
         p0 = init_particles(spread_prior, 64, np.random.default_rng(0))
         state = self._states(p0, model.modalities, step)
-        monkeypatch.setattr(type(state), "__post_init__", lambda self: pytest.fail("checked in the loop"))
+        assert not hasattr(type(state), "__post_init__")
         new = self.STEPS[step](state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities,
                                np.random.default_rng(3))[0]
         assert type(new) is type(state)
@@ -673,3 +650,129 @@ class TestAllLostFrame:
             assert np.array_equal(new_state.alpha, state.alpha)
         if name == "dma":
             assert np.abs(new_state.pi - state.pi).max() < 1e-10
+
+
+# a drawn reading: the dataset's own, lost, or garbage at fraction u of the
+# modality's value space. Under a range sigma of 0.1 a garbage range reads
+# a log-likelihood near -1e8 (-1.5e8 at the far end)
+READINGS = st.one_of(st.just("reading"), st.just("lost"), st.floats(0.0, 1.0))
+TIGHT_MODELS = tracking_model_2d(sigma_range=0.1).modalities
+
+
+def _redraw(frame, kinds, models):
+    """``frame`` with reading i kept, lost or made garbage as ``kinds[i]`` says."""
+    values = []
+    for obs, kind, m in zip(frame.observations, kinds, models):
+        if kind == "reading":
+            values.append(obs.value)
+        elif kind == "lost":
+            values.append(None)
+        else:
+            low, high = m.value_space
+            values.append(low + kind * (high - low))
+    return ObservationFrame.of(frame.time_index, values)
+
+
+class TestLibraryStatesMeetTheInvariants:
+    """The state types check nothing: ``init_*`` check what a run starts
+    from, and the steps build every later state from checked parts. So
+    every state the library builds must meet the invariants: DMA's
+    posterior is read-only, holds M entries > 0 summing to 1 within
+    WEIGHT_TOL, and ``t`` is the last frame's time index; TS's alpha is a
+    read-only (n,) vector in [0, 1]; SMA's members are ParticleSets of one
+    size, with one stream each."""
+
+    STEPS = {"ts": ts_step, "sma": sma_step, "dma": dma_step}
+
+    @staticmethod
+    def _check(name, state, t):
+        if name == "dma":
+            assert isinstance(state.particles, ParticleSet)
+            assert not state.pi.flags.writeable and state.pi.shape == (4,)
+            assert (state.pi > 0.0).all() and abs(state.pi.sum() - 1.0) <= WEIGHT_TOL
+            assert state.t == t
+        elif name == "ts":
+            assert isinstance(state.particles, ParticleSet)
+            assert not state.alpha.flags.writeable and state.alpha.shape == (2,)
+            assert ((state.alpha >= 0.0) & (state.alpha <= 1.0)).all()
+        else:
+            assert all(isinstance(p, ParticleSet) for p in state.sub_filters)
+            assert len({p.n for p in state.sub_filters}) == 1
+            assert len(state.sub_filters) == len(state.rngs) == 2
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 3000), steps=st.lists(st.tuples(READINGS, READINGS), min_size=1, max_size=10))
+    @example(n=200, steps=[(1.0, "reading")] * 5)
+    @example(n=200, steps=[("reading", 1.0)] * 5)
+    @example(n=1000, steps=[("lost", 0.5), (0.0, "lost"), ("lost", "lost"), ("reading", "reading")])
+    def test_every_state_meets_the_invariants(self, scenario2, n, steps):
+        cfg, frames = scenario2
+        transition = cfg.model.transition
+        rng = np.random.default_rng(n)
+        p0 = init_particles(init_prior("accurate", cfg.x0), n, rng)
+        states = {"ts": init_ts(p0, 2), "sma": init_sma(p0, 2, rng), "dma": init_dma(p0, 2)}
+        for name, state in states.items():
+            self._check(name, state, 0)
+        for kinds, frame in zip(steps, frames):
+            frame = _redraw(frame, kinds, TIGHT_MODELS)
+            for name, state in states.items():
+                states[name] = self.STEPS[name](state, frame, transition, TIGHT_MODELS, rng)[0]
+                self._check(name, states[name], frame.time_index)
+
+
+class TestReorderedModalities:
+    """ROADMAP item 7's R2: swapping the two modalities in the models, in
+    every frame and in the columns of DMA's candidates changes only the
+    order of the sums over modalities. PF is bit-identical over a whole
+    scenario-2 run. TS and DMA, stepped from a shared state (the swapped
+    one holds alpha reversed, or the candidate columns swapped), agree to
+    1e-12 per step on drawn frames with lost readings; DMA's frames hold
+    garbage readings too. TS's garbage readings are kept readings here:
+    its tempered row (1 - alpha) @ L is a BLAS product whose rounding
+    depends on the order of its terms (DMA's and PF's 0/1 weights make
+    every product exact), and at a log-likelihood near -1e8 one ulp of
+    the row is 3e-8, which moved a TS estimate by 2e-12 (N = 2,164)."""
+
+    @staticmethod
+    def _swap(frame):
+        return ObservationFrame(frame.time_index, frame.observations[::-1])
+
+    def test_pf_run_is_bit_identical(self, scenario2):
+        cfg, frames = scenario2
+        transition, models = cfg.model.transition, cfg.model.modalities
+        p0 = init_particles(init_prior("accurate", cfg.x0), 500, np.random.default_rng(7))
+        est, trace = run_filter("pf", frames, p0, transition, models, np.random.default_rng(8))
+        swapped, _ = run_filter("pf", [self._swap(f) for f in frames], p0, transition, models[::-1],
+                                np.random.default_rng(8))
+        assert len(est) == 300 and trace.n_flagged == 0
+        assert np.array_equal(est, swapped)
+
+    STEPS = {"ts": ts_step, "dma": dma_step}
+    SWAPPED = {
+        "ts": lambda state: replace(state, alpha=state.alpha[::-1]),
+        "dma": lambda state: replace(state, candidates=state.candidates[:, ::-1]),
+    }
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 3000), steps=st.lists(st.tuples(READINGS, READINGS), min_size=1, max_size=10))
+    @example(n=500, steps=[("reading", "reading")] * 3 + [("lost", "reading"), ("reading", "lost"), (1.0, 0.3)])
+    def test_ts_and_dma_agree_per_step(self, scenario2, n, steps):
+        cfg, frames = scenario2
+        transition = cfg.model.transition
+        rng = np.random.default_rng(n)
+        p0 = init_particles(init_prior("accurate", cfg.x0), n, rng)
+        states = {"ts": init_ts(p0, 2), "dma": init_dma(p0, 2)}
+        for kinds, dataset_frame in zip(steps, frames):
+            for name, state in states.items():
+                drawn = ["reading" if name == "ts" and isinstance(k, float) else k for k in kinds]
+                frame = _redraw(dataset_frame, drawn, TIGHT_MODELS)
+                step, twin = self.STEPS[name], deepcopy(rng)
+                new, estimate = step(state, frame, transition, TIGHT_MODELS, rng)[:2]
+                new_swapped, estimate_swapped = step(self.SWAPPED[name](state), self._swap(frame), transition,
+                                                     TIGHT_MODELS[::-1], twin)[:2]
+                assert np.linalg.norm(estimate_swapped - estimate) <= 1e-12 * np.linalg.norm(estimate)
+                if name == "ts":
+                    np.testing.assert_allclose(new_swapped.alpha[::-1], new.alpha, rtol=0.0, atol=1e-12)
+                else:
+                    np.testing.assert_allclose(new_swapped.pi, new.pi, rtol=0.0, atol=1e-12)
+                states[name] = new

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import modalfuse.dma as dma_mod
 from modalfuse import (
-    DmaState,
     ModelUpdateDegenerate,
     ObservationFrame,
     ParticleSet,
@@ -17,12 +16,14 @@ from modalfuse import (
     estimate_mean,
     init_dma,
     init_particles,
+    init_sma,
+    init_ts,
     pf_step,
     propagate,
     update_model_posterior,
 )
 from modalfuse.diagnostics import RunTrace
-from modalfuse.dma import candidate_label, candidate_loglik_matrix, reweight_rows
+from modalfuse.dma import DmaState, candidate_label, candidate_loglik_matrix, reweight_rows
 from modalfuse.ssm import null_loglik
 
 from conftest import point_prior
@@ -479,42 +480,36 @@ class TestMinusInfLoglik:
 
 
 class TestDmaStateValidates:
-    """The public constructor checks the state; dma_step builds its states trusted."""
+    """A filter state is checked where it starts, in ``init_*``; the steps
+    build every later state from checked parts."""
 
     @staticmethod
     def _particles():
         return ParticleSet(np.zeros((4, 4)), np.full(4, -np.log(4)))
 
-    def test_posterior_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="posterior length must match the candidate count"):
-            DmaState(self._particles(), np.full(3, 1 / 3), enumerate_candidates(2))
-
-    @pytest.mark.parametrize("pi", [[0.5, np.nan, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25], [0.3, 0.2, 0.2, 0.2]],
-                             ids=["nan", "zero_entry", "sums_to_0.9"])
-    def test_posterior_not_positive_and_normalised_rejected(self, pi):
-        with pytest.raises(ValueError, match="posterior entries must be > 0 and sum to 1"):
-            DmaState(self._particles(), np.array(pi), enumerate_candidates(2))
-
-    @pytest.mark.parametrize("t", [1.5, -1, "0", None], ids=["half", "negative", "string", "none"])
-    def test_time_index_not_a_non_negative_integer_rejected(self, t):
-        # unchecked, t = 1.5 would have every frame refused as "expected frame 2.5"
-        with pytest.raises(ValueError, match="t must be a non-negative integer"):
-            DmaState(self._particles(), np.full(4, 0.25), enumerate_candidates(2), t=t)
-
     def test_integer_time_indices_accepted(self):
         for t in (0, 7, np.int64(3)):
             assert DmaState(self._particles(), np.full(4, 0.25), enumerate_candidates(2), t=t).t == t
 
-    @pytest.mark.parametrize("particles", [1.0, np.zeros((4, 4))], ids=["float", "array"])
-    def test_particles_not_a_particle_set_rejected(self, particles):
-        with pytest.raises(ValueError, match="particles must be a ParticleSet"):
-            DmaState(particles, np.full(4, 0.25), enumerate_candidates(2))
+    INITS = {
+        "dma": lambda p: init_dma(p, 2),
+        "sma": lambda p: init_sma(p, 2, np.random.default_rng(0)),
+        "ts": lambda p: init_ts(p, 2),
+    }
 
-    def test_posterior_is_a_read_only_copy(self):
-        pi = np.full(4, 0.25)
-        state = DmaState(self._particles(), pi, enumerate_candidates(2))
-        assert not state.pi.flags.writeable and pi.flags.writeable
-        np.testing.assert_array_equal(state.pi, pi)
+    @pytest.mark.parametrize("init", list(INITS))
+    @pytest.mark.parametrize("particles", [1.0, np.zeros((4, 4))], ids=["float", "array"])
+    def test_particles_not_a_particle_set_rejected(self, init, particles):
+        # unchecked, init_dma failed on ``particles.n`` with an AttributeError
+        with pytest.raises(ValueError, match="particles must be a ParticleSet"):
+            self.INITS[init](particles)
+
+    def test_posterior_is_read_only(self, model):
+        state = init_dma(self._particles(), 2)
+        assert not state.pi.flags.writeable
+        stepped = dma_step(state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities,
+                           np.random.default_rng(3))[0]
+        assert not stepped.pi.flags.writeable
 
 
 class TestCandidateSetChecked:
@@ -538,12 +533,9 @@ class TestCandidateSetChecked:
                                             [1, 1], np.ones((1, 1, 2)), [[2, 1], [5, 0]]],
                              ids=["two", "five", "half", "minus_one", "empty", "one_dim", "three_dim", "two_five"])
     def test_not_a_0_1_matrix_rejected(self, candidates):
-        # an entry of 2 or 5 made the null term (1 - bits) @ nulls negative;
-        # init_dma and the public DmaState constructor share the one check
+        # an entry of 2 or 5 made the null term (1 - bits) @ nulls negative
         with pytest.raises(ValueError, match=r"non-empty \(M, n\) array of 0/1 entries"):
             init_dma(self._particles(), candidates=candidates)
-        with pytest.raises(ValueError, match=r"non-empty \(M, n\) array of 0/1 entries"):
-            DmaState(self._particles(), np.full(2, 0.5), np.array(candidates))
 
     def test_all_ones_row_accepted(self):
         # the A9 oracle's single candidate, as ints, floats and bools

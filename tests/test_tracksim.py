@@ -90,6 +90,27 @@ class TestScenarioSpecValidation:
         with pytest.raises(ValueError, match=rf"{re.escape(repr(window))} names modality -1, below 0"):
             ScenarioSpec(horizon=10, **{kind: (window,)})
 
+    @pytest.mark.parametrize("kind", [FailureWindow, LossWindow], ids=lambda k: k.__name__)
+    @pytest.mark.parametrize("field, value", [
+        ("modality", 0.5), ("t_start", 10.5), ("t_end", np.float64(20.0)), ("modality", True),
+        ("modality", np.int64(1)), ("t_start", np.int32(10)),
+    ], ids=["modality_half", "t_start_half", "t_end_float64", "modality_true", "modality_int64", "t_start_int32"])
+    def test_window_fields_must_be_integers(self, model, kind, field, value):
+        # a float modality or time died in generate_run with numpy's bare
+        # IndexError or TypeError, and modality True marked every modality
+        fields = {"modality": 1, "t_start": 10, "t_end": 20, field: value}
+        window = kind(**fields, probability=1.0) if kind is FailureWindow else kind(**fields)
+        windows = {"failure_windows" if kind is FailureWindow else "loss_windows": (window,)}
+        if isinstance(value, (bool, float)):
+            with pytest.raises(ValueError, match=rf"{re.escape(repr(window))} has {field} {re.escape(repr(value))}, "
+                                                 "not an integer"):
+                ScenarioSpec(horizon=30, **windows)
+            return
+        spec = ScenarioSpec(horizon=30, **windows)
+        run = generate_run(spec, DEFAULT_X0, model.transition, model.modalities, np.random.default_rng(0))
+        code = ObservationStatus.FAILED if kind is FailureWindow else ObservationStatus.LOST
+        assert (run.failure_log == code).sum(axis=0).tolist() == [0, 11]
+
 
 class TestSimulateTruth:
     def test_deterministic_kinematics(self, rng):
