@@ -25,7 +25,8 @@ print(f"true range   : {rng_mod.mean(x):.4f}")
 
 print("\nNoisy observations drawn from the sensors:")
 for _ in range(3):
-    print(f"  bearing {float(angle.sample(x, rng)):+.4f}   range {float(rng_mod.sample(x, rng)):8.3f}")
+    bearing, distance = angle.reading(x, rng.standard_normal()), rng_mod.reading(x, rng.standard_normal())
+    print(f"  bearing {float(bearing):+.4f}   range {float(distance):8.3f}")
 
 print("\nLog-likelihood of a bearing reading under three hypothetical states:")
 y = 0.80

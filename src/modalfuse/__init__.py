@@ -65,7 +65,6 @@ from .tracksim import (
     ScenarioSpec,
     builtin_scenario,
     generate_run,
-    observe,
 )
 
 __version__ = "0.1.0"

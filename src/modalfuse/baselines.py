@@ -58,6 +58,13 @@ def _collapse_flag(log_g):
     return None if np.isfinite(log_g).all() else "weight_collapse"
 
 
+def _check_modality_count(name: str, n_modalities) -> None:
+    if isinstance(n_modalities, bool) or not isinstance(n_modalities, (int, np.integer)):
+        raise ValueError(f"{name} needs an integer modality count, got {n_modalities!r}")
+    if n_modalities < 1:
+        raise ValueError(f"{name} needs one or more modalities, got {n_modalities}")
+
+
 @dataclass(frozen=True)
 class SmaState:
     """One particle set and one random stream per modality, indexed by
@@ -75,8 +82,7 @@ def init_sma(particles: ParticleSet, n_modalities: int, rng) -> SmaState:
     whole run (keyed by modality index, so the result does not depend on
     evaluation order)."""
     _check_particle_set(particles)
-    if n_modalities < 1:
-        raise ValueError(f"SMA needs one or more modalities, got {n_modalities}")
+    _check_modality_count("SMA", n_modalities)
     return SmaState((particles,) * n_modalities, tuple(rng.spawn(n_modalities)))
 
 
@@ -126,6 +132,7 @@ class TsState:
 def init_ts(particles: ParticleSet, n_modalities: int) -> TsState:
     """Every modality starts with failure probability alpha = 0."""
     _check_particle_set(particles)
+    _check_modality_count("TS", n_modalities)
     return TsState(particles, _read_only(np.zeros(n_modalities)))
 
 

@@ -11,8 +11,13 @@ A modality model is any object exposing
 
     value_space    -- (low, high): the closed interval a reading lies in
     loglik(y, x)   -- log p(y | x), vectorised over a batch of states
-    sample(x, rng) -- draw an observation given a state
+    reading(x, z)  -- the reading at state(s) x for standard-normal noise z,
+                      one z per state; vectorised like loglik
     sample_failed(rng) -- draw from the uniform failure distribution
+
+``reading(x, rng.standard_normal())`` equals, bit for bit, a draw of
+``rng.normal(mean(x), sigma)`` passed through the modality's fold into
+its value space: numpy forms that normal as ``loc + scale * z``.
 
 A reading is one finite real number, or None when lost; its position in
 an ``ObservationFrame`` is its modality index. ``null_loglik(modality)``
@@ -109,8 +114,8 @@ class AngleModality:
         resid = wrap_angle(np.asarray(y, dtype=float) - self.mean(x))
         return _gauss_loglik(resid, self.sigma)
 
-    def sample(self, x, rng):
-        return wrap_angle(rng.normal(self.mean(x), self.sigma))
+    def reading(self, x, z):
+        return wrap_angle(self.mean(x) + self.sigma * z)
 
     def sample_failed(self, rng, size=None):
         return wrap_angle(rng.uniform(-np.pi, np.pi, size=size))
@@ -120,7 +125,7 @@ class AngleModality:
 class RangeModality:
     """Range sensor: y ~ N(sqrt(d_x^2 + d_y^2), sigma^2).
 
-    The value space is [0, r_max]: emitted samples are clipped into it
+    The value space is [0, r_max]: readings are clipped into it
     and a failed sensor draws uniformly across it. The density itself is
     the plain Gaussian; for the intended geometries the truncated mass
     at the boundaries is negligible, and the null likelihood is 1/r_max.
@@ -147,10 +152,10 @@ class RangeModality:
         resid = np.asarray(y, dtype=float) - self.mean(x)
         return _gauss_loglik(resid, self.sigma)
 
-    def sample(self, x, rng):
+    def reading(self, x, z):
         # np.clip gives the same values; on one reading its set-up costs
         # more than the two ufuncs
-        return np.minimum(np.maximum(rng.normal(self.mean(x), self.sigma), 0.0), self.r_max)
+        return np.minimum(np.maximum(self.mean(x) + self.sigma * z, 0.0), self.r_max)
 
     def sample_failed(self, rng, size=None):
         return rng.uniform(0.0, self.r_max, size=size)

@@ -20,6 +20,15 @@ reading draws nothing). Drawing the same values in another order gives
 another dataset. ``tests/reference.py`` keeps the per-step form of the
 simulator and of the NDJSON writer, which the library must match bit
 for bit.
+
+A normal reading is ``model.reading(x, z)`` for one standard normal z,
+which is the value ``rng.normal`` around the modality's mean would give.
+``generate_run`` fills a (T, n) table of these z in the stream order
+above and then forms each modality's readings in one vectorised call
+over the whole truth. Steps with no failure window hold no coin, so a
+run of them draws its normals in one call, which yields them in (t,
+modality) order; a step with a coin draws its coins, normals and
+failure draws one by one, as the order requires.
 """
 
 from __future__ import annotations
@@ -162,19 +171,6 @@ def builtin_scenario(k: int) -> ScenarioSpec:
     raise ValueError("scenario index must be 1, 2, 3 or 4")
 
 
-def observe(t: int, x, statuses, models, rng) -> ObservationFrame:
-    """One frame at time t given per-modality statuses."""
-    values = []
-    for status, model in zip(statuses, models, strict=True):
-        if status == ObservationStatus.LOST:
-            values.append(None)
-        elif status == ObservationStatus.FAILED:
-            values.append(float(model.sample_failed(rng)))
-        else:
-            values.append(float(model.sample(x, rng)))
-    return ObservationFrame.of(t, values)
-
-
 @dataclass(frozen=True)
 class GroundTruthRun:
     """True states, observation frames and the per-step failure log.
@@ -295,11 +291,35 @@ def generate_run(spec: ScenarioSpec, x0, transition, models, rng) -> GroundTruth
     n = len(models)
     scripted, probs = spec.script(n)
     states = transition.rollout(x0, spec.horizon, rng)
-    frames, log = [], []
-    for t, (x, script, prob) in enumerate(zip(states, scripted.tolist(), probs.tolist()), start=1):
-        # the step's failure coins in modality order, then its readings
-        statuses = [ObservationStatus.NORMAL if s == ObservationStatus.FAILED and rng.random() >= p else s
-                    for s, p in zip(script, prob)]
-        log.append(statuses)
-        frames.append(observe(t, x, statuses, models, rng))
-    return GroundTruthRun(states, tuple(frames), np.array(log, dtype=np.int64).reshape(spec.horizon, n))
+    status = scripted.copy()
+    noise = np.zeros(status.shape)
+    failed = []   # (t, modality, reading) of every realised failure
+    normal = scripted == ObservationStatus.NORMAL
+    coin_rows = np.flatnonzero((scripted == ObservationStatus.FAILED).any(axis=1)).tolist()
+    start = 0
+    for t in coin_rows + [spec.horizon]:
+        # the coinless steps before t: one draw, read off in (t, modality) order
+        cells = normal[start:t]
+        noise[start:t][cells] = rng.standard_normal(np.count_nonzero(cells))
+        if t == spec.horizon:
+            break
+        # step t + 1's failure coins in modality order, then its readings
+        codes = [ObservationStatus.NORMAL if s == ObservationStatus.FAILED and rng.random() >= p else s
+                 for s, p in zip(scripted[t].tolist(), probs[t].tolist())]
+        for i, (code, model) in enumerate(zip(codes, models)):
+            if code == ObservationStatus.NORMAL:
+                noise[t, i] = rng.standard_normal()
+            elif code == ObservationStatus.FAILED:
+                failed.append((t, i, model.sample_failed(rng)))
+        status[t] = codes
+        start = t + 1
+    values = np.empty(status.shape)
+    for i, model in enumerate(models):
+        values[:, i] = model.reading(states, noise[:, i])
+    for t, i, value in failed:
+        values[t, i] = value
+    readings = values.tolist()
+    for t, i in np.argwhere(status == ObservationStatus.LOST).tolist():
+        readings[t][i] = None
+    frames = tuple(ObservationFrame.of(t, row) for t, row in enumerate(readings, start=1))
+    return GroundTruthRun(states, frames, status)

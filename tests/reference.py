@@ -87,8 +87,10 @@ def sma_by_member(state, frame, transition, models):
 
 # -- the simulator and codec one step, window and record at a time --------
 # The library draws the truth's normals in one call, scripts statuses from
-# a (T, n) table and writes a file in one go; these are the per-step forms
-# it must match bit for bit, kept as they were written before that change.
+# a (T, n) table, forms each modality's readings in one call from a table of
+# noise and writes a file in one go; these are the per-step forms it must
+# match bit for bit, kept as they were written before those changes (one
+# scalar normal per reading).
 
 
 def run_values(run):
@@ -130,7 +132,7 @@ def observe(t, x, statuses, models, rng):
         elif status == ObservationStatus.FAILED:
             values.append(float(model.sample_failed(rng)))
         else:
-            values.append(float(model.sample(x, rng)))
+            values.append(float(model.reading(x, rng.standard_normal())))
     return ObservationFrame.of(t, values)
 
 

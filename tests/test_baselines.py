@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import re
 from copy import deepcopy
 from dataclasses import replace
 
@@ -63,7 +64,8 @@ def frames_from(model, rng, t_max, x0=(1.0, 1.0, 200.0, 200.0)):
         frames.append(
             ObservationFrame.of(
                 t,
-                [float(model.modalities[0].sample(x, rng)), float(model.modalities[1].sample(x, rng))],
+                [float(model.modalities[0].reading(x, rng.standard_normal())),
+                 float(model.modalities[1].reading(x, rng.standard_normal()))],
             )
         )
     return frames
@@ -221,7 +223,7 @@ def _frames(models, transition, rng, t_max, x0=(1.0, 1.0, 200.0, 200.0)):
     frames = []
     for t in range(1, t_max + 1):
         x = transition.sample(x, rng)
-        frames.append(ObservationFrame.of(t, [float(m.sample(x, rng)) for m in models]))
+        frames.append(ObservationFrame.of(t, [float(m.reading(x, rng.standard_normal())) for m in models]))
     return frames
 
 
@@ -517,11 +519,33 @@ class TestSmaStreams:
         with pytest.raises(ValueError, match=f"SMA state has {members} members, model has 2 modalities"):
             sma_step(state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities, None)
 
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_init_needs_a_modality(self, count):
+
+# what each init takes besides the particle set
+INITS = {"TS": init_ts, "SMA": lambda p0, n: init_sma(p0, n, np.random.default_rng(3))}
+
+
+class TestModalityCountChecked:
+    @pytest.mark.parametrize("name", list(INITS))
+    @pytest.mark.parametrize("count", [0, -1, np.int64(0)], ids=["zero", "negative", "numpy_zero"])
+    def test_below_one_rejected(self, name, count):
         p0 = init_particles(spread_prior, 4, np.random.default_rng(0))
-        with pytest.raises(ValueError, match=f"SMA needs one or more modalities, got {count}"):
-            init_sma(p0, count, np.random.default_rng(3))
+        with pytest.raises(ValueError, match=f"{name} needs one or more modalities, got {count}$"):
+            INITS[name](p0, count)
+
+    @pytest.mark.parametrize("name", list(INITS))
+    @pytest.mark.parametrize("count", [2.5, 2.0, np.float64(2.0), "2", True, None],
+                             ids=["fraction", "whole_float", "numpy_float", "string", "bool", "none"])
+    def test_not_an_integer_rejected(self, name, count):
+        p0 = init_particles(spread_prior, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=rf"{name} needs an integer modality count, got {re.escape(repr(count))}$"):
+            INITS[name](p0, count)
+
+    @pytest.mark.parametrize("name", list(INITS))
+    @pytest.mark.parametrize("count", [1, 3, np.int32(2)], ids=["one", "three", "numpy_int"])
+    def test_integers_from_one_accepted(self, name, count):
+        p0 = init_particles(spread_prior, 4, np.random.default_rng(0))
+        state = INITS[name](p0, count)
+        assert len(state.alpha if name == "TS" else state.sub_filters) == count
 
 
 class TestTailCostShape:

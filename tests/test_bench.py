@@ -723,6 +723,41 @@ class TestBenchmarkTracerSeams:
             assert all(0.0 < f <= 1.0 for f in health["ess_frac"] + health["unique_frac"]), algorithm
 
 
+# the seed-7 NDJSON digests recorded in BENCH_22.json and BENCH_23.json
+BENCHMARK_NDJSON_DIGESTS = {
+    "track-n10k": "36e75970eed2867a",
+    "replay-n1k": "809ab3fb554e3c74",
+    "wide-6mod": "83baf01bf74e89b8",
+}
+
+
+@pytest.fixture(scope="module")
+def digests():
+    """tools/digests.py loaded by path, with the benchmark's run.py and this
+    checkout's modalfuse it loads; the paths and module it registers are
+    taken out again afterwards."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("tools_digests", root / "tools" / "digests.py")
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "path", list(sys.path))
+        mp.setitem(sys.modules, "perfbench_run", None)
+        spec.loader.exec_module(module)
+        run, mf = module._load_run(root)
+        yield module, run, mf
+
+
+class TestBenchmarkDatasetBytes:
+    """Every benchmark workload's datasets, built by the benchmark's own
+    set-up and written to NDJSON, keep their recorded bytes."""
+
+    @pytest.mark.parametrize("workload", list(BENCHMARK_NDJSON_DIGESTS))
+    def test_seed_7_ndjson_digest(self, digests, workload):
+        module, run, mf = digests
+        assert mf is modalfuse
+        assert module.ndjson_digest(run, mf, run.WORKLOADS[workload], 7) == BENCHMARK_NDJSON_DIGESTS[workload]
+
+
 class TestNonFiniteStatesFailFast:
     """A transition that overflows to non-finite states stops the run at
     once; in-loop particle sets are trusted, so the mixture's estimate is

@@ -153,10 +153,10 @@ class TestAngleModality:
         # constant: does not depend on sigma or any observation
         assert null_loglik(AngleModality(sigma=5.0)) == null_loglik(mod)
 
-    def test_sample_stays_in_value_space(self, rng):
+    def test_reading_stays_in_value_space(self, rng):
         mod = AngleModality(sigma=2.0)
         x = np.tile([0.0, 0.0, 1.0, 1.0], (5000, 1))
-        draws = mod.sample(x, rng)
+        draws = mod.reading(x, rng.standard_normal(5000))
         assert np.all(draws > -np.pi) and np.all(draws <= np.pi)
 
 
@@ -193,11 +193,45 @@ class TestRangeModality:
             with pytest.raises(ValueError, match="sigma must be finite and > 0"):
                 AngleModality(sigma=sigma)
 
-    def test_sample_clipped_to_value_space(self, rng):
+    def test_reading_clipped_to_value_space(self, rng):
         mod = RangeModality(sigma=50.0, r_max=100.0)
         x = np.tile([0.0, 0.0, 60.0, 80.0], (5000, 1))
-        draws = mod.sample(x, rng)
+        draws = mod.reading(x, rng.standard_normal(5000))
         assert np.all(draws >= 0.0) and np.all(draws <= 100.0)
+
+
+# near 0, past r_max = 300 and in between, and bearings near +-pi/2, whose
+# noisy readings wrap at +-pi under sigma 2
+READING_STATES = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 280.0, 50.0], [0.0, 0.0, 100.0, 100.0],
+                           [0.0, 0.0, 300.0, 1.0], [0.0, 0.0, -300.0, 1.0]] * 40)
+
+
+class TestReadingIsTheOldDraw:
+    """``reading(x, z)`` with z from ``rng.standard_normal`` equals, bit for
+    bit, the ``rng.normal(mean(x), sigma)`` draw the modalities used to
+    take, wrapped for the bearing and clipped for the range."""
+
+    @pytest.mark.parametrize("mod, fold", [
+        (AngleModality(sigma=2.0), wrap_angle),
+        (RangeModality(sigma=50.0, r_max=300.0), lambda y: np.clip(y, 0.0, 300.0)),
+    ], ids=["angle", "range"])
+    @pytest.mark.parametrize("x", [READING_STATES, READING_STATES[1], READING_STATES[3]],
+                             ids=["batch", "one_state", "one_state_near_the_seam"])
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_reading_equals_the_folded_normal_draw(self, mod, fold, x, seed):
+        rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = mod.reading(x, rng.standard_normal(np.shape(mod.mean(x))))
+        want = fold(old.normal(mod.mean(x), mod.sigma))
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(got, want)
+        assert rng.random() == old.random()
+
+    def test_the_batch_reaches_the_folds(self):
+        z = np.random.default_rng(0).standard_normal(len(READING_STATES))
+        ranges = RangeModality(sigma=50.0, r_max=300.0).reading(READING_STATES, z)
+        assert {0.0, 300.0} <= set(ranges.tolist())
+        raw = AngleModality(sigma=2.0).mean(READING_STATES) + 2.0 * z
+        assert np.any(raw > np.pi) and np.any(raw < -np.pi)
 
 
 @settings(max_examples=50, deadline=None)

@@ -14,7 +14,6 @@ from modalfuse import (
     ScenarioSpec,
     builtin_scenario,
     generate_run,
-    observe,
     tracking_model_2d,
 )
 from modalfuse.ssm import DEFAULT_A, DEFAULT_Q, LinearGaussianTransition, ObservationFrame
@@ -137,18 +136,20 @@ class TestSimulateTruth:
         assert abs(var - expected_var_dx) < 3 * se
 
 
-class TestObserve:
-    def test_noiseless_geometry(self, model, rng):
+class TestReadings:
+    STILL = LinearGaussianTransition(np.eye(4), np.zeros((4, 4)))   # the truth stays at x0
+
+    def test_noiseless_geometry(self, rng):
         # sigma must be > 0; noise at 1e-300 rounds away
         quiet = tracking_model_2d(sigma_angle=1e-300, sigma_range=1e-300)
-        x = np.array([0.0, 0.0, 3.0, 4.0])
-        frame = observe(1, x, [ObservationStatus.NORMAL] * 2, quiet.modalities, rng)
+        run = generate_run(ScenarioSpec(horizon=1), [0.0, 0.0, 3.0, 4.0], self.STILL, quiet.modalities, rng)
+        frame, = run.frames
         assert frame.observations[0].value == pytest.approx(np.arctan(0.75), abs=1e-12)
         assert frame.observations[1].value == pytest.approx(5.0, abs=1e-12)
 
     def test_lost_maps_to_absent(self, model, rng):
-        x = np.array([0.0, 0.0, 3.0, 4.0])
-        frame = observe(1, x, [ObservationStatus.NORMAL, ObservationStatus.LOST], model.modalities, rng)
+        spec = ScenarioSpec(horizon=1, loss_windows=(LossWindow(1, 1, 1),))
+        frame, = generate_run(spec, [0.0, 0.0, 3.0, 4.0], self.STILL, model.modalities, rng).frames
         assert frame.observations[0].value is not None
         assert frame.observations[1].value is None
 
@@ -383,12 +384,46 @@ def _builtin(k, truth_scale):
     return case
 
 
+def _edges_six():
+    """Six modalities over 12 steps, with every status deterministic:
+    coin rows at t = 1, 2, 3 (adjacent) and t = 12 = T, windows of
+    probability 0 (the coin is drawn, the reading stays NORMAL) and 1,
+    a coin row with a lost cell, and an all-LOST row at t = 7 inside a
+    run of coinless steps."""
+    base = tracking_model_2d()
+    spec = ScenarioSpec(
+        horizon=12,
+        failure_windows=(FailureWindow(0, 1, 2, 1.0), FailureWindow(3, 1, 1, 0.0), FailureWindow(1, 3, 3, 0.0),
+                         FailureWindow(5, 12, 12, 1.0), FailureWindow(2, 12, 12, 0.0)),
+        loss_windows=(LossWindow(4, 2, 2), *(LossWindow(i, 7, 7) for i in range(6))),
+    )
+    return spec, base.transition, base.modalities * 3
+
+
+# edges_six's realised failure log, row t-1 at time t: N(ORMAL), F(AILED), L(OST)
+EDGES_SIX_LOG = ["FNNNNN", "FNNNLN", *["NNNNNN"] * 4, "LLLLLL", *["NNNNNN"] * 4, "NNNNNF"]
+
+
+def _one_modality(horizon, windows, k):
+    """One sensor alone: the bearing (k = 0) or the range (k = 1)."""
+    def case():
+        model = tracking_model_2d()
+        return ScenarioSpec(horizon=horizon, failure_windows=windows), model.transition, model.modalities[k:k + 1]
+    return case
+
+
 SAME_STREAM_CASES = {
     **{f"builtin{k}": _builtin(k, 1e-4) for k in (1, 2, 3, 4)},
     "builtin4_unscaled_q": _builtin(4, 1.0),
     "staggered_six": _staggered_six,
     "mixed_windows": _mixed_windows,
     "random_psd_q": _random_psd_q,
+    "edges_six": _edges_six,
+    "bearing_alone": _one_modality(40, (FailureWindow(0, 1, 1, 1.0), FailureWindow(0, 20, 21, 0.5),
+                                        FailureWindow(0, 40, 40, 0.0)), 0),
+    "range_alone_horizon_one_coin": _one_modality(1, (FailureWindow(0, 1, 1, 0.0),), 1),
+    "bearing_alone_horizon_one": _one_modality(1, (), 0),
+    "no_modalities": lambda: (ScenarioSpec(horizon=5), tracking_model_2d().transition, ()),
 }
 
 
@@ -410,6 +445,24 @@ class TestSameStreamAsPerStep:
         run.save(tmp_path / "run.ndjson")
         reference.save(ref, tmp_path / "ref.ndjson")
         assert (tmp_path / "run.ndjson").read_bytes() == (tmp_path / "ref.ndjson").read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_edge_statuses(self, seed):
+        spec, transition, models = _edges_six()
+        run = generate_run(spec, DEFAULT_X0, transition, models, np.random.default_rng(seed))
+        assert ["".join(ObservationStatus(s).name[0] for s in row) for row in run.failure_log] == EDGES_SIX_LOG
+        lost = ["".join("L" if obs.value is None else "." for obs in frame.observations) for frame in run.frames]
+        assert lost == [row.replace("N", ".").replace("F", ".") for row in EDGES_SIX_LOG]
+
+    def test_no_modalities_give_empty_frames(self):
+        spec, transition, models = SAME_STREAM_CASES["no_modalities"]()
+        rng, truth_rng = np.random.default_rng(3), np.random.default_rng(3)
+        run = generate_run(spec, DEFAULT_X0, transition, models, rng)
+        assert run.failure_log.shape == (5, 0)
+        assert [frame.observations for frame in run.frames] == [()] * 5
+        # the truth's normals are the only draws
+        np.testing.assert_array_equal(run.states, transition.rollout(DEFAULT_X0, 5, truth_rng))
+        assert rng.random() == truth_rng.random()
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_truth_matches_the_per_step_reference(self, seed):
@@ -450,15 +503,3 @@ class TestSameStreamAsPerStep:
         # the first listed of two overlapping failure windows sets the probability
         assert (status[21, 0], prob[21, 0]) == (ObservationStatus.FAILED, 0.3)
         assert (status[35, 0], prob[35, 0]) == (ObservationStatus.FAILED, 0.9)
-
-    def test_range_sample_matches_clip(self, rng):
-        # RangeModality.sample clips with np.minimum/np.maximum; a reading
-        # near 0 and one past r_max exercise both bounds
-        range_model = tracking_model_2d(sigma_range=50.0, range_max=300.0).modalities[1]
-        states = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 280.0, 50.0], [0.0, 0.0, 100.0, 100.0]] * 50)
-        for x in (states, states[1]):
-            ref_rng = np.random.default_rng(5)
-            got = range_model.sample(x, np.random.default_rng(5))
-            want = np.clip(ref_rng.normal(range_model.mean(x), range_model.sigma), 0.0, range_model.r_max)
-            np.testing.assert_array_equal(got, want)
-        assert {0.0, 300.0} <= set(range_model.sample(states, rng).tolist())
