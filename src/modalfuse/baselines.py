@@ -27,6 +27,7 @@ frame, which come from outside on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,18 @@ TS_SMOOTHING = 0.5
 _ONE_ROW = _read_only(np.ones((1, 1)))
 
 
+@lru_cache(maxsize=8)
+def _all_ones_candidate(n: int) -> np.ndarray:
+    """PF's one candidate over n modalities, (1, n) and read-only."""
+    return _read_only(np.ones((1, n), dtype=np.int64))
+
+
+@lru_cache(maxsize=8)
+def _identity(b: int) -> np.ndarray:
+    """SMA's mixing weights over b members, eye(b) and read-only."""
+    return _read_only(np.eye(b))
+
+
 def pf_step(particles: ParticleSet, frame, transition, models, rng, trace=None):
     """One bootstrap-PF step; returns (particles, estimate).
 
@@ -47,7 +60,7 @@ def pf_step(particles: ParticleSet, frame, transition, models, rng, trace=None):
     were and the step is flagged.
     """
     prop = propagate(particles, transition, rng)
-    log_g, E, scale = dma.candidate_reweight(prop, frame, models, np.ones((1, len(models)), dtype=np.int64))
+    log_g, E, scale = dma.candidate_reweight(prop, frame, models, _all_ones_candidate(len(models)))
     (resampled,), (estimate,) = dma.mix_and_resample([prop], _ONE_ROW, E, scale, [rng])
     if trace is not None:
         trace.record(flag=_collapse_flag(log_g))
@@ -113,10 +126,11 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
         if obs.present:
             ll[i] = models[i].loglik(obs.value, p.states)
     log_g, E, scale = dma.reweight_rows(np.stack([p.log_weights for p in props]), ll)
-    subs, estimates = dma.mix_and_resample(props, np.eye(len(props)), E, scale, state.rngs)
+    subs, estimates = dma.mix_and_resample(props, _identity(n), E, scale, state.rngs)
     if trace is not None:
         trace.record(flag=_collapse_flag(log_g))
-    return SmaState(tuple(subs), state.rngs), np.mean(estimates, axis=0)
+    # np.mean's own arithmetic: the sum, then one division by the count
+    return SmaState(tuple(subs), state.rngs), estimates.sum(axis=0) / n
 
 
 @dataclass(frozen=True)

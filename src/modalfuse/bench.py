@@ -37,7 +37,7 @@ import numpy as np
 from . import baselines, dma
 from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .diagnostics import RunTrace
-from .particles import init_particles
+from .particles import _check_particle_set, init_particles
 from .tracksim import GroundTruthRun, ScenarioSpec, builtin_scenario, generate_run
 
 ALGORITHMS = ("pf", "ts", "sma", "dma")
@@ -122,11 +122,17 @@ def _check_readings(frames, models) -> None:
                 )
 
 
+def _init_pf(particles, n_modalities):
+    """PF's state is its particle set, checked as ``init_*`` check theirs."""
+    _check_particle_set(particles)
+    return particles
+
+
 def run_filter(algorithm: str, frames, particles0, transition, models, rng):
     """Step one filter over all frames; returns (estimates, trace)."""
     # built per call, so a step function patched on its module takes effect
     filters = {
-        "pf": (lambda p, n: p, baselines.pf_step),
+        "pf": (_init_pf, baselines.pf_step),
         "sma": (lambda p, n: baselines.init_sma(p, n, rng), baselines.sma_step),
         "ts": (baselines.init_ts, baselines.ts_step),
         "dma": (dma.init_dma, dma.dma_step),

@@ -237,9 +237,18 @@ def reweight_rows(log_weights: np.ndarray, ll: np.ndarray):
     ``exp``, which overwrites ``ll`` with E, gives both: no value exceeds
     1, so none can overflow. A row whose marginal underflowed gets scale
     0 and a zero E row.
+
+    When every row maximum is finite, each row of E holds exp(0) = 1, so
+    its sum lies in [1, N] and every ``log_g`` is finite: no row is dead,
+    and the row scales are taken without the dead-row handling below.
     """
     ll += log_weights
     mx = ll.max(axis=1)
+    if np.isfinite(mx).all():
+        ll -= mx[:, None]
+        E = np.exp(ll, out=ll)
+        log_g = np.log(E.sum(axis=1)) + mx
+        return log_g, E, np.exp(mx - log_g)
     mx[~np.isfinite(mx)] = 0.0
     ll -= mx[:, None]
     E = np.exp(ll, out=ll)

@@ -25,17 +25,19 @@ mixture in ``dma.mix_and_resample``) go through ``ParticleSet._trusted``
 and skip those O(N * d) checks. That is safe because their inputs were
 checked already: the weights are either the incoming set's or built
 normalised (``uniform_log_weights``, the mixture divided by its sum), and
-resampling only copies states. The one fault the loop can still make is
-a transition that overflows to non-finite states;
-``mix_and_resample`` catches it at O(d) cost on the point estimate
-(see there). The filter states that carry a set from step to step are
-checked where they start, in the filters' ``init_*``.
+resampling only copies states. Every set ``residual_resample`` returns
+at one N shares one read-only uniform log-weight array, built once per
+N; ``uniform_log_weights`` itself returns a fresh array. The one fault
+the loop can still make is a transition that overflows to non-finite
+states; ``mix_and_resample`` catches it at O(d) cost on the point
+estimate (see there). The filter states that carry a set from step to
+step are checked where they start, in the filters' ``init_*``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,6 +61,13 @@ def uniform_log_weights(n: int) -> np.ndarray:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+@lru_cache(maxsize=8)
+def _shared_uniform_log_weights(n: int) -> np.ndarray:
+    """``uniform_log_weights(n)``, built once per N and read-only, for the
+    sets ``residual_resample`` returns."""
+    return _read_only(uniform_log_weights(n))
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,8 @@ def residual_resample(p: ParticleSet, rng) -> ParticleSet:
     """
     n = p.n
     scaled = n * p.weights
-    counts = np.floor(scaled * (1.0 + FLOOR_SLACK)).astype(np.int64)
+    # truncation is floor here, since scaled >= 0
+    counts = (scaled * (1.0 + FLOOR_SLACK)).astype(np.int64)
     short = n - int(counts.sum())
     if short > 0:
         cdf = np.cumsum(np.maximum(scaled - counts, 0.0))
@@ -156,7 +166,7 @@ def residual_resample(p: ParticleSet, rng) -> ParticleSet:
     # weights summing to just over 1 can overshoot the copies by one slot
     if states.shape[0] != n:
         states = states[:n]
-    return ParticleSet._trusted(states, uniform_log_weights(n))
+    return ParticleSet._trusted(states, _shared_uniform_log_weights(n))
 
 
 def estimate_mean(p: ParticleSet) -> np.ndarray:

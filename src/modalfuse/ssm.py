@@ -64,12 +64,29 @@ def wrap_angle(theta):
     # would cost more than it saves, as do NaN, inf and wider arrays.
     if m.ndim == 0 or not (m.size and m.min() > -TWO_PI and m.max() < 2.0 * TWO_PI):
         return np.pi - np.mod(m, TWO_PI)
+    return _fold(m)
+
+
+def _fold(m: np.ndarray) -> np.ndarray:
+    """``pi - mod(m, 2 pi)`` in m's buffer, for an array m inside (-2 pi, 4 pi)."""
     m += np.where(m < 0.0, TWO_PI, np.where(m >= TWO_PI, -TWO_PI, 0.0))
     return np.subtract(np.pi, m, out=m)
 
 
+_HALF_LOG_TWO_PI = 0.5 * np.log(TWO_PI)
+
+
 def _gauss_loglik(resid, sigma):
-    return -0.5 * (resid / sigma) ** 2 - np.log(sigma) - 0.5 * np.log(TWO_PI)
+    """log N(resid; 0, sigma^2): a numpy scalar for a scalar residual, a new
+    array for an array one (the same operations, in one buffer)."""
+    if np.ndim(resid) == 0:
+        return -0.5 * (resid / sigma) ** 2 - np.log(sigma) - _HALF_LOG_TWO_PI
+    out = np.divide(resid, sigma)
+    np.square(out, out=out)
+    out *= -0.5
+    out -= np.log(sigma)
+    out -= _HALF_LOG_TWO_PI
+    return out
 
 
 def null_loglik(modality) -> float:
@@ -111,7 +128,16 @@ class AngleModality:
         return np.where(np.isnan(theta), 0.0, theta)
 
     def loglik(self, y, x):
-        resid = wrap_angle(np.asarray(y, dtype=float) - self.mean(x))
+        """log p(y | x). For a batch of states and a float reading y in
+        [-pi, pi], pi - (y - mean) lies in [-pi/2, 5 pi/2], since the mean
+        lies in [-pi/2, pi/2]: ``wrap_angle``'s fold is then exact, and it
+        is applied without its range test. Any other reading, and a single
+        state, go through ``wrap_angle``."""
+        mean = self.mean(x)
+        if mean.ndim and isinstance(y, float) and -np.pi <= y <= np.pi:
+            resid = _fold(np.pi - (y - mean))
+        else:
+            resid = wrap_angle(np.asarray(y, dtype=float) - mean)
         return _gauss_loglik(resid, self.sigma)
 
     def reading(self, x, z):
@@ -200,14 +226,18 @@ class LinearGaussianTransition:
 
     def sample(self, x_prev, rng):
         """One transition step for a single state (d,) or a batch (N, d)."""
-        x_prev = np.asarray(x_prev, dtype=float)
-        single = x_prev.ndim == 1
-        x = np.atleast_2d(x_prev)
+        x = np.asarray(x_prev, dtype=float)
+        single = x.ndim == 1
+        if single:
+            x = x[None]
+        elif x.ndim != 2:
+            raise ValueError(f"state must be shaped (d,) or (N, d), got shape {x.shape}")
         if x.shape[1] != self.dim:
             raise ValueError(f"state dimension {x.shape[1]} != model dimension {self.dim}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("non-finite state passed to transition")
-        out = x @ self._A_t + rng.standard_normal(x.shape) @ self._noise_factor_t
+        out = x @ self._A_t
+        out += rng.standard_normal(x.shape) @ self._noise_factor_t
         return out[0] if single else out
 
     def rollout(self, x0, horizon: int, rng) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Test-side references: ``logsumexp`` and the log-domain reweighting
-oracle built on it, SMA's per-member reference, the per-step simulator
-and per-record NDJSON codec that pin a dataset's random stream and bytes,
-and thin one-row and one-set wrappers over production code that the
-tests share.
+oracle built on it, the reweighting kernel's general path, SMA's
+per-member reference, the per-step simulator and per-record NDJSON codec
+that pin a dataset's random stream and bytes, and thin one-row and
+one-set wrappers over production code that the tests share.
 """
 
 import json
@@ -41,6 +41,21 @@ def log_domain_reweight(p, row_ll):
         log_g[j] = g
         log_w[j] = lw - g if np.isfinite(g) else p.log_weights
     return log_g, log_w
+
+
+def reweight_rows_with_dead_rows(log_weights, ll):
+    """``dma.reweight_rows``'s general path, which handles a row whose
+    maximum is not finite, run on every input: the path its no-dead-row
+    case skips, bit for bit."""
+    ll = ll + log_weights
+    mx = ll.max(axis=1)
+    mx[~np.isfinite(mx)] = 0.0
+    E = np.exp(ll - mx[:, None])
+    with np.errstate(divide="ignore"):
+        log_g = np.log(E.sum(axis=1)) + mx
+    live = np.isfinite(log_g)
+    E[~live] = 0.0
+    return log_g, E, np.exp(np.where(live, mx - log_g, -np.inf))
 
 
 def log_domain_mixture(log_pi, log_w):

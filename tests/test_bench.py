@@ -758,6 +758,28 @@ class TestBenchmarkDatasetBytes:
         assert module.ndjson_digest(run, mf, run.WORKLOADS[workload], 7) == BENCHMARK_NDJSON_DIGESTS[workload]
 
 
+# the seed-7 run_filter digests recorded in BENCH_22.json and BENCH_23.json:
+# all four filters on every dataset of the 2-modality NDJSON replay, whose
+# garbage readings sit near -1e8 log-likelihood, and of the 6-modality model
+BENCHMARK_RUN_FILTER_DIGESTS = {
+    "replay-n1k": "b531b8c7d17d11db",
+    "wide-6mod": "d6a0c6bfab976990",
+}
+
+
+class TestBenchmarkFilterOutputs:
+    """The filters' estimates, weight traces and flags on the benchmark's
+    own inputs keep their recorded bytes, so a step change that moves a
+    rounding fails here."""
+
+    @pytest.mark.parametrize("workload", list(BENCHMARK_RUN_FILTER_DIGESTS))
+    def test_seed_7_run_filter_digest(self, digests, workload):
+        module, run, mf = digests
+        assert mf is modalfuse
+        got = module.run_filter_digest(run, mf, run.WORKLOADS[workload], 7)
+        assert got == BENCHMARK_RUN_FILTER_DIGESTS[workload]
+
+
 class TestNonFiniteStatesFailFast:
     """A transition that overflows to non-finite states stops the run at
     once; in-loop particle sets are trusted, so the mixture's estimate is

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import modalfuse.dma as dma_mod
 from modalfuse import (
@@ -22,12 +23,20 @@ from modalfuse import (
     propagate,
     update_model_posterior,
 )
+from modalfuse.bench import run_filter
 from modalfuse.diagnostics import RunTrace
 from modalfuse.dma import DmaState, candidate_label, candidate_loglik_matrix, reweight_rows
 from modalfuse.ssm import null_loglik
 
 from conftest import point_prior
-from reference import candidate_loglik, log_domain_mixture, log_domain_reweight, logsumexp, mix_one
+from reference import (
+    candidate_loglik,
+    log_domain_mixture,
+    log_domain_reweight,
+    logsumexp,
+    mix_one,
+    reweight_rows_with_dead_rows,
+)
 
 
 class TestEnumerateCandidates:
@@ -353,6 +362,59 @@ class TestMixAndResample:
             mix_one(p, np.ones(1), E, scale, np.random.default_rng(1))
 
 
+# log-likelihood entries: ordinary values, garbage readings near -1e8, and
+# -inf, NaN and +inf that kill a particle or a whole row
+LOGLIK_ENTRIES = st.one_of(st.floats(-50.0, 5.0), st.floats(-2e8, -1e7),
+                           st.sampled_from([-np.inf, np.nan, np.inf, -1e308]))
+
+
+@st.composite
+def reweight_inputs(draw):
+    """(log_weights, ll): an (M, N) log-likelihood matrix, some rows of it
+    all -inf or all NaN, and normalised log-weights, (N,) or one row per
+    set, some of them -inf (weight 0)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    ll = draw(hnp.arrays(float, (m, n), elements=LOGLIK_ENTRIES))
+    for row in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        ll[row] = draw(st.sampled_from([-np.inf, np.nan]))
+    w = draw(hnp.arrays(float, (draw(st.sampled_from([(n,), (m, n)]))),
+                        elements=st.one_of(st.just(0.0), st.floats(1e-3, 1.0))))
+    w[..., 0] += 1.0  # no all-zero set
+    with np.errstate(divide="ignore"):
+        return np.log(w / w.sum(axis=-1, keepdims=True)), ll
+
+
+class TestReweightRowsFastPath:
+    """``reweight_rows`` takes every row's scale without the dead-row
+    handling when every row maximum is finite; it equals, bit for bit, the
+    general path that handles dead rows, with and without -inf and NaN
+    entries and rows."""
+
+    @staticmethod
+    def _assert_as_general_path(log_weights, ll):
+        want = reweight_rows_with_dead_rows(log_weights, ll)
+        with np.errstate(invalid="ignore"):  # inf - inf in a +inf row, on both paths
+            got = reweight_rows(log_weights, ll.copy())
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+
+    @settings(max_examples=200, deadline=None)
+    @given(reweight_inputs())
+    def test_equals_the_general_path(self, inputs):
+        with np.errstate(invalid="ignore"):
+            self._assert_as_general_path(*inputs)
+
+    @pytest.mark.parametrize("dead", [None, -np.inf, np.nan])
+    def test_rows_with_and_without_a_dead_row(self, rng, dead):
+        ll = np.stack([rng.normal(-3.0, 1.0, 64), -1e8 + rng.normal(0.0, 1.0, 64), np.full(64, -1.0)])
+        ll[0, :10] = -np.inf
+        if dead is not None:
+            ll[1] = dead
+        self._assert_as_general_path(np.log(np.full(64, 1 / 64)), ll)
+
+
 class OffsetModality:
     """Test double: a real modality's log-likelihood plus a constant;
     -1e8 mimics a garbage reading, and two readings at -1e308 sum to a
@@ -503,6 +565,15 @@ class TestDmaStateValidates:
         # unchecked, init_dma failed on ``particles.n`` with an AttributeError
         with pytest.raises(ValueError, match="particles must be a ParticleSet"):
             self.INITS[init](particles)
+
+    @pytest.mark.parametrize("algorithm", ["pf", "ts", "sma", "dma"])
+    def test_run_filter_rejects_particles_not_a_particle_set(self, model, algorithm):
+        # PF's state is its particle set: unchecked, its run failed on
+        # ``particles0.dim`` with a bare AttributeError
+        frames = [ObservationFrame.of(1, [0.79, 284.0])]
+        with pytest.raises(ValueError, match="particles must be a ParticleSet, got ndarray"):
+            run_filter(algorithm, frames, np.zeros((4, 4)), model.transition, model.modalities,
+                       np.random.default_rng(0))
 
     def test_posterior_is_read_only(self, model):
         state = init_dma(self._particles(), 2)

@@ -263,6 +263,34 @@ class TestResidualResample:
         out = residual_resample(p, rng)
         np.testing.assert_allclose(out.log_weights, uniform_log_weights(5))
 
+    def test_resampled_sets_share_one_read_only_uniform_row(self, rng):
+        p = make_set(np.arange(5.0), [0.4, 0.3, 0.15, 0.1, 0.05])
+        a, b = residual_resample(p, rng), residual_resample(residual_resample(p, rng), rng)
+        assert a.log_weights is b.log_weights and not a.log_weights.flags.writeable
+        assert np.array_equal(a.log_weights, uniform_log_weights(5))
+        # the public function still hands out a fresh, writable array
+        fresh = uniform_log_weights(5)
+        assert fresh.flags.writeable and fresh is not uniform_log_weights(5)
+
+    # N * w_i: whole numbers, some 0; N = 16 scales the weights exactly
+    WHOLE = np.array([4, 3, 0, 2, 1, 1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("below", [False, True], ids=["whole", "just_below_whole"])
+    def test_whole_counts_copy_without_a_draw(self, below):
+        # truncation counts floor(N * w_i * (1 + FLOOR_SLACK)) copies: k for
+        # N * w_i = k and for the float just below k, so no slot is left to draw
+        scaled = self.WHOLE.astype(float)
+        if below:
+            scaled = np.nextafter(scaled, 0.0)
+            assert np.all(np.floor(scaled[self.WHOLE > 0]) == self.WHOLE[self.WHOLE > 0] - 1)
+        n = len(scaled)
+        w = scaled / n
+        with np.errstate(divide="ignore"):
+            p = ParticleSet._trusted(np.arange(float(n))[:, None], np.log(w), weights=w)
+        assert np.array_equal(n * p.weights, scaled)
+        out = residual_resample(p, NoDraws())
+        assert np.array_equal(out.states[:, 0], np.repeat(np.arange(float(n)), self.WHOLE))
+
 
 class NoDraws:
     """Test double: a random stream that must not be drawn from."""

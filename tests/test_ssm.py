@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from modalfuse import (
     AngleModality,
@@ -12,7 +15,8 @@ from modalfuse import (
     tracking_model_2d,
     wrap_angle,
 )
-from modalfuse.ssm import DEFAULT_A, DEFAULT_Q, null_loglik
+import modalfuse.ssm as ssm_mod
+from modalfuse.ssm import DEFAULT_A, DEFAULT_Q, DEFAULT_SIGMA_ANGLE, _gauss_loglik, null_loglik
 
 from reference import restrict_to
 
@@ -81,13 +85,15 @@ class TestTransition:
 
     def test_dimension_mismatch_raises(self, rng):
         tm = LinearGaussianTransition(A, Q)
-        with pytest.raises(ValueError):
-            tm.sample(np.array([1.0, 2.0]), rng)
+        for x in (np.array([1.0, 2.0]), np.ones((5, 2))):
+            with pytest.raises(ValueError, match="state dimension 2 != model dimension 4"):
+                tm.sample(x, rng)
 
     def test_non_finite_state_raises(self, rng):
         tm = LinearGaussianTransition(A, Q)
-        with pytest.raises(ValueError):
-            tm.sample(np.array([1.0, np.nan, 0.0, 0.0]), rng)
+        for x in (np.array([1.0, np.nan, 0.0, 0.0]), np.array([[0.0] * 4, [0.0, np.inf, 0.0, 0.0]])):
+            with pytest.raises(ValueError, match="non-finite state passed to transition"):
+                tm.sample(x, rng)
 
     def test_asymmetric_q_rejected(self):
         bad = Q.copy()
@@ -111,6 +117,27 @@ class TestTransition:
         out = tm.sample(rng.normal(size=(50, 4)), rng)
         assert out.shape == (50, 4)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (2, 4, 3), ()])
+    def test_state_neither_one_nor_a_batch_rejected(self, rng, shape):
+        # the width was read off axis 1: (2, 4, 4) ran, (2, 4, 3) failed in
+        # numpy's matmul and a 0-d state read "state dimension 1"
+        with pytest.raises(ValueError, match=re.escape(f"state must be shaped (d,) or (N, d), got shape {shape}")):
+            LinearGaussianTransition(A, Q).sample(np.ones(shape), rng)
+
+    @pytest.mark.parametrize("x", [np.array([1.0, -2.0, 150.0, 30.0]), np.arange(40.0).reshape(10, 4)],
+                             ids=["one_state", "batch"])
+    def test_sample_is_the_product_sum(self, x):
+        # the noise product is added into the x @ A^T buffer: the same sum,
+        # with the normals drawn in the same order
+        tm = LinearGaussianTransition(A, Q)
+        rng, old = np.random.default_rng(9), np.random.default_rng(9)
+        x2 = np.atleast_2d(x)
+        want = x2 @ tm._A_t + old.standard_normal(x2.shape) @ tm._noise_factor_t
+        got = tm.sample(x, rng)
+        assert got.shape == x.shape
+        assert np.array_equal(got.view(np.int64), want.reshape(x.shape).view(np.int64))
+        assert rng.random() == old.random()
 
 
 class TestAngleModality:
@@ -245,6 +272,94 @@ def test_angle_loglik_periodic_property(y, k, dx, dy):
     mod = AngleModality()
     x = np.array([0.0, 0.0, dx, dy])
     assert mod.loglik(y, x) == pytest.approx(mod.loglik(y + 2 * np.pi * k, x), abs=1e-9)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestGaussLoglik:
+    """``_gauss_loglik`` forms an array residual's density in one buffer,
+    with the operations of the scalar expression in their order."""
+
+    @staticmethod
+    def _expression(resid, sigma):
+        return -0.5 * (resid / sigma) ** 2 - np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
+
+    @pytest.mark.parametrize("resid", [0.3, -2, np.float64(-2.5), np.array(1.5)], ids=repr)
+    def test_scalar_residual_gives_a_numpy_scalar(self, resid):
+        got = _gauss_loglik(resid, 0.7)
+        assert type(got) is np.float64
+        assert _bits(got) == _bits(self._expression(resid, 0.7))
+
+    @settings(max_examples=100, deadline=None)
+    @given(resid=hnp.arrays(float, st.integers(0, 30), elements=st.floats(allow_nan=True, allow_infinity=True)),
+           sigma=st.floats(1e-3, 1e3))
+    def test_array_residual_equals_the_expression(self, resid, sigma):
+        kept = resid.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _gauss_loglik(resid, sigma), self._expression(resid, sigma)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == resid.shape
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(resid), _bits(kept))
+
+
+# bearing-sensor coordinates, with d_y = 0 (a bearing of +-pi/2) and 0/0 (a bearing of 0)
+COORDS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e4, 1e4))
+# readings in the value space, on its ends, just outside it and far outside
+READINGS = st.one_of(
+    st.floats(-np.pi, np.pi),
+    st.sampled_from([-np.pi, np.pi, np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0), 0.0, -0.0]),
+    st.floats(-1e3, 1e3),
+    st.integers(-30, 30),
+    st.floats(-np.pi, np.pi).map(np.float64),
+)
+
+
+class TestAngleLoglikFastPath:
+    """A bearing log-likelihood equals, bit for bit, the Gaussian of
+    ``wrap_angle``'s residual, whether or not it skips the range test."""
+
+    @staticmethod
+    def _assert_as_wrap_angle(y, x, sigma=DEFAULT_SIGMA_ANGLE):
+        mod = AngleModality(sigma)
+        want = _gauss_loglik(wrap_angle(np.asarray(y, dtype=float) - mod.mean(x)), sigma)
+        got = mod.loglik(y, x)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=READINGS, x=hnp.arrays(float, st.tuples(st.integers(1, 20), st.just(4)), elements=COORDS))
+    @example(y=np.pi, x=np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, -5.0, 1e-10]]))
+    @example(y=-np.pi, x=np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 5.0, -1e-10]]))
+    @example(y=20.0, x=np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]]))
+    @example(y=-7.0, x=np.array([[0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 0.0, -0.0]]))
+    @example(y=3, x=np.array([[0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 1.0, 0.0]]))
+    @example(y=np.float64(np.pi), x=np.array([[0.0, 0.0, 1.0, 1.0]]))
+    def test_batch_equals_wrap_angle(self, y, x):
+        with np.errstate(over="ignore"):  # d_x / d_y overflows to a bearing of +-pi/2
+            self._assert_as_wrap_angle(y, x)
+
+    @pytest.mark.parametrize("y", [np.pi, -np.pi, 0.5, 20.0, 3])
+    def test_single_state_equals_wrap_angle(self, y):
+        self._assert_as_wrap_angle(y, np.array([0.0, 0.0, -3.0, 0.0]))
+        self._assert_as_wrap_angle(y, np.array([0.0, 0.0, 4.0, 2.0]))
+
+    def test_wrap_angle_runs_only_off_the_fast_path(self, monkeypatch):
+        x = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, -2.0, 0.5]])
+        mod = AngleModality()
+
+        def refused(theta):
+            raise AssertionError("wrap_angle called")
+
+        monkeypatch.setattr(ssm_mod, "wrap_angle", refused)
+        for y in (np.pi, -np.pi, 0.25, np.float64(1.0)):
+            mod.loglik(y, x)
+        for y in (np.nextafter(np.pi, 4.0), 7.0, 1, np.nan):
+            with pytest.raises(AssertionError, match="wrap_angle called"):
+                mod.loglik(y, x)
+        with pytest.raises(AssertionError, match="wrap_angle called"):
+            mod.loglik(0.25, x[0])
 
 
 class TestObservationFrame:
