@@ -132,13 +132,14 @@ class ExperimentConfig:
             raise ValueError(f"the scenario's horizon {self.scenario.horizon} differs from "
                              f"the config's horizon {self.horizon}")
         object.__setattr__(self, "x0", x0)
+        base = self.model.transition
+        # built once: the transition's constructor runs an eigendecomposition
+        object.__setattr__(self, "_truth_transition", base if self.truth_noise_scale == 1.0
+                           else type(base)(base.A, base.Q * self.truth_noise_scale))
 
     def truth_transition(self):
         """Transition used to roll out ground truth."""
-        base = self.model.transition
-        if self.truth_noise_scale == 1.0:
-            return base
-        return type(base)(base.A, base.Q * self.truth_noise_scale)
+        return self._truth_transition
 
 
 def default_config() -> ExperimentConfig:

@@ -299,9 +299,7 @@ def mix_and_resample(sets, W: np.ndarray, E: np.ndarray, scale, rngs):
     # ~ulp(|loglik|) when likelihoods are astronomically small (e.g. garbage
     # readings). The normalised weights are the sets' cached ``weights``
     mixed /= mixed.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        log_mixed = np.log(mixed)
-    mixed_sets = [ParticleSet._trusted(p.states, lw, weights=w) for p, lw, w in zip(sets, log_mixed, mixed)]
+    mixed_sets = [ParticleSet._trusted(p.states, weights=w) for p, w in zip(sets, mixed)]
     estimates = np.array([estimate_mean(m) for m in mixed_sets])
     if not np.isfinite(estimates).all():
         raise ValueError("particle states must be finite")

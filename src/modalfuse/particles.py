@@ -22,7 +22,9 @@ normalised weights.
 and log-weights whose exponentials sum to 1. The sets the library builds
 inside the filter loop (``propagate``, ``residual_resample`` and the
 mixture in ``dma.mix_and_resample``) go through ``ParticleSet._trusted``
-and skip those O(N * d) checks. That is safe because their inputs were
+and skip those O(N * d) checks. The mixture is built from its weights
+alone, since the tail reads nothing else; its ``log_weights`` are
+derived from them on first read. That is safe because their inputs were
 checked already: the weights are either the incoming set's or built
 normalised (``uniform_log_weights``, the mixture divided by its sum), and
 resampling only copies states. Every set ``residual_resample`` returns
@@ -93,15 +95,28 @@ class ParticleSet:
         object.__setattr__(self, "log_weights", lw)
 
     @classmethod
-    def _trusted(cls, states, log_weights, weights=None):
+    def _trusted(cls, states, log_weights=None, weights=None):
         """A set whose arrays already meet the invariants, without
         __post_init__'s checks; for the library's in-loop builds only.
-        ``weights``, if given, seeds the cached ``weights`` read-only."""
+        ``weights``, if given, seeds the cached ``weights`` read-only; a set
+        given only its weights derives ``log_weights`` on first read."""
         obj = object.__new__(cls)
-        obj.__dict__.update(states=states, log_weights=log_weights)
+        obj.__dict__["states"] = states
+        if log_weights is not None:
+            obj.__dict__["log_weights"] = log_weights
         if weights is not None:
             obj.__dict__["weights"] = _read_only(weights)
         return obj
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the log-weights
+        # of a set built from its weights alone
+        if name != "log_weights" or "weights" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with np.errstate(divide="ignore"):
+            log_weights = _read_only(np.log(self.weights))
+        self.__dict__["log_weights"] = log_weights
+        return log_weights
 
     @property
     def n(self) -> int:

@@ -57,11 +57,15 @@ DEFAULT_RANGE_MAX = 2000.0
 
 def wrap_angle(theta):
     """Wrap angle(s) into (-pi, pi], bit for bit ``pi - mod(pi - theta, 2 pi)``."""
+    if isinstance(theta, float) and math.isfinite(theta):
+        # Python's float % is np.mod's arithmetic (fmod, then one fold by
+        # the divisor when the signs differ) without a ufunc call
+        return np.float64(np.pi - (np.pi - float(theta)) % TWO_PI)
     m = np.pi - np.asarray(theta, dtype=float)
     # numpy's float mod is slow. Inside (-2 pi, 4 pi) it is one fold by
     # +-2 pi, exactly: fmod is exact there, and m + 2 pi is the rounding
-    # np.mod does for m < 0. Scalars stay on np.mod, where the range check
-    # would cost more than it saves, as do NaN, inf and wider arrays.
+    # np.mod does for m < 0. Other scalars stay on np.mod, where the range
+    # check would cost more than it saves, as do NaN, inf and wider arrays.
     if m.ndim == 0 or not (m.size and m.min() > -TWO_PI and m.max() < 2.0 * TWO_PI):
         return np.pi - np.mod(m, TWO_PI)
     return _fold(m)
@@ -122,7 +126,8 @@ class AngleModality:
     def mean(self, x):
         x = np.asarray(x, dtype=float)
         d_x, d_y = x[..., 2], x[..., 3]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # d_x / d_y may overflow to +-inf, whose arctan is the right +-pi/2
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             theta = np.arctan(d_x / d_y)
         # arctan(0/0) is defined as 0
         return np.where(np.isnan(theta), 0.0, theta)
@@ -269,17 +274,31 @@ class ModalityObservation:
     value: float | None
 
     def __post_init__(self):
-        v = self.value
-        try:
-            finite = v is None or math.isfinite(v)
-        except TypeError:
-            raise ValueError(f"observation value {v!r} is not a real number") from None
-        if not finite:
-            raise ValueError("observation values must be finite (use None for lost readings)")
+        _check_reading(self.value)
 
     @property
     def present(self) -> bool:
         return self.value is not None
+
+
+def _check_reading(v) -> None:
+    try:
+        finite = v is None or math.isfinite(v)
+    except TypeError:
+        raise ValueError(f"observation value {v!r} is not a real number") from None
+    if not finite:
+        raise ValueError("observation values must be finite (use None for lost readings)")
+
+
+def _observation(value) -> ModalityObservation:
+    """``ModalityObservation(value)``, checked the same way, without the
+    dataclass ``__init__`` and ``__post_init__`` calls. The value is set
+    through ``object.__setattr__``, as that ``__init__`` sets it, so the
+    instance keeps its compact attribute storage."""
+    _check_reading(value)
+    obs = object.__new__(ModalityObservation)
+    object.__setattr__(obs, "value", value)
+    return obs
 
 
 @dataclass(frozen=True)
@@ -303,7 +322,7 @@ class ObservationFrame:
         """Build a frame from raw per-modality values (None = lost). Each
         value is checked as it becomes a ModalityObservation, so the frame
         is built without the constructor's per-entry type check."""
-        observations = tuple(map(ModalityObservation, values))
+        observations = tuple(map(_observation, values))
         if time_index < 1:
             raise ValueError("time_index starts at 1")
         frame = object.__new__(cls)

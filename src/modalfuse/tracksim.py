@@ -21,6 +21,12 @@ another dataset. ``tests/reference.py`` keeps the per-step form of the
 simulator and of the NDJSON writer, which the library must match bit
 for bit.
 
+A run is saved as NDJSON, one record per step in ``json.dumps``'s
+layout. Every record of a run has the same shape, so ``save`` builds one
+``%`` template from d and n and fills it for all records in one call,
+with no JSON encoder per record; ``load`` parses each line with
+``json.loads`` and checks it, naming the line of a malformed record.
+
 A normal reading is ``model.reading(x, z)`` for one standard normal z,
 which is the value ``rng.normal`` around the modality's mean would give.
 ``generate_run`` fills a (T, n) table of these z in the stream order
@@ -176,9 +182,10 @@ class GroundTruthRun:
     """True states, observation frames and the per-step failure log.
 
     Construction is the boundary for generated and loaded runs alike: it
-    rejects frames whose time indices do not run 1..T in order, and
-    states, failure log or frames whose shapes disagree, naming the first
-    mismatch.
+    rejects frames whose time indices do not run 1..T in order, states,
+    failure log or frames whose shapes disagree, and a non-finite state
+    (every error against the truth would read NaN), naming the first
+    mismatch or bad step.
     """
 
     states: np.ndarray                       # (T, d)
@@ -194,6 +201,10 @@ class GroundTruthRun:
             raise ValueError(f"states are shaped {states.shape}, expected ({T}, d)")
         if log.ndim != 2 or log.shape[0] != T:
             raise ValueError(f"failure_log is shaped {log.shape}, expected ({T}, n)")
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))   # the first False
+            raise ValueError(f"state at step {k + 1} is not finite: {states[k]}")
         if log.size and not 0 <= log.min() <= log.max() < len(_STATUS_NAMES):
             raise ValueError(f"failure_log holds a code outside 0..{len(_STATUS_NAMES) - 1}, "
                              f"the ObservationStatus values")
@@ -212,23 +223,31 @@ class GroundTruthRun:
         return len(self.frames)
 
     def save(self, path) -> None:
-        """Write one JSON record per step (replayable, exact floats)."""
-        lines = [
-            json.dumps({
-                "t": frame.time_index,
-                "state": state,
-                "observations": [None if obs.value is None else float(obs.value) for obs in frame.observations],
-                "status": [_STATUS_NAMES[s] for s in codes],
-            }) + "\n"
-            for frame, state, codes in zip(self.frames, self.states.tolist(), self.failure_log.tolist())
-        ]
+        """Write one JSON record per step (replayable, exact floats), in
+        ``json.dumps``'s layout, through one ``%`` template per record. A
+        state entry goes through ``float.__repr__``, which is what
+        ``json.dumps`` writes for a finite float (construction rejects any
+        other), a reading through ``float.__str__`` (the same text), a lost
+        reading is ``null`` and a status name comes quoted from a table."""
+        T, d = self.states.shape
+        n = self.failure_log.shape[1]
+        record = (f'{{"t": %d, "state": [{", ".join(["%r"] * d)}], '
+                  f'"observations": [{", ".join(["%s"] * n)}], "status": [{", ".join(["%s"] * n)}]}}\n')
+        fields = np.empty((T, 1 + d + 2 * n), dtype=object)
+        fields[:, 0] = range(1, T + 1)
+        fields[:, 1:1 + d] = self.states   # as Python floats
+        fields[:, 1 + d:1 + d + n] = np.array([["null" if obs.value is None else float(obs.value)
+                                                for obs in frame.observations] for frame in self.frames],
+                                              dtype=object).reshape(T, n)
+        fields[:, 1 + d + n:] = _QUOTED_STATUS_NAMES[self.failure_log]
         with open(path, "w") as f:
-            f.write("".join(lines))
+            f.write(record * T % tuple(fields.ravel().tolist()))
 
     @classmethod
     def load(cls, path) -> "GroundTruthRun":
         """Read a file written by :meth:`save`. A malformed record raises
-        ValueError naming its line."""
+        ValueError naming its line; a run the constructor rejects (a
+        non-finite state, say) raises its error, naming the step."""
         states, frames, log = [], [], []
         with open(path) as f:
             for line_no, line in enumerate(f, start=1):
@@ -251,6 +270,7 @@ _STRING_TYPE = frozenset({str})
 _STATUS_CODES = {s.name: int(s) for s in ObservationStatus}
 _STATUS_NAMES = tuple(_STATUS_CODES)   # indexed by code
 _STATUS_NAME_SET = frozenset(_STATUS_NAMES)
+_QUOTED_STATUS_NAMES = np.array([json.dumps(name) for name in _STATUS_NAMES], dtype=object)
 
 
 def _parse_record(line: str):

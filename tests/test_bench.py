@@ -267,6 +267,8 @@ class TestConfigFile:
     def test_truth_transition_scaling(self):
         cfg = default_config()
         np.testing.assert_allclose(cfg.truth_transition().Q, cfg.model.transition.Q * 1e-4)
+        # built once per config, not once per dataset
+        assert cfg.truth_transition() is cfg.truth_transition()
 
     def test_load_overrides(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -723,11 +725,10 @@ class TestBenchmarkTracerSeams:
             assert all(0.0 < f <= 1.0 for f in health["ess_frac"] + health["unique_frac"]), algorithm
 
 
-# the seed-7 NDJSON digests recorded in BENCH_22.json and BENCH_23.json
+# the NDJSON digests at seeds 7 and 4242 recorded in BENCH_22.json to BENCH_24.json
 BENCHMARK_NDJSON_DIGESTS = {
-    "track-n10k": "36e75970eed2867a",
-    "replay-n1k": "809ab3fb554e3c74",
-    "wide-6mod": "83baf01bf74e89b8",
+    7: {"track-n10k": "36e75970eed2867a", "replay-n1k": "809ab3fb554e3c74", "wide-6mod": "83baf01bf74e89b8"},
+    4242: {"track-n10k": "b2db5a6bef84e27d", "replay-n1k": "8c2de91e0f9a7c16", "wide-6mod": "fc55a066c2813b75"},
 }
 
 
@@ -751,11 +752,12 @@ class TestBenchmarkDatasetBytes:
     """Every benchmark workload's datasets, built by the benchmark's own
     set-up and written to NDJSON, keep their recorded bytes."""
 
-    @pytest.mark.parametrize("workload", list(BENCHMARK_NDJSON_DIGESTS))
-    def test_seed_7_ndjson_digest(self, digests, workload):
+    @pytest.mark.parametrize("seed, workload", [(seed, w) for seed, table in BENCHMARK_NDJSON_DIGESTS.items()
+                                                for w in table])
+    def test_ndjson_digest(self, digests, seed, workload):
         module, run, mf = digests
         assert mf is modalfuse
-        assert module.ndjson_digest(run, mf, run.WORKLOADS[workload], 7) == BENCHMARK_NDJSON_DIGESTS[workload]
+        assert module.ndjson_digest(run, mf, run.WORKLOADS[workload], seed) == BENCHMARK_NDJSON_DIGESTS[seed][workload]
 
 
 # the seed-7 run_filter digests recorded in BENCH_22.json and BENCH_23.json:

@@ -347,6 +347,24 @@ class TestMixAndResample:
             assert np.array_equal(est, want)
             assert np.array_equal(resampled.states, picked.states)
 
+    @pytest.mark.parametrize("algorithm", ["pf", "ts", "sma", "dma"])
+    def test_mixed_sets_carry_their_weights_logs(self, model, monkeypatch, algorithm):
+        # the tail builds each mixture from its weights alone; a set it hands
+        # on (to estimate_mean and residual_resample, where perfbench's tracer
+        # hooks read it) still reads the log of its weights, zeros included
+        seen = []
+        monkeypatch.setattr(dma_mod, "estimate_mean", lambda p: seen.append(p) or estimate_mean(p))
+        frames = [ObservationFrame.of(t, [0.78 + 0.001 * t, None if t == 3 else 283.0 + t]) for t in range(1, 6)]
+        frames[1] = ObservationFrame.of(2, [-2.5, 1900.0])   # garbage readings drive weights to 0
+        p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 64, np.random.default_rng(0))
+        run_filter(algorithm, frames, p0, model.transition, model.modalities, np.random.default_rng(1))
+        assert len(seen) == len(frames) * (len(model.modalities) if algorithm == "sma" else 1)
+        for p in seen:
+            with np.errstate(divide="ignore"):
+                want = np.log(p.weights)
+            assert np.array_equal(p.log_weights, want) and not p.log_weights.flags.writeable
+            assert p.log_weights is p.log_weights   # derived once
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_state_at_zero_weight_raises(self, bad):
         # an in-loop set is trusted, so a non-finite state reaches the mixture;

@@ -263,6 +263,20 @@ class TestResidualResample:
         out = residual_resample(p, rng)
         np.testing.assert_allclose(out.log_weights, uniform_log_weights(5))
 
+    def test_a_set_built_from_its_weights_derives_its_log_weights(self):
+        w = np.array([0.5, 0.25, 0.25, 0.0])
+        p = ParticleSet._trusted(np.arange(4.0)[:, None], weights=w.copy())
+        assert "log_weights" not in vars(p)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(p.log_weights, np.log(w))
+        assert vars(p)["log_weights"] is p.log_weights and not p.log_weights.flags.writeable
+        assert np.array_equal(residual_resample(p, np.random.default_rng(0)).states[:, 0], [0.0, 0.0, 1.0, 2.0])
+        with pytest.raises(AttributeError, match="no attribute 'other'"):
+            p.other
+        # without weights there is nothing to derive the log-weights from
+        with pytest.raises(AttributeError, match="no attribute 'log_weights'"):
+            ParticleSet._trusted(np.zeros((2, 1))).log_weights
+
     def test_resampled_sets_share_one_read_only_uniform_row(self, rng):
         p = make_set(np.arange(5.0), [0.4, 0.3, 0.15, 0.1, 0.05])
         a, b = residual_resample(p, rng), residual_resample(residual_resample(p, rng), rng)

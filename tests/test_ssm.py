@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,15 @@ class TestWrapAngle:
         self._assert_bit_exact(rng.uniform(-50, 50, size=100_000))
         self._assert_bit_exact(rng.uniform(-1.5 * np.pi, 1.5 * np.pi, size=100_000))
 
+    def test_float_scalars_bit_exact_with_mod(self, rng):
+        # a float scalar is folded with Python's %, the arithmetic of np.mod
+        draws = np.concatenate([rng.uniform(-np.pi, np.pi, 20_000), rng.normal(0.0, 50.0, 20_000),
+                                rng.standard_cauchy(2_000)])
+        edges = [np.pi, -np.pi, 0.0, -0.0, 2.0 * np.pi, -2.0 * np.pi, 1e300, -1e300, 5e-324,
+                 np.finfo(float).max, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0)]
+        for theta in draws.tolist() + edges + [np.float64(e) for e in edges]:
+            self._assert_bit_exact(theta)
+
     def test_bit_exact_at_the_seams(self):
         seams = [np.pi, -np.pi, 0.0, -0.0, 2.0 * np.pi, -2.0 * np.pi, 3.0 * np.pi, -3.0 * np.pi]
         near = [np.nextafter(s, direction) for s in seams for direction in (-np.inf, np.inf)]
@@ -56,6 +66,7 @@ class TestWrapAngle:
     def test_bit_exact_on_scalars_and_nan(self):
         for theta in (np.pi, -np.pi, 0.0, 7.0, np.float64(-2.5), np.array(1.0)):
             self._assert_bit_exact(theta)
+            assert type(wrap_angle(theta)) is np.float64
         self._assert_bit_exact(np.array([0.5, np.nan, -0.5]))
         assert np.isnan(wrap_angle(np.nan))
         self._assert_bit_exact(np.empty(0))
@@ -337,13 +348,22 @@ class TestAngleLoglikFastPath:
     @example(y=3, x=np.array([[0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 1.0, 0.0]]))
     @example(y=np.float64(np.pi), x=np.array([[0.0, 0.0, 1.0, 1.0]]))
     def test_batch_equals_wrap_angle(self, y, x):
-        with np.errstate(over="ignore"):  # d_x / d_y overflows to a bearing of +-pi/2
-            self._assert_as_wrap_angle(y, x)
+        self._assert_as_wrap_angle(y, x)
 
     @pytest.mark.parametrize("y", [np.pi, -np.pi, 0.5, 20.0, 3])
     def test_single_state_equals_wrap_angle(self, y):
         self._assert_as_wrap_angle(y, np.array([0.0, 0.0, -3.0, 0.0]))
         self._assert_as_wrap_angle(y, np.array([0.0, 0.0, 4.0, 2.0]))
+
+    @pytest.mark.parametrize("x, want", [
+        (np.array([0.0, 0.0, 1e4, 1e-305]), np.pi / 2),
+        (np.array([[0.0, 0.0, -1e4, 1e-305], [0.0, 0.0, 1e300, 1e-300]]), np.array([-np.pi / 2, np.pi / 2])),
+    ], ids=["single", "batch"])
+    def test_mean_of_an_overflowing_ratio_is_silent(self, x, want):
+        # d_x / d_y overflows to +-inf, whose arctan is the bearing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(AngleModality().mean(x), want)
 
     def test_wrap_angle_runs_only_off_the_fast_path(self, monkeypatch):
         x = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, -2.0, 0.5]])
@@ -399,6 +419,15 @@ class TestObservationFrame:
         # value space's bounds and write it with float()
         with pytest.raises(ValueError, match="is not a real number"):
             ModalityObservation(value)
+        with pytest.raises(ValueError, match="is not a real number"):
+            ObservationFrame.of(1, [0.5, value])
+
+    def test_of_builds_the_observations_the_constructor_builds(self):
+        values = [0.5, None, np.float64(-3.0), 7]
+        frame = ObservationFrame.of(2, values)
+        assert frame == ObservationFrame(2, tuple(ModalityObservation(v) for v in values))
+        assert [type(o) for o in frame.observations] == [ModalityObservation] * 4
+        assert [o.value for o in frame.observations] == values
 
     @pytest.mark.parametrize("entry", [283.0, None, (283.0,)], ids=["float", "none", "tuple"])
     def test_entry_that_is_not_an_observation_rejected(self, entry):

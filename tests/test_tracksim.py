@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from modalfuse import (
@@ -283,7 +285,18 @@ MALFORMED = {
     "frame one reading short": (
         lambda s, f, log: (s, _replace_frame6(f, ObservationFrame.of(6, [f[5].observations[0].value])), log),
         "frame 6 has 1 readings"),
+    "states not finite": (lambda s, f, log: (_with(s, [(5, 2, np.nan), (7, 0, np.inf)]), f, log),
+                          r"state at step 6 is not finite: \[.*nan"),
+    "state overflowed": (lambda s, f, log: (_with(s, [(9, 3, -np.inf)]), f, log), "state at step 10 is not finite"),
 }
+
+
+def _with(states, entries):
+    """A copy of states with (row, column, value) entries set."""
+    out = states.copy()
+    for row, col, value in entries:
+        out[row, col] = value
+    return out
 
 
 class TestMalformedRun:
@@ -332,6 +345,21 @@ class TestMalformedRun:
         with pytest.raises(ValueError, match=rf"line 6: {message}"):
             GroundTruthRun.load(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_load_rejects_a_non_finite_state(self, run, tmp_path, token):
+        # json reads these tokens as floats; the run would replay with every
+        # error against its truth reading NaN
+        path = tmp_path / "run.ndjson"
+        run.save(path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[5])
+        record["state"][1] = float(token.replace("Infinity", "inf"))
+        lines[5] = json.dumps(record)
+        assert token in lines[5]
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError, match="state at step 6 is not finite"):
+            GroundTruthRun.load(path)
+
     def test_load_accepts_integer_values(self, run, tmp_path):
         # JSON written by other tools may drop the ".0" of whole numbers
         path = tmp_path / "run.ndjson"
@@ -344,6 +372,50 @@ class TestMalformedRun:
         back = GroundTruthRun.load(path)
         np.testing.assert_array_equal(back.states[5], [1.0, 1.0, 200.0, 200.0])
         assert [type(v) for v in (obs.value for obs in back.frames[5].observations)] == [float, float]
+
+
+# floats whose shortest repr takes each of its forms: signed zeros, the
+# smallest subnormal, exponent notation from 1e16 and below 1e-4, a whole
+# number past 2**53's exact integers and the largest float
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, -1e-5, 1e-4, 2.0 ** 53, 2.0 ** 53 + 2.0,
+               np.finfo(float).max, -np.finfo(float).max, 0.1, 1 / 3]
+STATE_ENTRIES = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+READINGS = st.one_of(STATE_ENTRIES, st.none(), st.integers(-2 ** 60, 2 ** 60), st.sampled_from([0, 3, -7]))
+
+
+@st.composite
+def ground_truth_runs(draw):
+    """A GroundTruthRun of 0-4 steps, d = 1-5 and 0-3 modalities; readings
+    and statuses are drawn independently of each other."""
+    T, d, n = draw(st.integers(0, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    states = np.array(draw(st.lists(st.lists(STATE_ENTRIES, min_size=d, max_size=d), min_size=T, max_size=T)),
+                      dtype=float).reshape(T, d)
+    frames = tuple(ObservationFrame.of(t, draw(st.lists(READINGS, min_size=n, max_size=n))) for t in range(1, T + 1))
+    log = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=T, max_size=T)),
+                   dtype=np.int64).reshape(T, n)
+    return GroundTruthRun(states, frames, log)
+
+
+class TestSaveMatchesJsonDumps:
+    """save lays records out from one template; its bytes must be those of
+    the per-record ``json.dumps`` writer in tests/reference.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(run=ground_truth_runs())
+    @example(run=GroundTruthRun(np.array([EDGE_FLOATS[:7], EDGE_FLOATS[7:]]),
+                                (ObservationFrame.of(1, [None, 3, -0.0]), ObservationFrame.of(2, [5e-324, None, 1e16])),
+                                np.array([[2, 0, 1], [0, 2, 1]])))
+    @example(run=GroundTruthRun(np.array([[2.0 ** 53]]), (ObservationFrame.of(1, []),), np.empty((1, 0), dtype=np.int64)))
+    def test_bytes_equal_the_reference(self, tmp_path_factory, run):
+        tmp = tmp_path_factory.mktemp("save")
+        run.save(tmp / "run.ndjson")
+        reference.save(run, tmp / "ref.ndjson")
+        assert (tmp / "run.ndjson").read_bytes() == (tmp / "ref.ndjson").read_bytes()
+        if run.horizon:  # an empty file gives load no state dimension
+            back = GroundTruthRun.load(tmp / "run.ndjson")
+            assert back.states.tobytes() == run.states.tobytes()
+            assert [[repr(o.value) for o in f.observations] for f in back.frames] == \
+                [[repr(o.value if o.value is None else float(o.value)) for o in f.observations] for f in run.frames]
 
 
 def _staggered_six():
