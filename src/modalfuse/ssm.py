@@ -56,41 +56,18 @@ DEFAULT_RANGE_MAX = 2000.0
 
 
 def wrap_angle(theta):
-    """Wrap angle(s) into (-pi, pi], bit for bit ``pi - mod(pi - theta, 2 pi)``."""
-    if isinstance(theta, float) and math.isfinite(theta):
-        # Python's float % is np.mod's arithmetic (fmod, then one fold by
-        # the divisor when the signs differ) without a ufunc call
-        return np.float64(np.pi - (np.pi - float(theta)) % TWO_PI)
-    m = np.pi - np.asarray(theta, dtype=float)
-    # numpy's float mod is slow. Inside (-2 pi, 4 pi) it is one fold by
-    # +-2 pi, exactly: fmod is exact there, and m + 2 pi is the rounding
-    # np.mod does for m < 0. Other scalars stay on np.mod, where the range
-    # check would cost more than it saves, as do NaN, inf and wider arrays.
-    if m.ndim == 0 or not (m.size and m.min() > -TWO_PI and m.max() < 2.0 * TWO_PI):
-        return np.pi - np.mod(m, TWO_PI)
-    return _fold(m)
-
-
-def _fold(m: np.ndarray) -> np.ndarray:
-    """``pi - mod(m, 2 pi)`` in m's buffer, for an array m inside (-2 pi, 4 pi)."""
-    m += np.where(m < 0.0, TWO_PI, np.where(m >= TWO_PI, -TWO_PI, 0.0))
-    return np.subtract(np.pi, m, out=m)
+    """Wrap angle(s) into (-pi, pi]: a numpy float64 for a scalar, an array
+    for an array. Rounding can give -pi for an angle within an ulp above
+    an odd multiple of pi."""
+    return np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), TWO_PI)
 
 
 _HALF_LOG_TWO_PI = 0.5 * np.log(TWO_PI)
 
 
 def _gauss_loglik(resid, sigma):
-    """log N(resid; 0, sigma^2): a numpy scalar for a scalar residual, a new
-    array for an array one (the same operations, in one buffer)."""
-    if np.ndim(resid) == 0:
-        return -0.5 * (resid / sigma) ** 2 - np.log(sigma) - _HALF_LOG_TWO_PI
-    out = np.divide(resid, sigma)
-    np.square(out, out=out)
-    out *= -0.5
-    out -= np.log(sigma)
-    out -= _HALF_LOG_TWO_PI
-    return out
+    """log N(resid; 0, sigma^2), a numpy scalar for a scalar residual."""
+    return -0.5 * (resid / sigma) ** 2 - np.log(sigma) - _HALF_LOG_TWO_PI
 
 
 def null_loglik(modality) -> float:
@@ -133,14 +110,20 @@ class AngleModality:
         return np.where(np.isnan(theta), 0.0, theta)
 
     def loglik(self, y, x):
-        """log p(y | x). For a batch of states and a float reading y in
-        [-pi, pi], pi - (y - mean) lies in [-pi/2, 5 pi/2], since the mean
-        lies in [-pi/2, pi/2]: ``wrap_angle``'s fold is then exact, and it
-        is applied without its range test. Any other reading, and a single
-        state, go through ``wrap_angle``."""
+        """log p(y | x), with the residual wrapped as ``wrap_angle`` wraps
+        it, bit for bit. For a batch of states and a float reading y in
+        [-pi, pi], m = pi - (y - mean) lies in [-pi/2, 5 pi/2], since the
+        mean lies in [-pi/2, pi/2]; there ``mod(m, 2 pi)`` is one exact
+        fold by +-2 pi, taken here in m's buffer. Any other reading, and a
+        single state, go through ``wrap_angle``."""
         mean = self.mean(x)
         if mean.ndim and isinstance(y, float) and -np.pi <= y <= np.pi:
-            resid = _fold(np.pi - (y - mean))
+            # fmod is exact there, and m + 2 pi is the rounding np.mod does for m < 0.
+            # The fold pays: through wrap_angle, runs read 1.04 (replay-n1k PF),
+            # 1.13 (wide-6mod PF) and 1.12 (track-n10k PF) times as long (tools/ab.py)
+            m = np.pi - (y - mean)
+            m += np.where(m < 0.0, TWO_PI, np.where(m >= TWO_PI, -TWO_PI, 0.0))
+            resid = np.subtract(np.pi, m, out=m)
         else:
             resid = wrap_angle(np.asarray(y, dtype=float) - mean)
         return _gauss_loglik(resid, self.sigma)
@@ -294,7 +277,9 @@ def _observation(value) -> ModalityObservation:
     """``ModalityObservation(value)``, checked the same way, without the
     dataclass ``__init__`` and ``__post_init__`` calls. The value is set
     through ``object.__setattr__``, as that ``__init__`` sets it, so the
-    instance keeps its compact attribute storage."""
+    instance keeps its compact attribute storage. With ``ObservationFrame.of``
+    it pays: building frames through the two constructors made set-up 1.05
+    (replay-n1k), 1.06 (wide-6mod) and 1.07 (track-n10k) times as long."""
     _check_reading(value)
     obs = object.__new__(ModalityObservation)
     object.__setattr__(obs, "value", value)

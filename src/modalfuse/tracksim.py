@@ -182,10 +182,11 @@ class GroundTruthRun:
     """True states, observation frames and the per-step failure log.
 
     Construction is the boundary for generated and loaded runs alike: it
-    rejects frames whose time indices do not run 1..T in order, states,
-    failure log or frames whose shapes disagree, and a non-finite state
-    (every error against the truth would read NaN), naming the first
-    mismatch or bad step.
+    rejects a run with no steps (``save`` would write an empty file,
+    which gives ``load`` no state dimension), frames whose time indices
+    do not run 1..T in order, states, failure log or frames whose shapes
+    disagree, and a non-finite state (every error against the truth
+    would read NaN), naming the first mismatch or bad step.
     """
 
     states: np.ndarray                       # (T, d)
@@ -197,6 +198,8 @@ class GroundTruthRun:
         states = np.asarray(self.states, dtype=float)
         log = np.asarray(self.failure_log, dtype=np.int64)
         T = len(frames)
+        if T == 0:
+            raise ValueError("a run needs one or more steps, got none")
         if states.ndim != 2 or states.shape[0] != T:
             raise ValueError(f"states are shaped {states.shape}, expected ({T}, d)")
         if log.ndim != 2 or log.shape[0] != T:
@@ -246,8 +249,9 @@ class GroundTruthRun:
     @classmethod
     def load(cls, path) -> "GroundTruthRun":
         """Read a file written by :meth:`save`. A malformed record raises
-        ValueError naming its line; a run the constructor rejects (a
-        non-finite state, say) raises its error, naming the step."""
+        ValueError naming its line, and an empty file raises ValueError
+        naming the file; a run the constructor rejects (a non-finite
+        state, say) raises its error, naming the step."""
         states, frames, log = [], [], []
         with open(path) as f:
             for line_no, line in enumerate(f, start=1):
@@ -258,6 +262,8 @@ class GroundTruthRun:
                     raise ValueError(f"{path}, line {line_no}: {exc}") from exc
                 states.append(state)
                 log.append(status)
+        if not frames:
+            raise ValueError(f"{path} holds no records, and a run has one or more steps")
         return cls(np.asarray(states), tuple(frames), np.asarray(log))
 
 

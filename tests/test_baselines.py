@@ -35,7 +35,7 @@ from modalfuse import (
 )
 from modalfuse.baselines import SmaState
 from modalfuse.diagnostics import RunTrace
-from modalfuse.dma import reweight_rows
+from modalfuse.dma import enumerate_candidates, reweight_rows
 from modalfuse.particles import WEIGHT_TOL
 from modalfuse.ssm import null_loglik
 
@@ -800,3 +800,76 @@ class TestReorderedModalities:
                 else:
                     np.testing.assert_allclose(new_swapped.pi, new.pi, rtol=0.0, atol=1e-12)
                 states[name] = new
+
+
+class TestAlwaysLostModality:
+    """ROADMAP item 7's R1: a modality whose every reading is lost carries
+    no information. Added to the models and as a lost reading to every
+    frame, appended or put first (the relation holds at any position, and
+    first it shifts every other modality's index), it leaves PF and TS
+    bit-identical over a whole scenario-2 run, with TS's failure
+    probability of the lost modality at its initial 0. DMA then has two
+    twins per candidate, which differ only in the lost bit and have one
+    log-likelihood row. Stepped from a shared state (each twin holding half
+    its candidate's mass), DMA agrees to 1e-12 on its estimate and on its
+    posterior summed over each pair of twins, once ``PI_FLOOR`` is
+    negligible: the floor applies per candidate, so the twins hold twice a
+    pattern's floor mass (see the note at ``dma.PI_FLOOR``)."""
+
+    LOST = tracking_model_2d().modalities[0]
+
+    @staticmethod
+    def _with_lost(seq, at, lost):
+        out = list(seq)
+        out.insert(at, lost)
+        return tuple(out)
+
+    def _frame(self, frame, at):
+        return ObservationFrame.of(frame.time_index, self._with_lost([o.value for o in frame.observations], at, None))
+
+    @pytest.mark.parametrize("at", [2, 0], ids=["appended", "first"])
+    @pytest.mark.parametrize("name", ["pf", "ts"])
+    def test_pf_and_ts_runs_are_bit_identical(self, scenario2, name, at):
+        cfg, frames = scenario2
+        transition, models = cfg.model.transition, cfg.model.modalities
+        p0 = init_particles(init_prior("accurate", cfg.x0), 500, np.random.default_rng(7))
+        est, trace = run_filter(name, frames, p0, transition, models, np.random.default_rng(8))
+        est_lost, trace_lost = run_filter(name, [self._frame(f, at) for f in frames], p0, transition,
+                                          self._with_lost(models, at, self.LOST), np.random.default_rng(8))
+        assert len(est) == 300
+        assert np.array_equal(est, est_lost)
+        assert trace_lost.flags == trace.flags
+        if name == "ts":
+            alpha = trace_lost.weight_matrix()
+            assert np.array_equal(np.delete(alpha, at, axis=1), trace.weight_matrix())
+            assert not alpha[:, at].any()
+
+    @staticmethod
+    def _twin_of(at):
+        """For each of the 8 candidates over the three modalities, the index
+        among the 4 over the two real ones of its bits without the lost one."""
+        index = {tuple(c): j for j, c in enumerate(enumerate_candidates(2).tolist())}
+        return np.array([index[tuple(np.delete(c, at))] for c in enumerate_candidates(3)])
+
+    @pytest.mark.parametrize("at", [2, 0], ids=["appended", "first"])
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 3000), steps=st.lists(st.tuples(READINGS, READINGS), min_size=1, max_size=10))
+    @example(n=500, steps=[("reading", "reading")] * 3 + [("lost", "reading"), ("reading", "lost"), (1.0, 0.3)])
+    def test_dma_agrees_per_step(self, scenario2, at, n, steps):
+        cfg, frames = scenario2
+        transition = cfg.model.transition
+        models_lost = self._with_lost(TIGHT_MODELS, at, self.LOST)
+        twin_of, candidates_lost = self._twin_of(at), enumerate_candidates(3)
+        rng = np.random.default_rng(n)
+        state = init_dma(init_particles(init_prior("accurate", cfg.x0), n, rng), 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dma_mod, "PI_FLOOR", 1e-300)
+            for kinds, dataset_frame in zip(steps, frames):
+                frame = _redraw(dataset_frame, kinds, TIGHT_MODELS)
+                lifted = replace(state, pi=state.pi[twin_of] / 2.0, candidates=candidates_lost)
+                twin = deepcopy(rng)
+                new, estimate, pi = dma_step(state, frame, transition, TIGHT_MODELS, rng)
+                _, estimate_lost, pi_lost = dma_step(lifted, self._frame(frame, at), transition, models_lost, twin)
+                assert np.linalg.norm(estimate_lost - estimate) <= 1e-12 * np.linalg.norm(estimate)
+                np.testing.assert_allclose(np.bincount(twin_of, weights=pi_lost), pi, rtol=0.0, atol=1e-12)
+                state = new

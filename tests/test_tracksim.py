@@ -310,6 +310,17 @@ class TestMalformedRun:
         with pytest.raises(ValueError, match=message):
             GroundTruthRun(*corrupt(run.states, run.frames, run.failure_log))
 
+    @pytest.mark.parametrize("states", [np.empty((0, 4)), np.empty(0)], ids=["0_by_d", "flat"])
+    def test_run_with_no_steps_rejected(self, states):
+        with pytest.raises(ValueError, match="a run needs one or more steps, got none"):
+            GroundTruthRun(states, (), np.empty((0, 2), dtype=np.int64))
+
+    def test_load_of_an_empty_file_names_it(self, tmp_path):
+        path = tmp_path / "empty.ndjson"
+        path.write_text("")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))} holds no records"):
+            GroundTruthRun.load(path)
+
     @pytest.mark.parametrize("key, value, message", [
         ("t", 99, "frame 6 has time index 99"),
         ("observations", [0.5], "frame 6 has 1 readings"),
@@ -385,9 +396,9 @@ READINGS = st.one_of(STATE_ENTRIES, st.none(), st.integers(-2 ** 60, 2 ** 60), s
 
 @st.composite
 def ground_truth_runs(draw):
-    """A GroundTruthRun of 0-4 steps, d = 1-5 and 0-3 modalities; readings
+    """A GroundTruthRun of 1-4 steps, d = 1-5 and 0-3 modalities; readings
     and statuses are drawn independently of each other."""
-    T, d, n = draw(st.integers(0, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    T, d, n = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
     states = np.array(draw(st.lists(st.lists(STATE_ENTRIES, min_size=d, max_size=d), min_size=T, max_size=T)),
                       dtype=float).reshape(T, d)
     frames = tuple(ObservationFrame.of(t, draw(st.lists(READINGS, min_size=n, max_size=n))) for t in range(1, T + 1))
@@ -411,11 +422,10 @@ class TestSaveMatchesJsonDumps:
         run.save(tmp / "run.ndjson")
         reference.save(run, tmp / "ref.ndjson")
         assert (tmp / "run.ndjson").read_bytes() == (tmp / "ref.ndjson").read_bytes()
-        if run.horizon:  # an empty file gives load no state dimension
-            back = GroundTruthRun.load(tmp / "run.ndjson")
-            assert back.states.tobytes() == run.states.tobytes()
-            assert [[repr(o.value) for o in f.observations] for f in back.frames] == \
-                [[repr(o.value if o.value is None else float(o.value)) for o in f.observations] for f in run.frames]
+        back = GroundTruthRun.load(tmp / "run.ndjson")
+        assert back.states.tobytes() == run.states.tobytes()
+        assert [[repr(o.value) for o in f.observations] for f in back.frames] == \
+            [[repr(o.value if o.value is None else float(o.value)) for o in f.observations] for f in run.frames]
 
 
 def _staggered_six():
