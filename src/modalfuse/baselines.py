@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import dma
-from .particles import ParticleSet, _check_particle_set, _read_only, propagate
+from .particles import ParticleSet, _check_modality_count, _check_particle_set, _read_only, propagate
 
 TS_SMOOTHING = 0.5
 # PF's and TS's mixing weights: one set, one row
@@ -73,19 +73,13 @@ def _collapse_flag(log_g):
     return None if np.isfinite(log_g).all() else "weight_collapse"
 
 
-def _check_modality_count(name: str, n_modalities) -> None:
-    if isinstance(n_modalities, bool) or not isinstance(n_modalities, (int, np.integer)):
-        raise ValueError(f"{name} needs an integer modality count, got {n_modalities!r}")
-    if n_modalities < 1:
-        raise ValueError(f"{name} needs one or more modalities, got {n_modalities}")
-
-
 @dataclass(frozen=True)
 class SmaState:
     """One particle set and one random stream per modality, indexed by
-    modality: ParticleSets of one size, one stream each. The streams are
-    generators that advance as the members step, so a state is stepped
-    once. Built by ``init_sma`` and ``sma_step`` only."""
+    modality: ParticleSets of one size that share one log-weight row, one
+    stream each. The streams are generators that advance as the members
+    step, so a state is stepped once. Built by ``init_sma`` and
+    ``sma_step`` only."""
 
     sub_filters: tuple[ParticleSet, ...]
     rngs: tuple[np.random.Generator, ...]
@@ -97,8 +91,8 @@ def init_sma(particles: ParticleSet, n_modalities: int, rng) -> SmaState:
     whole run (keyed by modality index, so the result does not depend on
     evaluation order)."""
     _check_particle_set(particles)
-    _check_modality_count("SMA", n_modalities)
-    return SmaState((particles,) * n_modalities, tuple(rng.spawn(n_modalities)))
+    n = _check_modality_count("SMA", n_modalities)
+    return SmaState((particles,) * n, tuple(rng.spawn(n)))
 
 
 def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
@@ -111,10 +105,11 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
     resamples on its own stream, and the B members' weight work is one
     batch through the shared kernel: a (B, N) log-likelihood matrix (row
     i is reading i on member i's states, zeros when it is lost), one
-    ``dma.reweight_rows`` call and one ``dma.mix_and_resample`` call over
-    the B members with W = eye(B). Member i equals ``pf_step`` on the
-    frame with every other reading lost, on stream i, bit for bit. A step
-    with a member whose every weight underflowed is flagged.
+    ``dma.reweight_rows`` call with the members' shared log-weight row,
+    and one ``dma.mix_and_resample`` call over the B members with
+    W = eye(B). Member i equals ``pf_step`` on the frame with every other
+    reading lost, on stream i, bit for bit. A step with a member whose
+    every weight underflowed is flagged.
     """
     n = len(models)
     if len(frame.observations) != n:
@@ -127,7 +122,9 @@ def sma_step(state: SmaState, frame, transition, models, rng, trace=None):
         obs = frame.observations[i]
         if obs.present:
             ll[i] = models[i].loglik(obs.value, p.states)
-    log_g, E, scale = dma.reweight_rows(np.stack([p.log_weights for p in props]), ll)
+    # the members share one log-weight row: init_sma starts them from one set,
+    # and residual_resample gives each the one cached uniform row per N
+    log_g, E, scale = dma.reweight_rows(props[0].log_weights, ll)
     subs, estimates = dma.mix_and_resample(props, _identity(n), E, scale, state.rngs)
     if trace is not None:
         trace.record(flag=_collapse_flag(log_g))
@@ -148,8 +145,7 @@ class TsState:
 def init_ts(particles: ParticleSet, n_modalities: int) -> TsState:
     """Every modality starts with failure probability alpha = 0."""
     _check_particle_set(particles)
-    _check_modality_count("TS", n_modalities)
-    return TsState(particles, _read_only(np.zeros(n_modalities)))
+    return TsState(particles, _read_only(np.zeros(_check_modality_count("TS", n_modalities))))
 
 
 def _failure_prob(prev_alpha, p: ParticleSet, frame, models):

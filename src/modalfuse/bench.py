@@ -110,10 +110,14 @@ def rmse(estimates, truth, mode: str = "full") -> float:
 
 
 def _check_readings(frames, models) -> None:
-    """Reject any present reading outside its modality's value space,
-    naming the step, the modality, the value and the space."""
+    """Reject a frame whose reading count differs from the model's, and
+    any present reading outside its modality's value space, naming the
+    step (and the modality, the value and the space)."""
     spaces = [m.value_space for m in models]
     for frame in frames:
+        if len(frame.observations) != len(spaces):
+            raise ValueError(f"step {frame.time_index}: frame has {len(frame.observations)} "
+                             f"modality readings, model has {len(spaces)}")
         for i, (obs, (low, high)) in enumerate(zip(frame.observations, spaces)):
             if obs.present and not low <= obs.value <= high:
                 raise ValueError(
@@ -185,9 +189,8 @@ def make_dataset(spec: ScenarioSpec, cfg: ExperimentConfig, master_seed: int, ru
     return generate_run(spec, cfg.x0, cfg.truth_transition(), cfg.model.modalities, rng)
 
 
-def _single_run(algorithms, spec, cfg, n_particles, master_seed, prior_mode, rmse_mode, outdir, run_index):
+def _single_run(algorithms, spec, cfg, n_particles, master_seed, prior, rmse_mode, outdir, run_index):
     dataset = make_dataset(spec, cfg, master_seed, run_index)
-    prior = init_prior(prior_mode, cfg.x0)
     particles0 = init_particles(prior, n_particles, stream_rng(master_seed, run_index, STREAM_INIT))
     results = []
     for algorithm in algorithms:
@@ -270,11 +273,10 @@ def _run_batch(algorithms, scenario, n_particles, runs, master_seed, prior, rmse
         raise ValueError("particles and runs must be >= 1")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if prior not in PRIOR_MODES:
-        raise ValueError(f"unknown prior mode {prior!r}")
     if rmse_mode not in RMSE_MODES:
         raise ValueError(f"unknown rmse mode {rmse_mode!r}")
     cfg = config or default_config()
+    prior = init_prior(prior, cfg.x0)
     spec = _resolve_scenario(scenario, cfg)
     if outdir is not None:
         outdir = Path(outdir)

@@ -42,9 +42,10 @@ filter step computes a marginal likelihood, an estimate or a resample
 
 The candidate posterior is a plain read-only (M,) probability vector:
 ``DmaState.pi`` holds it and ``dma_step`` returns it. ``init_dma`` is
-where a state's inputs are checked (the particle set and the candidates);
-every later state is built valid by ``dma_step``, which still checks the
-frame and the models it is given against the state.
+where a state's inputs are checked (the particle set, the modality count
+and the candidates); every later state is built valid by ``dma_step``,
+which still checks the frame and the models it is given against the
+state.
 
 A posterior floor keeps every one of the M candidates at weight
 >= PI_FLOOR / (1 + M * PI_FLOOR): the update raises each entry to at
@@ -57,12 +58,12 @@ comes back.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .particles import ParticleSet, _check_particle_set, _read_only, estimate_mean, propagate, residual_resample
+from .particles import (ParticleSet, _check_modality_count, _check_particle_set, _read_only, estimate_mean,
+                        propagate, residual_resample)
 from .ssm import null_loglik
 
 # The floor applies per candidate, so a usefulness pattern's floor mass
@@ -88,9 +89,7 @@ def enumerate_candidates(n: int) -> np.ndarray:
     first and the all-zeros vector last. For n = 2 the order is
     [1,1], [1,0], [0,1], [0,0].
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"modality count must be >= 1, got {n}")
+    n = _check_modality_count("DMA", n)
     m = 2 ** n
     need = m * n * 8
     if need > CANDIDATE_MATRIX_BUDGET:
@@ -204,11 +203,13 @@ def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates
     set (e.g. a single all-ones row reduces the filter to a plain PF).
     """
     _check_particle_set(particles)
+    if n_modalities is not None:
+        n_modalities = _check_modality_count("DMA", n_modalities)
     if candidates is None:
         if n_modalities is None:
             raise ValueError("give either n_modalities or an explicit candidate set")
         # M from n, so the budget is checked before the candidates are enumerated
-        m = 2 ** operator.index(n_modalities)
+        m = 2 ** n_modalities
     else:
         candidates = np.asarray(candidates)
         if candidates.ndim != 2 or candidates.size == 0 or not np.isin(candidates, (0, 1)).all():
@@ -228,9 +229,9 @@ def init_dma(particles: ParticleSet, n_modalities: int | None = None, candidates
 
 
 def reweight_rows(log_weights: np.ndarray, ll: np.ndarray):
-    """Reweight pre-update particles with log-weights ``log_weights``, (N,)
-    or one row per set, by each row of an (M, N) log-likelihood matrix;
-    returns ``(log_g, E, scale)``.
+    """Reweight pre-update particles with one (N,) row of log-weights
+    ``log_weights``, shared by every row, by each row of an (M, N)
+    log-likelihood matrix; returns ``(log_g, E, scale)``.
 
     ``log_g`` (M,) holds the rows' marginals log(sum_i w_i L_m(x^i)),
     and scale[m] * E[m] is row m's normalised weighting. One max-shifted

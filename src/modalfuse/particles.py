@@ -138,6 +138,17 @@ def _check_particle_set(particles):
         raise ValueError(f"particles must be a ParticleSet, got {type(particles).__name__}")
 
 
+def _check_modality_count(name: str, n_modalities) -> int:
+    """The filters' ``init_*`` check on a modality count, also
+    ``dma.enumerate_candidates``': an integer (Python or numpy, not bool)
+    of at least 1, returned as an int. ``name`` names the filter."""
+    if isinstance(n_modalities, bool) or not isinstance(n_modalities, (int, np.integer)):
+        raise ValueError(f"{name} needs an integer modality count, got {n_modalities!r}")
+    if n_modalities < 1:
+        raise ValueError(f"{name} needs one or more modalities, got {n_modalities}")
+    return int(n_modalities)
+
+
 def init_particles(prior, n: int, rng) -> ParticleSet:
     """Draw n equally weighted particles from ``prior(n, rng)``, an (n, d) array."""
     if n < 1:

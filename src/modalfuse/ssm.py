@@ -19,8 +19,9 @@ A modality model is any object exposing
 ``rng.normal(mean(x), sigma)`` passed through the modality's fold into
 its value space: numpy forms that normal as ``loc + scale * z``.
 
-A reading is one finite real number, or None when lost; its position in
-an ``ObservationFrame`` is its modality index. ``null_loglik(modality)``
+A reading is one finite real number, or None when lost, and has one
+checked constructor, ``ModalityObservation(value)``; its position in an
+``ObservationFrame`` is its modality index. ``null_loglik(modality)``
 is what a modality contributes when its output carries no information
 about the state: the reading is then uniform noise across the value
 space, whatever the state.
@@ -249,15 +250,17 @@ class LinearGaussianTransition:
         return path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModalityObservation:
     """One modality's reading at one step: a finite real number, or None
-    for a lost observation."""
+    for a lost observation. ``ModalityObservation(value)`` is the one
+    place a reading is checked and built."""
 
     value: float | None
 
-    def __post_init__(self):
-        _check_reading(self.value)
+    def __init__(self, value):
+        _check_reading(value)
+        object.__setattr__(self, "value", value)
 
     @property
     def present(self) -> bool:
@@ -271,19 +274,6 @@ def _check_reading(v) -> None:
         raise ValueError(f"observation value {v!r} is not a real number") from None
     if not finite:
         raise ValueError("observation values must be finite (use None for lost readings)")
-
-
-def _observation(value) -> ModalityObservation:
-    """``ModalityObservation(value)``, checked the same way, without the
-    dataclass ``__init__`` and ``__post_init__`` calls. The value is set
-    through ``object.__setattr__``, as that ``__init__`` sets it, so the
-    instance keeps its compact attribute storage. With ``ObservationFrame.of``
-    it pays: building frames through the two constructors made set-up 1.05
-    (replay-n1k), 1.06 (wide-6mod) and 1.07 (track-n10k) times as long."""
-    _check_reading(value)
-    obs = object.__new__(ModalityObservation)
-    object.__setattr__(obs, "value", value)
-    return obs
 
 
 @dataclass(frozen=True)
@@ -306,8 +296,10 @@ class ObservationFrame:
     def of(cls, time_index: int, values) -> "ObservationFrame":
         """Build a frame from raw per-modality values (None = lost). Each
         value is checked as it becomes a ModalityObservation, so the frame
-        is built without the constructor's per-entry type check."""
-        observations = tuple(map(_observation, values))
+        is built without the constructor's per-entry type check: through
+        it, set-up ran 1.06 (wide-6mod) and 1.05 (replay-n1k) times as
+        long (tools/ab.py)."""
+        observations = tuple(map(ModalityObservation, values))
         if time_index < 1:
             raise ValueError("time_index starts at 1")
         frame = object.__new__(cls)

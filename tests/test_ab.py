@@ -28,6 +28,7 @@ def test_a_a_of_the_working_tree_exits_0():
     assert row["filter"] == "pf" and row["workload"] == "replay-n1k" and row["pairs"] == 2
     assert row["lo"] <= row["ratio"] <= row["hi"] and 0 <= row["wins"] <= 2
     assert row["a_median_s"] > 0.0 and row["b_median_s"] > 0.0
+    assert row["a_median_minflt"] >= 0.0 and row["b_median_minflt"] >= 0.0
 
 
 def test_a_changed_pf_output_exits_1_naming_filter_and_dataset(tmp_path):

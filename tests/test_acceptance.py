@@ -10,7 +10,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 ACCEPTANCE_JOBS sets the process count for the Monte Carlo batches.
 """
 
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +203,22 @@ def test_baseline_failure_orderings(grid):
     assert verdict("orderings", ok,
                    f"PF degrades under failures ({pf1:.1f} -> {pf2:.1f} / {pf4:.1f}); "
                    f"scenario-4 TS {ts4:.1f} > DMA {dma4:.1f}; scenario-2 SMA {sma2:.1f} > DMA {dma2:.1f}")
+
+
+# the desk grid digest recorded in BENCH_15.json to BENCH_26.json
+DESK_GRID_DIGEST = "dd6fecea4ea82c0a"
+
+
+def test_desk_grid_digest(grid):
+    """Every estimate and weight trace of the desk grid keeps its recorded
+    bytes, digested by tools/digests.py's ``grid_digest``."""
+    if SCALE != "desk":
+        pytest.skip("the digest pins the desk grid")
+    path = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
+    spec = importlib.util.spec_from_file_location("tools_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    assert digests.grid_digest(grid) == DESK_GRID_DIGEST
 
 
 def test_A9_equivalence_oracles(monkeypatch):

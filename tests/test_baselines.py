@@ -33,7 +33,6 @@ from modalfuse import (
     tracking_model_2d,
     ts_step,
 )
-from modalfuse.baselines import SmaState
 from modalfuse.diagnostics import RunTrace
 from modalfuse.dma import enumerate_candidates, reweight_rows
 from modalfuse.particles import WEIGHT_TOL
@@ -252,13 +251,12 @@ class TestSmaBatchGate:
             models = models[:1] + (ConstantModality(-np.inf),) + models[2:]
         elif case == "nan_particle":
             models = (NanOnFirstParticle(models[0]),) + models[1:]
+        elif case == "weighted_p0":
+            # non-uniform step-1 weights, which init_sma gives every member
+            lw = np.random.default_rng(2).normal(0.0, 2.0, p0.n)
+            p0 = ParticleSet(p0.states, lw - logsumexp(lw))
         # two states on equal streams: each state's generators advance as it steps
         batch, ref = (init_sma(p0, len(models), np.random.default_rng(5)) for _ in range(2))
-        if case == "weighted_p0":
-            # non-uniform step-1 weights, different for every member
-            lws = np.random.default_rng(2).normal(0.0, 2.0, (len(models), p0.n))
-            subs = tuple(ParticleSet(p0.states, lw - logsumexp(lw)) for lw in lws)
-            batch, ref = SmaState(subs, batch.rngs), SmaState(subs, ref.rngs)
         for f in frames:
             batch, est = sma_step(batch, f, model.transition, models, None)
             ref, ref_est, _ = sma_by_member(ref, f, model.transition, models)
@@ -521,7 +519,9 @@ class TestSmaStreams:
 
 
 # what each init takes besides the particle set
-INITS = {"TS": init_ts, "SMA": lambda p0, n: init_sma(p0, n, np.random.default_rng(3))}
+INITS = {"TS": init_ts, "SMA": lambda p0, n: init_sma(p0, n, np.random.default_rng(3)), "DMA": init_dma}
+# the modality count of each init's state
+COUNTS = {"TS": lambda s: len(s.alpha), "SMA": lambda s: len(s.sub_filters), "DMA": lambda s: s.candidates.shape[1]}
 
 
 class TestModalityCountChecked:
@@ -537,15 +537,17 @@ class TestModalityCountChecked:
                              ids=["fraction", "whole_float", "numpy_float", "string", "bool", "none"])
     def test_not_an_integer_rejected(self, name, count):
         p0 = init_particles(spread_prior, 4, np.random.default_rng(0))
-        with pytest.raises(ValueError, match=rf"{name} needs an integer modality count, got {re.escape(repr(count))}$"):
+        message = rf"{name} needs an integer modality count, got {re.escape(repr(count))}$"
+        if name == "DMA" and count is None:  # None asks for an explicit candidate set
+            message = "give either n_modalities or an explicit candidate set"
+        with pytest.raises(ValueError, match=message):
             INITS[name](p0, count)
 
     @pytest.mark.parametrize("name", list(INITS))
     @pytest.mark.parametrize("count", [1, 3, np.int32(2)], ids=["one", "three", "numpy_int"])
     def test_integers_from_one_accepted(self, name, count):
         p0 = init_particles(spread_prior, 4, np.random.default_rng(0))
-        state = INITS[name](p0, count)
-        assert len(state.alpha if name == "TS" else state.sub_filters) == count
+        assert COUNTS[name](INITS[name](p0, count)) == count
 
 
 class TestTailCostShape:

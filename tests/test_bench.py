@@ -681,6 +681,18 @@ class TestReadingValueSpace:
         estimates, _ = self._run(model, values, algorithm)
         assert estimates.shape == (2, 4) and np.all(np.isfinite(estimates))
 
+    @pytest.mark.parametrize("algorithm", ["pf", "ts", "sma", "dma"])
+    def test_reading_count_rejected_before_the_first_step(self, model, algorithm):
+        class NeverSampled:
+            def sample(self, x_prev, rng):
+                raise AssertionError("a step ran before the frames were checked")
+
+        frames = [ObservationFrame.of(t, [0.78, 283.0]) for t in (1, 2, 3)]
+        frames.append(ObservationFrame.of(4, [0.78, 283.0, 1.0]))
+        p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 32, np.random.default_rng(3))
+        with pytest.raises(ValueError, match=r"^step 4: frame has 3 modality readings, model has 2$"):
+            run_filter(algorithm, frames, p0, NeverSampled(), model.modalities, np.random.default_rng(4))
+
 
 def _load_tracer():
     """perfbench/tracer.py, loaded by path as the benchmark loads it."""

@@ -30,8 +30,11 @@ dataset count), with A first in even pairs and B first in odd ones.
 
 The output is one JSON line per filter: the median over pairs of the
 ratio B/A of the two run times, its 95 % bootstrap interval (2,000
-resamples of the pairs, fixed seed), the number of pairs B won, and both
-sides' median times in seconds.
+resamples of the pairs, fixed seed), the number of pairs B won, both
+sides' median times in seconds and both sides' median minor page faults
+per timed call (``ru_minflt`` of this process, read before and after
+it). A side whose runs fault far more than the other's can be slower
+from its heap's layout alone.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import resource
 import subprocess
 import sys
 import tarfile
@@ -134,22 +138,27 @@ def first_difference(a: Side, b: Side, algs, seed: int) -> str | None:
     return None
 
 
-def _timed(fn) -> float:
+def _timed(fn) -> tuple[float, int]:
+    """The seconds one call of ``fn`` takes and the minor page faults it makes."""
     gc.collect()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     fn()
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
-def summarise(alg: str, times_a, times_b) -> dict:
-    a, b = np.asarray(times_a), np.asarray(times_b)
+def summarise(alg: str, runs_a, runs_b) -> dict:
+    """One row from each side's (seconds, minor faults) per timed call."""
+    (a, faults_a), (b, faults_b) = (np.asarray(runs, dtype=float).T for runs in (runs_a, runs_b))
     ratios = b / a
     rng = np.random.default_rng(BOOTSTRAP_SEED)
     boot = np.median(ratios[rng.integers(0, len(ratios), size=(RESAMPLES, len(ratios)))], axis=1)
     lo, hi = np.percentile(boot, [2.5, 97.5])
     return {"filter": alg, "ratio": round(float(np.median(ratios)), 4), "lo": round(float(lo), 4),
             "hi": round(float(hi), 4), "wins": int(np.sum(b < a)), "pairs": len(ratios),
-            "a_median_s": round(float(np.median(a)), 5), "b_median_s": round(float(np.median(b)), 5)}
+            "a_median_s": round(float(np.median(a)), 5), "b_median_s": round(float(np.median(b)), 5),
+            "a_median_minflt": float(np.median(faults_a)), "b_median_minflt": float(np.median(faults_b))}
 
 
 def compare(a: Side, b: Side, wl: str, seed: int, pairs: int, algs, scratch: Path) -> int:

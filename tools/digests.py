@@ -81,8 +81,8 @@ def run_filter_digest(run, mf, wl, seed: int) -> str:
         return _digest(_run_parts(mf, inputs, seed))
 
 
-def grid_digest(mf) -> str:
-    grid = mf.bench.run_table1(1000, 25, 20240501, jobs=2)
+def grid_digest(grid) -> str:
+    """The digest of a ``run_table1`` grid."""
     parts = []
     for key in sorted(grid):
         for r in grid[key].results:
@@ -102,7 +102,7 @@ def main(argv: list[str]) -> int:
             print(f"ndjson      seed {seed:<5} {wl.name:<11} {ndjson_digest(run, mf, wl, seed)}", flush=True)
     for wl in run.WORKLOADS.values():
         print(f"run_filter  seed {SEEDS[0]:<5} {wl.name:<11} {run_filter_digest(run, mf, wl, SEEDS[0])}", flush=True)
-    print(f"grid        desk             {grid_digest(mf)}", flush=True)
+    print(f"grid        desk             {grid_digest(mf.bench.run_table1(1000, 25, 20240501, jobs=2))}", flush=True)
     return 0
 
 
