@@ -23,7 +23,7 @@ rng = np.random.default_rng(7)
 
 for k in (1, 2, 3, 4):
     spec = builtin_scenario(k)
-    run = generate_run(spec, DEFAULT_X0, cfg.truth_transition(), cfg.model.modalities, rng)
+    run = generate_run(spec, DEFAULT_X0, cfg.truth_transition, cfg.model.modalities, rng)
     counts = {
         s.name: int(np.sum(run.failure_log == s))
         for s in (ObservationStatus.NORMAL, ObservationStatus.FAILED, ObservationStatus.LOST)
@@ -35,7 +35,7 @@ for k in (1, 2, 3, 4):
         print(f"   modality {w.modality} lost on [{w.t_start}, {w.t_end}]")
 
 # a closer look at scenario 2 around its first failure window
-run = generate_run(builtin_scenario(2), DEFAULT_X0, cfg.truth_transition(), cfg.model.modalities, rng)
+run = generate_run(builtin_scenario(2), DEFAULT_X0, cfg.truth_transition, cfg.model.modalities, rng)
 print("\nscenario 2, steps 188-193 (modality 0 fails with p=1.0 from t=190):")
 for t in range(188, 194):
     frame = run.frames[t - 1]

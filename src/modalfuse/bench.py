@@ -38,6 +38,7 @@ from . import baselines, dma
 from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .diagnostics import RunTrace
 from .particles import _check_particle_set, init_particles
+from .ssm import _check_count
 from .tracksim import GroundTruthRun, ScenarioSpec, builtin_scenario, generate_run
 
 ALGORITHMS = ("pf", "ts", "sma", "dma")
@@ -186,7 +187,7 @@ class ExperimentResult:
 def make_dataset(spec: ScenarioSpec, cfg: ExperimentConfig, master_seed: int, run_index: int) -> GroundTruthRun:
     """The dataset for run r -- a function of (master_seed, r) only."""
     rng = stream_rng(master_seed, run_index, STREAM_DATA)
-    return generate_run(spec, cfg.x0, cfg.truth_transition(), cfg.model.modalities, rng)
+    return generate_run(spec, cfg.x0, cfg.truth_transition, cfg.model.modalities, rng)
 
 
 def _single_run(algorithms, spec, cfg, n_particles, master_seed, prior, rmse_mode, outdir, run_index):
@@ -269,10 +270,8 @@ def run_experiment(
 
 def _run_batch(algorithms, scenario, n_particles, runs, master_seed, prior, rmse_mode, config, jobs, outdir=None):
     """One ExperimentResult per algorithm, in order; ``outdir`` takes one algorithm's run files."""
-    if n_particles < 1 or runs < 1:
-        raise ValueError("particles and runs must be >= 1")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for name, count in (("particles", n_particles), ("runs", runs), ("jobs", jobs)):
+        _check_count(name, count)
     if rmse_mode not in RMSE_MODES:
         raise ValueError(f"unknown rmse mode {rmse_mode!r}")
     cfg = config or default_config()

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import get_type_hints
 
 import numpy as np
 
-from .ssm import TrackingModel, tracking_model_2d
+from .ssm import TrackingModel, _check_count, tracking_model_2d
 from .tracksim import DEFAULT_HORIZON, DEFAULT_X0, FailureWindow, LossWindow, ScenarioSpec
 
 
@@ -109,9 +109,9 @@ class ExperimentConfig:
     sensor's value space; every filter still assumes the unscaled
     covariance. Set it to 1 to generate truth from the filters' model.
     The constructor checks ``x0`` (finite, one entry per state
-    component), ``horizon`` (>= 1), ``truth_noise_scale`` (finite,
-    >= 0) and that a scenario runs for ``horizon`` steps, so a config
-    built in code fails as a config file does.
+    component), ``horizon`` (an integer >= 1), ``truth_noise_scale``
+    (finite, >= 0) and that a scenario runs for ``horizon`` steps, so a
+    config built in code fails as a config file does.
     """
 
     model: TrackingModel
@@ -124,22 +124,20 @@ class ExperimentConfig:
         x0 = np.array(self.x0, dtype=float)
         if x0.shape != (self.model.transition.dim,) or not np.isfinite(x0).all():
             raise ValueError(f"x0 must be finite with {self.model.transition.dim} entries, got {x0}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        _check_count("horizon", self.horizon)
         if not 0.0 <= self.truth_noise_scale < np.inf:
             raise ValueError(f"truth_noise_scale must be finite and >= 0, got {self.truth_noise_scale}")
         if self.scenario is not None and self.scenario.horizon != self.horizon:
             raise ValueError(f"the scenario's horizon {self.scenario.horizon} differs from "
                              f"the config's horizon {self.horizon}")
         object.__setattr__(self, "x0", x0)
-        base = self.model.transition
-        # built once: the transition's constructor runs an eigendecomposition
-        object.__setattr__(self, "_truth_transition", base if self.truth_noise_scale == 1.0
-                           else type(base)(base.A, base.Q * self.truth_noise_scale))
 
+    @cached_property
     def truth_transition(self):
-        """Transition used to roll out ground truth."""
-        return self._truth_transition
+        """Transition used to roll out ground truth, built on first read:
+        the transition's constructor runs an eigendecomposition."""
+        base = self.model.transition
+        return base if self.truth_noise_scale == 1.0 else type(base)(base.A, base.Q * self.truth_noise_scale)
 
 
 def default_config() -> ExperimentConfig:

@@ -22,18 +22,19 @@ normalised weights.
 and log-weights whose exponentials sum to 1. The sets the library builds
 inside the filter loop (``propagate``, ``residual_resample`` and the
 mixture in ``dma.mix_and_resample``) go through ``ParticleSet._trusted``
-and skip those O(N * d) checks. The mixture is built from its weights
-alone, since the tail reads nothing else; its ``log_weights`` are
-derived from them on first read. That is safe because their inputs were
+and skip those O(N * d) checks. That is safe because their inputs were
 checked already: the weights are either the incoming set's or built
 normalised (``uniform_log_weights``, the mixture divided by its sum), and
-resampling only copies states. Every set ``residual_resample`` returns
-at one N shares one read-only uniform log-weight array, built once per
-N; ``uniform_log_weights`` itself returns a fresh array. The one fault
-the loop can still make is a transition that overflows to non-finite
-states; ``mix_and_resample`` catches it at O(d) cost on the point
-estimate (see there). The filter states that carry a set from step to
-step are checked where they start, in the filters' ``init_*``.
+resampling only copies states. The mixture is built from its weights
+alone and has no ``log_weights``: the tail hands it only to
+``estimate_mean`` and ``residual_resample``, which read ``weights``.
+``uniform_log_weights(n)`` is one read-only array per N, built once and
+shared by every set that ``init_particles`` and ``residual_resample``
+return at that N. The one fault the loop can still make is a transition
+that overflows to non-finite states; ``mix_and_resample`` catches it at
+O(d) cost on the point estimate (see there). The filter states that
+carry a set from step to step are checked where they start, in the
+filters' ``init_*``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .ssm import _check_count, _is_integer
 
 WEIGHT_TOL = 1e-9
 # residual_resample's relative slack on N * w_i: exactly uniform weights
@@ -56,20 +59,16 @@ class WeightCollapse(RuntimeError):
     collapsed step is flagged in its RunTrace); perfbench's tracer counts it."""
 
 
-def uniform_log_weights(n: int) -> np.ndarray:
-    return np.full(n, -np.log(n))
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
 @lru_cache(maxsize=8)
-def _shared_uniform_log_weights(n: int) -> np.ndarray:
-    """``uniform_log_weights(n)``, built once per N and read-only, for the
-    sets ``residual_resample`` returns."""
-    return _read_only(uniform_log_weights(n))
+def uniform_log_weights(n: int) -> np.ndarray:
+    """The uniform log-weights of n particles: one read-only array per n,
+    built on first use and shared by every set that holds them."""
+    return _read_only(np.full(n, -np.log(n)))
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,10 @@ class ParticleSet:
     def _trusted(cls, states, log_weights=None, weights=None):
         """A set whose arrays already meet the invariants, without
         __post_init__'s checks; for the library's in-loop builds only.
-        ``weights``, if given, seeds the cached ``weights`` read-only; a set
-        given only its weights derives ``log_weights`` on first read."""
+        ``weights``, if given, seeds the cached ``weights`` read-only. A set
+        given only its weights has no ``log_weights``: that is the mixture
+        ``dma.mix_and_resample`` builds, which is read only through
+        ``weights``."""
         obj = object.__new__(cls)
         obj.__dict__["states"] = states
         if log_weights is not None:
@@ -107,16 +108,6 @@ class ParticleSet:
         if weights is not None:
             obj.__dict__["weights"] = _read_only(weights)
         return obj
-
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the log-weights
-        # of a set built from its weights alone
-        if name != "log_weights" or "weights" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        with np.errstate(divide="ignore"):
-            log_weights = _read_only(np.log(self.weights))
-        self.__dict__["log_weights"] = log_weights
-        return log_weights
 
     @property
     def n(self) -> int:
@@ -142,7 +133,7 @@ def _check_modality_count(name: str, n_modalities) -> int:
     """The filters' ``init_*`` check on a modality count, also
     ``dma.enumerate_candidates``': an integer (Python or numpy, not bool)
     of at least 1, returned as an int. ``name`` names the filter."""
-    if isinstance(n_modalities, bool) or not isinstance(n_modalities, (int, np.integer)):
+    if not _is_integer(n_modalities):
         raise ValueError(f"{name} needs an integer modality count, got {n_modalities!r}")
     if n_modalities < 1:
         raise ValueError(f"{name} needs one or more modalities, got {n_modalities}")
@@ -151,8 +142,7 @@ def _check_modality_count(name: str, n_modalities) -> int:
 
 def init_particles(prior, n: int, rng) -> ParticleSet:
     """Draw n equally weighted particles from ``prior(n, rng)``, an (n, d) array."""
-    if n < 1:
-        raise ValueError("particle count must be >= 1")
+    _check_count("particle count", n)
     states = np.asarray(prior(n, rng), dtype=float)
     if states.shape[0] != n:
         raise ValueError("prior returned the wrong number of samples")
@@ -192,7 +182,7 @@ def residual_resample(p: ParticleSet, rng) -> ParticleSet:
     # weights summing to just over 1 can overshoot the copies by one slot
     if states.shape[0] != n:
         states = states[:n]
-    return ParticleSet._trusted(states, _shared_uniform_log_weights(n))
+    return ParticleSet._trusted(states, uniform_log_weights(n))
 
 
 def estimate_mean(p: ParticleSet) -> np.ndarray:

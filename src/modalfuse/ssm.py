@@ -20,11 +20,12 @@ A modality model is any object exposing
 its value space: numpy forms that normal as ``loc + scale * z``.
 
 A reading is one finite real number, or None when lost, and has one
-checked constructor, ``ModalityObservation(value)``; its position in an
-``ObservationFrame`` is its modality index. ``null_loglik(modality)``
-is what a modality contributes when its output carries no information
-about the state: the reading is then uniform noise across the value
-space, whatever the state.
+checked constructor, ``ModalityObservation(value)``. A frame has one
+too, ``ObservationFrame(time_index, values)``, which builds its readings
+from raw values; a reading's position in its frame is its modality
+index. ``null_loglik(modality)`` is what a modality contributes when its
+output carries no information about the state: the reading is then
+uniform noise across the value space, whatever the state.
 
 The concrete 2D tracking model shipped here has state
 ``[v_x, v_y, d_x, d_y]`` (velocities and position offsets relative to
@@ -54,6 +55,26 @@ DEFAULT_Q = np.diag([1.0, 1.0, 10.0, 10.0])
 DEFAULT_SIGMA_ANGLE = 0.1
 DEFAULT_SIGMA_RANGE = 1.0
 DEFAULT_RANGE_MAX = 2000.0
+
+
+# one tuple for every call: built per call, with its np.integer lookup, it
+# cost more than the two isinstance tests
+_INTEGER_TYPES = (int, np.integer)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool: the
+    package's one test for a count, an index or a time."""
+    return isinstance(value, _INTEGER_TYPES) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value) -> None:
+    """Reject ``value`` unless it is an integer (``_is_integer``) of at least
+    1, naming it ``name``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def wrap_angle(theta):
@@ -276,36 +297,24 @@ def _check_reading(v) -> None:
         raise ValueError("observation values must be finite (use None for lost readings)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ObservationFrame:
     """Per-timestep tuple of per-modality observations: entry i is
-    modality i's reading."""
+    modality i's reading. ``ObservationFrame(time_index, values)`` is the
+    one place a frame is built: it checks the time index (an integer from
+    1) and builds each raw value (None = lost) into a ModalityObservation,
+    which checks it."""
 
     time_index: int
     observations: tuple[ModalityObservation, ...]
 
-    def __post_init__(self):
-        if self.time_index < 1:
-            raise ValueError("time_index starts at 1")
-        object.__setattr__(self, "observations", tuple(self.observations))
-        for i, obs in enumerate(self.observations):
-            if not isinstance(obs, ModalityObservation):
-                raise ValueError(f"observation {i} is {obs!r}, not a ModalityObservation")
-
-    @classmethod
-    def of(cls, time_index: int, values) -> "ObservationFrame":
-        """Build a frame from raw per-modality values (None = lost). Each
-        value is checked as it becomes a ModalityObservation, so the frame
-        is built without the constructor's per-entry type check: through
-        it, set-up ran 1.06 (wide-6mod) and 1.05 (replay-n1k) times as
-        long (tools/ab.py)."""
-        observations = tuple(map(ModalityObservation, values))
-        if time_index < 1:
-            raise ValueError("time_index starts at 1")
-        frame = object.__new__(cls)
-        object.__setattr__(frame, "time_index", time_index)
-        object.__setattr__(frame, "observations", observations)
-        return frame
+    def __init__(self, time_index, values):
+        # a frame is built per step of every dataset generated or loaded, so
+        # a plain int from 1 skips the check's two calls
+        if type(time_index) is not int or time_index < 1:
+            _check_count("time_index", time_index)
+        object.__setattr__(self, "time_index", time_index)
+        object.__setattr__(self, "observations", tuple(map(ModalityObservation, values)))
 
 
 @dataclass(frozen=True)

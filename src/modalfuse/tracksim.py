@@ -46,7 +46,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .ssm import ObservationFrame
+from .ssm import ObservationFrame, _check_count, _is_integer
 
 DEFAULT_X0 = np.array([1.0, 1.0, 200.0, 200.0])
 DEFAULT_HORIZON = 300
@@ -76,7 +76,7 @@ class LossWindow:
 def _check_window(w, horizon):
     for name in ("modality", "t_start", "t_end"):
         value = getattr(w, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ValueError(f"{w} has {name} {value!r}, not an integer")
     if w.modality < 0:
         raise ValueError(f"{w} names modality {w.modality}, below 0")
@@ -96,8 +96,7 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "failure_windows", tuple(self.failure_windows))
         object.__setattr__(self, "loss_windows", tuple(self.loss_windows))
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        _check_count("horizon", self.horizon)
         for w in self.failure_windows:
             _check_window(w, self.horizon)
             if not 0.0 <= w.probability <= 1.0:
@@ -257,7 +256,7 @@ class GroundTruthRun:
             for line_no, line in enumerate(f, start=1):
                 try:
                     t, state, readings, status = _parse_record(line)
-                    frames.append(ObservationFrame.of(t, readings))
+                    frames.append(ObservationFrame(t, readings))
                 except (ValueError, OverflowError) as exc:
                     raise ValueError(f"{path}, line {line_no}: {exc}") from exc
                 states.append(state)
@@ -347,5 +346,5 @@ def generate_run(spec: ScenarioSpec, x0, transition, models, rng) -> GroundTruth
     readings = values.tolist()
     for t, i in np.argwhere(status == ObservationStatus.LOST).tolist():
         readings[t][i] = None
-    frames = tuple(ObservationFrame.of(t, row) for t, row in enumerate(readings, start=1))
+    frames = tuple(map(ObservationFrame, range(1, spec.horizon + 1), readings))
     return GroundTruthRun(states, frames, status)

@@ -11,7 +11,7 @@ import numpy as np
 
 from modalfuse.baselines import SmaState, _failure_prob, pf_step
 from modalfuse.dma import candidate_loglik_matrix, mix_and_resample
-from modalfuse.ssm import ModalityObservation, ObservationFrame
+from modalfuse.ssm import ObservationFrame
 from modalfuse.tracksim import GroundTruthRun, ObservationStatus
 
 
@@ -86,8 +86,8 @@ def estimate_failure_prob(prev_alpha, p, frame, models):
 
 def restrict_to(frame, keep):
     """``frame`` with every reading except modality ``keep``'s marked lost."""
-    obs = tuple(o if i == keep else ModalityObservation(None) for i, o in enumerate(frame.observations))
-    return ObservationFrame(frame.time_index, obs)
+    return ObservationFrame(frame.time_index, [o.value if i == keep else None
+                                               for i, o in enumerate(frame.observations)])
 
 
 def sma_by_member(state, frame, transition, models):
@@ -148,7 +148,7 @@ def observe(t, x, statuses, models, rng):
             values.append(float(model.sample_failed(rng)))
         else:
             values.append(float(model.reading(x, rng.standard_normal())))
-    return ObservationFrame.of(t, values)
+    return ObservationFrame(t, values)
 
 
 def generate_run(spec, x0, transition, models, rng):
@@ -196,7 +196,7 @@ def load(path):
         for line_no, line in enumerate(f, start=1):
             try:
                 t, state, readings, status = _parse_record(line)
-                frames.append(ObservationFrame.of(t, readings))
+                frames.append(ObservationFrame(t, readings))
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}, line {line_no}: {exc}") from exc
             states.append(state)

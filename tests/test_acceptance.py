@@ -251,7 +251,7 @@ def test_A10_numerical_oracles(model, rng):
     w = rng.uniform(0.2, 1.0, size=5)
     w /= w.sum()
     p = ParticleSet(states, np.log(w))
-    frame = ObservationFrame.of(1, [0.8, 285.0])
+    frame = ObservationFrame(1, [0.8, 285.0])
     cands = enumerate_candidates(2)
 
     # marginal likelihoods against direct probability-domain sums

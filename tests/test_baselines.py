@@ -61,7 +61,7 @@ def frames_from(model, rng, t_max, x0=(1.0, 1.0, 200.0, 200.0)):
     for t in range(1, t_max + 1):
         x = model.transition.sample(x, rng)
         frames.append(
-            ObservationFrame.of(
+            ObservationFrame(
                 t,
                 [float(model.modalities[0].reading(x, rng.standard_normal())),
                  float(model.modalities[1].reading(x, rng.standard_normal()))],
@@ -84,7 +84,7 @@ class TestPfStep:
 
     def test_absent_modalities_ignored(self, model, rng):
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 40, rng)
-        f_full = ObservationFrame.of(1, [0.78, None])
+        f_full = ObservationFrame(1, [0.78, None])
         rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
         _, est_a = pf_step(p0, f_full, model.transition, model.modalities, rng_a)
         # a hand-built step using only the angle modality
@@ -96,7 +96,7 @@ class TestPfStep:
     def test_weight_collapse_resets_and_flags(self, model, rng):
         p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 10, rng)
         dead = ConstantModality(-np.inf)
-        frame = ObservationFrame.of(1, [0.5])
+        frame = ObservationFrame(1, [0.5])
         trace = RunTrace()
         out, est = pf_step(p0, frame, model.transition, (dead,), rng, trace=trace)
         assert trace.flags == ["weight_collapse"]
@@ -133,7 +133,7 @@ def spread_prior(n, r):
 class TestSmaStep:
     def test_estimate_is_mean_of_sub_estimates(self, model):
         p0 = init_particles(spread_prior, 60, np.random.default_rng(0))
-        frame = ObservationFrame.of(1, [0.79, 284.0])
+        frame = ObservationFrame(1, [0.79, 284.0])
         _, est = sma_step(init_sma(p0, 2, np.random.default_rng(3)), frame, model.transition, model.modalities, None)
         _, _, member_ests = sma_by_member(init_sma(p0, 2, np.random.default_rng(3)), frame, model.transition,
                                           model.modalities)
@@ -147,7 +147,7 @@ class TestSmaStep:
         models = (model.modalities[0], ConstantModality(-np.inf))
         state, trace = init_sma(p0, 2, np.random.default_rng(3)), RunTrace()
         for t, values in enumerate(([0.79, 0.5], [0.79, None]), start=1):
-            state, est = sma_step(state, ObservationFrame.of(t, values), model.transition, models, None, trace=trace)
+            state, est = sma_step(state, ObservationFrame(t, values), model.transition, models, None, trace=trace)
             assert np.all(np.isfinite(est))
         assert trace.flags == ["weight_collapse", None]
 
@@ -156,7 +156,7 @@ class TestSmaStep:
         # particles that do not move: identical weights, identical estimates
         p0 = init_particles(spread_prior, 40, np.random.default_rng(0))
         models = (model.modalities[0],) * 2
-        frame = ObservationFrame.of(1, [0.79, 0.79])
+        frame = ObservationFrame(1, [0.79, 0.79])
         _, est = sma_step(init_sma(p0, 2, np.random.default_rng(3)), frame, StillTransition(), models, None)
         _, _, member_ests = sma_by_member(init_sma(p0, 2, np.random.default_rng(3)), frame, StillTransition(),
                                           models)
@@ -166,7 +166,7 @@ class TestSmaStep:
     def test_matches_manual_decomposition(self, model):
         # the same stored streams, sub-filters evaluated in reversed order
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 60, np.random.default_rng(0))
-        frame = ObservationFrame.of(1, [0.79, 284.0])
+        frame = ObservationFrame(1, [0.79, 284.0])
         state, est = sma_step(init_sma(p0, 2, np.random.default_rng(42)), frame, model.transition,
                               model.modalities, None)
 
@@ -194,10 +194,10 @@ class TestSmaStep:
                 return model.modalities[self.i].loglik(y, x)
 
         models = (Recording(0), Recording(1))
-        a, _ = sma_step(init_sma(p0, 2, np.random.default_rng(3)), ObservationFrame.of(1, [0.79, 284.0]),
+        a, _ = sma_step(init_sma(p0, 2, np.random.default_rng(3)), ObservationFrame(1, [0.79, 284.0]),
                         model.transition, models, None)
         assert seen == [(0, 0.79), (1, 284.0)]
-        b, _ = sma_step(init_sma(p0, 2, np.random.default_rng(3)), ObservationFrame.of(1, [0.79, 250.0]),
+        b, _ = sma_step(init_sma(p0, 2, np.random.default_rng(3)), ObservationFrame(1, [0.79, 250.0]),
                         model.transition, models, None)
         np.testing.assert_array_equal(a.sub_filters[0].states, b.sub_filters[0].states)
         assert not np.array_equal(a.sub_filters[1].states, b.sub_filters[1].states)
@@ -211,7 +211,7 @@ class TestSmaStep:
         for lost in (0, 1):
             values = [0.79, 284.0]
             values[lost] = None
-            state, _ = sma_step(init_sma(p0, 2, np.random.default_rng(7)), ObservationFrame.of(1, values),
+            state, _ = sma_step(init_sma(p0, 2, np.random.default_rng(7)), ObservationFrame(1, values),
                                 model.transition, model.modalities, None)
             expected = propagate(p0, model.transition, init_sma(p0, 2, np.random.default_rng(7)).rngs[lost])
             np.testing.assert_array_equal(state.sub_filters[lost].states, expected.states)
@@ -222,13 +222,13 @@ def _frames(models, transition, rng, t_max, x0=(1.0, 1.0, 200.0, 200.0)):
     frames = []
     for t in range(1, t_max + 1):
         x = transition.sample(x, rng)
-        frames.append(ObservationFrame.of(t, [float(m.reading(x, rng.standard_normal())) for m in models]))
+        frames.append(ObservationFrame(t, [float(m.reading(x, rng.standard_normal())) for m in models]))
     return frames
 
 
 def _lose(frames, lost):
     """Frames with reading i of step t lost wherever ``lost(t, i)``."""
-    return [ObservationFrame.of(f.time_index, [None if lost(f.time_index, i) else obs.value
+    return [ObservationFrame(f.time_index, [None if lost(f.time_index, i) else obs.value
                                                for i, obs in enumerate(f.observations)]) for f in frames]
 
 
@@ -272,7 +272,7 @@ class TestEstimateFailureProb:
         monkeypatch.setattr(baselines_mod, "TS_SMOOTHING", 0.0)
         mod = ConstantModality(0.0)  # loglik == null_loglik == 0
         p = ParticleSet(np.zeros((4, 1)), np.log(np.full(4, 0.25)))
-        frame = ObservationFrame.of(1, [0.3])
+        frame = ObservationFrame(1, [0.3])
         alpha = estimate_failure_prob(np.zeros(1), p, frame, (mod,))
         assert alpha[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -280,7 +280,7 @@ class TestEstimateFailureProb:
         monkeypatch.setattr(baselines_mod, "TS_SMOOTHING", 0.0)
         mod = ConstantModality(40.0)
         p = ParticleSet(np.zeros((4, 1)), np.log(np.full(4, 0.25)))
-        frame = ObservationFrame.of(1, [0.3])
+        frame = ObservationFrame(1, [0.3])
         alpha = estimate_failure_prob(np.ones(1), p, frame, (mod,))
         assert alpha[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -289,7 +289,7 @@ class TestEstimateFailureProb:
         states = np.array([[1, 1, 200, 200], [1, 1, 210, 190], [1, 1, 195, 205]], dtype=float)
         w = np.array([0.5, 0.3, 0.2])
         p = ParticleSet(states, np.log(w))
-        frame = ObservationFrame.of(1, [0.8, 287.0])
+        frame = ObservationFrame(1, [0.8, 287.0])
         prev = np.array([0.3, 0.6])
         got = estimate_failure_prob(prev, p, frame, model.modalities)
         for i, mod in enumerate(model.modalities):
@@ -305,7 +305,7 @@ class TestEstimateFailureProb:
         w = rng.random(50)
         p = ParticleSet(spread_prior(50, rng), np.log(w / w.sum()))
         models = (*model.modalities, ConstantModality(-np.inf))
-        frame = ObservationFrame.of(1, [None, 283.0, 0.5])
+        frame = ObservationFrame(1, [None, 283.0, 0.5])
         seen, real = [], dma_mod.reweight_rows
 
         def spy(*args):
@@ -326,7 +326,7 @@ class TestEstimateFailureProb:
 
     def test_absent_modality_unchanged(self, model):
         p = ParticleSet(np.zeros((3, 4)), np.log(np.full(3, 1 / 3)))
-        frame = ObservationFrame.of(1, [None, 100.0])
+        frame = ObservationFrame(1, [None, 100.0])
         prev = np.array([0.77, 0.2])
         got = estimate_failure_prob(prev, p, frame, model.modalities)
         assert got[0] == 0.77
@@ -352,7 +352,7 @@ class TestTsStep:
         monkeypatch.setattr(baselines_mod, "TS_SMOOTHING", 1.0)
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 50, np.random.default_rng(0))
         state = baselines_mod.TsState(p0, np.ones(2))
-        frame = ObservationFrame.of(1, [0.78, 283.0])
+        frame = ObservationFrame(1, [0.78, 283.0])
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
         _, est = ts_step(state, frame, model.transition, model.modalities, rng_a)
         prop = propagate(p0, model.transition, rng_b)
@@ -364,7 +364,7 @@ class TestTsStep:
         p0 = init_particles(lambda n, r: r.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (n, 4)),
                             100, np.random.default_rng(0))
         alpha = np.array([0.3, 0.6])
-        frame = ObservationFrame.of(1, [0.78, 283.0])
+        frame = ObservationFrame(1, [0.78, 283.0])
         monkeypatch.setattr(baselines_mod, "TS_SMOOTHING", 1.0)  # alpha frozen
         state = baselines_mod.TsState(p0, alpha)
         _, est = ts_step(state, frame, model.transition, model.modalities, np.random.default_rng(5))
@@ -380,7 +380,7 @@ class TestTsStep:
         p0 = init_particles(lambda n, r: r.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (n, 4)),
                             100, np.random.default_rng(0))
         models = (model.modalities[0], ConstantModality(-np.inf))
-        frame = ObservationFrame.of(1, [0.78, 283.0])
+        frame = ObservationFrame(1, [0.78, 283.0])
         monkeypatch.setattr(baselines_mod, "TS_SMOOTHING", 1.0)  # alpha frozen
         state = baselines_mod.TsState(p0, np.array([0.3, 1.0]))
         trace = RunTrace()
@@ -405,7 +405,7 @@ class TestTsStep:
         p0 = init_particles(point_prior([0.0, 0.0, 1.0, 1.0]), 10, rng)
         dead = ConstantModality(-np.inf)
         trace = RunTrace()
-        state, est = ts_step(init_ts(p0, 1), ObservationFrame.of(1, [0.5]), model.transition,
+        state, est = ts_step(init_ts(p0, 1), ObservationFrame(1, [0.5]), model.transition,
                              (dead,), rng, trace=trace)
         assert trace.flags == ["weight_collapse"]
         assert np.all(np.isfinite(est))
@@ -417,14 +417,14 @@ class TestTsStep:
         state = init_ts(p0, 2)
         assert not state.alpha.flags.writeable
         np.testing.assert_array_equal(state.alpha, [0.0, 0.0])
-        stepped, _ = ts_step(state, ObservationFrame.of(1, [0.78, 283.0]), model.transition, model.modalities, rng)
+        stepped, _ = ts_step(state, ObservationFrame(1, [0.78, 283.0]), model.transition, model.modalities, rng)
         assert not stepped.alpha.flags.writeable
 
     def test_stepped_alpha_cannot_rewrite_the_trace(self, model):
         # the trace holds the state's alpha object, so the state must not be writable
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 40, np.random.default_rng(0))
         trace = RunTrace()
-        state, _ = ts_step(init_ts(p0, 2), ObservationFrame.of(1, [0.78, 283.0]), model.transition,
+        state, _ = ts_step(init_ts(p0, 2), ObservationFrame(1, [0.78, 283.0]), model.transition,
                            model.modalities, np.random.default_rng(5), trace=trace)
         recorded = trace.weight_matrix().copy()
         assert not state.alpha.flags.writeable
@@ -437,7 +437,7 @@ class TestTsStep:
         # three entries on the 2-modality model ran silently, one raised a bare IndexError
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 4, rng)
         with pytest.raises(ValueError, match=f"TS state has {count} failure probabilities, model has 2 modalities"):
-            ts_step(init_ts(p0, count), ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities,
+            ts_step(init_ts(p0, count), ObservationFrame(1, [0.79, 284.0]), model.transition, model.modalities,
                     rng)
 
 
@@ -472,7 +472,7 @@ class TestSharedReweightPath:
     @pytest.mark.parametrize("values", [[0.78], [0.78, 283.0, 1.0]])
     def test_frame_arity_mismatch_rejected(self, model, rng, step, values):
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 20, rng)
-        frame = ObservationFrame.of(1, values)
+        frame = ObservationFrame(1, values)
         with pytest.raises(ValueError, match=f"frame has {len(values)} modality readings, model has 2"):
             _step_once(step, p0, frame, model.transition, model.modalities, rng)
 
@@ -481,7 +481,7 @@ class TestSharedReweightPath:
     def test_each_present_loglik_evaluated_once(self, model, rng, step, values):
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 20, rng)
         counting = tuple(CountingModality(m) for m in model.modalities)
-        _step_once(step, p0, ObservationFrame.of(1, values), model.transition, counting, rng)
+        _step_once(step, p0, ObservationFrame(1, values), model.transition, counting, rng)
         assert [m.calls for m in counting] == [int(v is not None) for v in values]
 
 
@@ -515,7 +515,7 @@ class TestSmaStreams:
         p0 = init_particles(spread_prior, 20, np.random.default_rng(0))
         state = init_sma(p0, members, np.random.default_rng(3))
         with pytest.raises(ValueError, match=f"SMA state has {members} members, model has 2 modalities"):
-            sma_step(state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities, None)
+            sma_step(state, ObservationFrame(1, [0.79, 284.0]), model.transition, model.modalities, None)
 
 
 # what each init takes besides the particle set
@@ -582,7 +582,7 @@ class TestTailCostShape:
                                 raising=False)
         rng = np.random.default_rng(3)
         for t, values in enumerate(self.FRAMES, start=1):
-            state = self.STEPS[step](state, ObservationFrame.of(t, values), model.transition, model.modalities,
+            state = self.STEPS[step](state, ObservationFrame(t, values), model.transition, model.modalities,
                                      rng)[0]
         assert calls == []
 
@@ -602,7 +602,7 @@ class TestTailCostShape:
             real = getattr(dma_mod, name)
             monkeypatch.setattr(dma_mod, name,
                                 lambda p, *a, _real=real, _name=name: seen.append((_name, p)) or _real(p, *a))
-        self.STEPS[step](self._states(p0, model.modalities, step), ObservationFrame.of(1, [0.79, 284.0]),
+        self.STEPS[step](self._states(p0, model.modalities, step), ObservationFrame(1, [0.79, 284.0]),
                          model.transition, model.modalities, np.random.default_rng(3))
         sets = 2 if step == "sma" else 1
         assert [name for name, _ in seen] == ["estimate_mean"] * sets + ["residual_resample"] * sets
@@ -616,7 +616,7 @@ class TestTailCostShape:
         p0 = init_particles(spread_prior, 64, np.random.default_rng(0))
         state = self._states(p0, model.modalities, step)
         assert not hasattr(type(state), "__post_init__")
-        new = self.STEPS[step](state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities,
+        new = self.STEPS[step](state, ObservationFrame(1, [0.79, 284.0]), model.transition, model.modalities,
                                np.random.default_rng(3))[0]
         assert type(new) is type(state)
 
@@ -665,7 +665,7 @@ class TestAllLostFrame:
         clones = [deepcopy(r) for r in streams]
         props = [propagate(p, transition, c) for p, c in zip(sets, clones)]
 
-        new_state, estimate = step(state, ObservationFrame.of(lead + 1, [None, None]), transition, models, rng)[:2]
+        new_state, estimate = step(state, ObservationFrame(lead + 1, [None, None]), transition, models, rng)[:2]
 
         for new, prop in zip(_members(name, new_state, rng)[0], props):
             assert np.array_equal(new.states, prop.states)
@@ -696,7 +696,7 @@ def _redraw(frame, kinds, models):
         else:
             low, high = m.value_space
             values.append(low + kind * (high - low))
-    return ObservationFrame.of(frame.time_index, values)
+    return ObservationFrame(frame.time_index, values)
 
 
 class TestLibraryStatesMeetTheInvariants:
@@ -761,7 +761,7 @@ class TestReorderedModalities:
 
     @staticmethod
     def _swap(frame):
-        return ObservationFrame(frame.time_index, frame.observations[::-1])
+        return ObservationFrame(frame.time_index, [o.value for o in frame.observations[::-1]])
 
     def test_pf_run_is_bit_identical(self, scenario2):
         cfg, frames = scenario2
@@ -827,7 +827,7 @@ class TestAlwaysLostModality:
         return tuple(out)
 
     def _frame(self, frame, at):
-        return ObservationFrame.of(frame.time_index, self._with_lost([o.value for o in frame.observations], at, None))
+        return ObservationFrame(frame.time_index, self._with_lost([o.value for o in frame.observations], at, None))
 
     @pytest.mark.parametrize("at", [2, 0], ids=["appended", "first"])
     @pytest.mark.parametrize("name", ["pf", "ts"])

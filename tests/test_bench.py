@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +188,13 @@ class TestRunExperiment:
         run_experiment("pf", 1, n_particles=5, runs=cpus + 1, master_seed=0, jobs=10**6)
         assert pool_sizes == [cpus]
 
+    @pytest.mark.parametrize("name, value", [("particles", 10.5), ("runs", 2.5), ("jobs", 2.0), ("runs", True)])
+    def test_counts_not_integers_rejected(self, name, value):
+        # a float particle or run count failed inside numpy with a bare TypeError
+        counts = {"n_particles": 10, "runs": 1, "jobs": 1, "n_particles" if name == "particles" else name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            run_experiment("pf", 1, master_seed=0, **counts)
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs, tmp_path, capsys):
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
@@ -266,9 +274,9 @@ class TestConfigFile:
 
     def test_truth_transition_scaling(self):
         cfg = default_config()
-        np.testing.assert_allclose(cfg.truth_transition().Q, cfg.model.transition.Q * 1e-4)
+        np.testing.assert_allclose(cfg.truth_transition.Q, cfg.model.transition.Q * 1e-4)
         # built once per config, not once per dataset
-        assert cfg.truth_transition() is cfg.truth_transition()
+        assert cfg.truth_transition is cfg.truth_transition
 
     def test_load_overrides(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -294,7 +302,7 @@ class TestConfigFile:
         assert cfg.truth_noise_scale == 1.0
         assert cfg.scenario.failure_windows[0].probability == 0.8
         assert cfg.scenario.loss_windows[0].modality == 1
-        assert cfg.truth_transition() is cfg.model.transition
+        assert cfg.truth_transition is cfg.model.transition
 
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -452,8 +460,10 @@ class TestConfigChecks:
         ({"x0": [np.nan, 1.0, 200.0, 200.0]}, "^x0 must be finite"),
         ({"x0": [1.0, 1.0]}, "^x0 must be finite with 4 entries"),
         ({"horizon": 0}, "^horizon must be >= 1"),
+        ({"horizon": 2.5}, "^horizon must be an integer, got 2.5$"),
+        ({"horizon": True}, "^horizon must be an integer, got True$"),
         ({"truth_noise_scale": -1.0}, "^truth_noise_scale must be finite and >= 0"),
-    ], ids=["nan_x0", "short_x0", "horizon_0", "negative_truth_noise_scale"])
+    ], ids=["nan_x0", "short_x0", "horizon_0", "horizon_float", "horizon_bool", "negative_truth_noise_scale"])
     def test_config_built_in_code_checked(self, kwargs, message):
         # checked at construction, not first inside a run under another message
         with pytest.raises(ValueError, match=message):
@@ -656,7 +666,7 @@ class TestScenarioGivenTwice:
 class TestReadingValueSpace:
     @staticmethod
     def _run(model, values, algorithm):
-        frames = [ObservationFrame.of(1, [0.78, 283.0]), ObservationFrame.of(2, values)]
+        frames = [ObservationFrame(1, [0.78, 283.0]), ObservationFrame(2, values)]
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 32, np.random.default_rng(3))
         return run_filter(algorithm, frames, p0, model.transition, model.modalities, np.random.default_rng(4))
 
@@ -687,8 +697,8 @@ class TestReadingValueSpace:
             def sample(self, x_prev, rng):
                 raise AssertionError("a step ran before the frames were checked")
 
-        frames = [ObservationFrame.of(t, [0.78, 283.0]) for t in (1, 2, 3)]
-        frames.append(ObservationFrame.of(4, [0.78, 283.0, 1.0]))
+        frames = [ObservationFrame(t, [0.78, 283.0]) for t in (1, 2, 3)]
+        frames.append(ObservationFrame(4, [0.78, 283.0, 1.0]))
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 32, np.random.default_rng(3))
         with pytest.raises(ValueError, match=r"^step 4: frame has 3 modality readings, model has 2$"):
             run_filter(algorithm, frames, p0, NeverSampled(), model.modalities, np.random.default_rng(4))
@@ -802,7 +812,7 @@ class TestNonFiniteStatesFailFast:
     @pytest.mark.parametrize("algorithm", ["pf", "ts", "sma", "dma"])
     def test_overflowing_transition_raises(self, model, algorithm):
         transition = LinearGaussianTransition(1e200 * np.eye(4), DEFAULT_Q)
-        frames = [ObservationFrame.of(k, [0.78, 283.0]) for k in range(1, 11)]
+        frames = [ObservationFrame(k, [0.78, 283.0]) for k in range(1, 11)]
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 32, np.random.default_rng(3))
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="particle states must be finite"):
             run_filter(algorithm, frames, p0, transition, model.modalities, np.random.default_rng(4))

@@ -78,19 +78,19 @@ def test_enumerate_candidates_properties(n):
 class TestCandidateLoglik:
     def test_all_ones_is_joint(self, model, rng):
         x = np.array([1.0, 1.0, 150.0, 250.0])
-        frame = ObservationFrame.of(1, [0.6, 290.0])
+        frame = ObservationFrame(1, [0.6, 290.0])
         want = model.modalities[0].loglik(0.6, x) + model.modalities[1].loglik(290.0, x)
         assert candidate_loglik([1, 1], frame, x, model.modalities) == pytest.approx(want, abs=1e-12)
 
     def test_all_zeros_is_null_product(self, model):
-        frame = ObservationFrame.of(1, [0.6, 290.0])
+        frame = ObservationFrame(1, [0.6, 290.0])
         want = -np.log(2 * np.pi) - np.log(2000.0)
         for x in (np.zeros(4), np.array([5.0, -3.0, 80.0, 60.0])):
             assert candidate_loglik([0, 0], frame, x, model.modalities) == pytest.approx(want, abs=1e-12)
 
     def test_absent_modality_contributes_nothing(self, model):
         x = np.array([1.0, 1.0, 150.0, 250.0])
-        frame = ObservationFrame.of(1, [0.6, None])
+        frame = ObservationFrame(1, [0.6, None])
         want = model.modalities[0].loglik(0.6, x)
         assert candidate_loglik([1, 0], frame, x, model.modalities) == pytest.approx(want, abs=1e-12)
         # candidates differing only in the absent modality's bit agree
@@ -100,7 +100,7 @@ class TestCandidateLoglik:
 
     def test_batch_matches_scalar(self, model, rng):
         states = rng.normal(loc=[0, 0, 100, 200], scale=10.0, size=(6, 4))
-        frame = ObservationFrame.of(1, [0.4, 230.0])
+        frame = ObservationFrame(1, [0.4, 230.0])
         batch = candidate_loglik([1, 0], frame, states, model.modalities)
         for j in range(6):
             assert batch[j] == pytest.approx(
@@ -185,7 +185,7 @@ class TestUpdateModelPosterior:
 
 def _setup(model, rng, n=64, x0=(1.0, 1.0, 200.0, 200.0)):
     p0 = init_particles(point_prior(x0), n, rng)
-    frame = ObservationFrame.of(1, [np.arctan(1.0) + 0.05, np.hypot(200.0, 200.0) + 0.5])
+    frame = ObservationFrame(1, [np.arctan(1.0) + 0.05, np.hypot(200.0, 200.0) + 0.5])
     return p0, frame
 
 
@@ -197,7 +197,7 @@ class TestDmaStep:
         state = init_dma(p0, candidates=np.ones((1, 2), dtype=np.int64))
         pf_particles = p0
         for t in range(1, 31):
-            f = ObservationFrame.of(t, [obs.value for obs in frame.observations])
+            f = ObservationFrame(t, [obs.value for obs in frame.observations])
             pf_particles, est_pf = pf_step(pf_particles, f, model.transition, model.modalities, rng_pf)
             state, est_dma, post = dma_step(state, f, model.transition, model.modalities, rng_dma)
             assert np.array_equal(est_pf, est_dma)
@@ -230,7 +230,7 @@ class TestDmaStep:
         w = rng.uniform(0.1, 1.0, size=5)
         w /= w.sum()
         p = ParticleSet(states, np.log(w))
-        frame = ObservationFrame.of(1, [0.8, 285.0])
+        frame = ObservationFrame(1, [0.8, 285.0])
         cands = enumerate_candidates(2)
         log_g, _, _ = candidate_reweight(p, frame, model.modalities, cands)
         for m, bits in enumerate(cands):
@@ -251,7 +251,7 @@ class TestDmaStep:
         state = init_dma(p0, 2)
         step_rng = np.random.default_rng(5)
         for t in range(1, 21):
-            frame = ObservationFrame.of(t, [0.78, 283.0])
+            frame = ObservationFrame(t, [0.78, 283.0])
             state, est, post = dma_step(state, frame, model.transition, model.modalities, step_rng)
             assert abs(post.sum() - 1.0) < 1e-9
             assert abs(logsumexp(state.particles.log_weights)) < 1e-9
@@ -264,7 +264,7 @@ class TestDmaStep:
             state = init_dma(p0, 2)
             ests = []
             for t in range(1, 16):
-                frame = ObservationFrame.of(t, [0.78 + 0.001 * t, 283.0 + t])
+                frame = ObservationFrame(t, [0.78 + 0.001 * t, 283.0 + t])
                 state, est, post = dma_step(state, frame, model.transition, model.modalities, rng)
                 ests.append(est)
             results.append((np.array(ests), state.particles.states.copy(), post.copy()))
@@ -275,14 +275,14 @@ class TestDmaStep:
     def test_non_consecutive_frame_rejected(self, model, rng):
         p0, frame = _setup(model, rng)
         state = init_dma(p0, 2)
-        bad = ObservationFrame.of(5, [0.7, 280.0])
+        bad = ObservationFrame(5, [0.7, 280.0])
         with pytest.raises(ValueError):
             dma_step(state, bad, model.transition, model.modalities, rng)
 
     def test_absent_everything_keeps_posterior(self, model, rng):
         p0, _ = _setup(model, rng)
         state = init_dma(p0, 2)
-        frame = ObservationFrame.of(1, [None, None])
+        frame = ObservationFrame(1, [None, None])
         new_state, est, post = dma_step(state, frame, model.transition, model.modalities, rng)
         np.testing.assert_allclose(post, state.pi, atol=1e-12)
 
@@ -346,24 +346,6 @@ class TestMixAndResample:
             picked, want = mix_one(p, np.eye(4)[m], E, scale, np.random.default_rng(1))
             assert np.array_equal(est, want)
             assert np.array_equal(resampled.states, picked.states)
-
-    @pytest.mark.parametrize("algorithm", ["pf", "ts", "sma", "dma"])
-    def test_mixed_sets_carry_their_weights_logs(self, model, monkeypatch, algorithm):
-        # the tail builds each mixture from its weights alone; a set it hands
-        # on (to estimate_mean and residual_resample, where perfbench's tracer
-        # hooks read it) still reads the log of its weights, zeros included
-        seen = []
-        monkeypatch.setattr(dma_mod, "estimate_mean", lambda p: seen.append(p) or estimate_mean(p))
-        frames = [ObservationFrame.of(t, [0.78 + 0.001 * t, None if t == 3 else 283.0 + t]) for t in range(1, 6)]
-        frames[1] = ObservationFrame.of(2, [-2.5, 1900.0])   # garbage readings drive weights to 0
-        p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 64, np.random.default_rng(0))
-        run_filter(algorithm, frames, p0, model.transition, model.modalities, np.random.default_rng(1))
-        assert len(seen) == len(frames) * (len(model.modalities) if algorithm == "sma" else 1)
-        for p in seen:
-            with np.errstate(divide="ignore"):
-                want = np.log(p.weights)
-            assert np.array_equal(p.log_weights, want) and not p.log_weights.flags.writeable
-            assert p.log_weights is p.log_weights   # derived once
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_state_at_zero_weight_raises(self, bad):
@@ -486,7 +468,7 @@ class TestInPlaceCandidateKernel:
             candidates = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 1]])
         elif name == "single_row_pf":
             candidates = np.ones((1, 2), dtype=np.int64)
-        return models, ObservationFrame.of(1, values), candidates
+        return models, ObservationFrame(1, values), candidates
 
     @pytest.mark.parametrize(
         "name",
@@ -502,7 +484,7 @@ class TestInPlaceCandidateKernel:
 
         mixed = []
         resample = dma_mod.residual_resample
-        monkeypatch.setattr(dma_mod, "residual_resample", lambda p, r: mixed.append(p.log_weights) or resample(p, r))
+        monkeypatch.setattr(dma_mod, "residual_resample", lambda p, r: mixed.append(np.log(p.weights)) or resample(p, r))
         trace = RunTrace()
         with np.errstate(over="ignore"):  # -1e308 readings overflow to -inf rows
             _, est, _ = dma_step(state, frame, model.transition, models, np.random.default_rng(11), trace=trace)
@@ -534,7 +516,7 @@ class TestMinusInfLoglik:
         angle, rng_mod = model.modalities
         models = (angle, MinusInfModality(rng_mod, 0.0))
         states = rng.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (16, 4))
-        frame = ObservationFrame.of(1, [0.8, 285.0])
+        frame = ObservationFrame(1, [0.8, 285.0])
         got = candidate_loglik_matrix(enumerate_candidates(2), frame, states, models)
         a = angle.loglik(0.8, states)
         assert np.all(got[[0, 2]] == -np.inf)
@@ -546,7 +528,7 @@ class TestMinusInfLoglik:
         models = (angle, MinusInfModality(rng_mod, 0.0))
         states = rng.normal([1.0, 1.0, 200.0, 200.0], [1.0, 1.0, 5.0, 5.0], (256, 4))
         state = init_dma(ParticleSet(states, np.full(256, -np.log(256))), 2)
-        frame = ObservationFrame.of(1, [0.8, 285.0])
+        frame = ObservationFrame(1, [0.8, 285.0])
         trace = RunTrace()
         _, est, post = dma_step(state, frame, model.transition, models, np.random.default_rng(11), trace=trace)
         log_g, mix, want, prop = _log_domain_step(state, frame, model.transition, models, 11)
@@ -588,7 +570,7 @@ class TestDmaStateValidates:
     def test_run_filter_rejects_particles_not_a_particle_set(self, model, algorithm):
         # PF's state is its particle set: unchecked, its run failed on
         # ``particles0.dim`` with a bare AttributeError
-        frames = [ObservationFrame.of(1, [0.79, 284.0])]
+        frames = [ObservationFrame(1, [0.79, 284.0])]
         with pytest.raises(ValueError, match="particles must be a ParticleSet, got ndarray"):
             run_filter(algorithm, frames, np.zeros((4, 4)), model.transition, model.modalities,
                        np.random.default_rng(0))
@@ -596,7 +578,7 @@ class TestDmaStateValidates:
     def test_posterior_is_read_only(self, model):
         state = init_dma(self._particles(), 2)
         assert not state.pi.flags.writeable
-        stepped = dma_step(state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities,
+        stepped = dma_step(state, ObservationFrame(1, [0.79, 284.0]), model.transition, model.modalities,
                            np.random.default_rng(3))[0]
         assert not stepped.pi.flags.writeable
 
@@ -616,7 +598,7 @@ class TestCandidateSetChecked:
         # step names both counts where it used to raise a bare IndexError
         state = init_dma(self._particles(), candidates=np.array([[1], [0]]))
         with pytest.raises(ValueError, match="candidates cover 1 modalities, model has 2"):
-            dma_step(state, ObservationFrame.of(1, [0.79, 284.0]), model.transition, model.modalities, rng)
+            dma_step(state, ObservationFrame(1, [0.79, 284.0]), model.transition, model.modalities, rng)
 
     @pytest.mark.parametrize("candidates", [[[1, 2], [0, 1]], [[5, 1]], [[1, 0.5]], [[-1, 1]], np.ones((0, 2)),
                                             [1, 1], np.ones((1, 1, 2)), [[2, 1], [5, 0]]],

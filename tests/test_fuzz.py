@@ -217,7 +217,7 @@ def scenarios(draw):
 @given(drawn=scenarios(), seed=st.integers(0, 2 ** 32 - 1))
 def test_generated_run_round_trips(tmp_path, drawn, seed):
     spec, models = drawn
-    transition = default_config().truth_transition()
+    transition = default_config().truth_transition
     run = generate_run(spec, DEFAULT_X0, transition, models, np.random.default_rng(seed))
     ref = reference.generate_run(spec, DEFAULT_X0, transition, models, np.random.default_rng(seed))
     assert reference.run_values(run) == reference.run_values(ref)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,12 @@ class TestInit:
     def test_zero_particles_rejected(self, rng):
         with pytest.raises(ValueError):
             init_particles(point_prior([0.0]), 0, rng)
+
+    @pytest.mark.parametrize("n", [2.0, True, 2.5, "2"])
+    def test_particle_count_not_an_integer_rejected(self, rng, n):
+        # 2.0 and True failed inside numpy with a bare TypeError
+        with pytest.raises(ValueError, match=f"^particle count must be an integer, got {re.escape(repr(n))}$"):
+            init_particles(point_prior([0.0]), n, rng)
 
     def test_one_dimensional_prior_sample_rejected(self, rng):
         # a prior returns one (d,) row per particle; an (n,) sample is refused, not reshaped
@@ -263,28 +271,18 @@ class TestResidualResample:
         out = residual_resample(p, rng)
         np.testing.assert_allclose(out.log_weights, uniform_log_weights(5))
 
-    def test_a_set_built_from_its_weights_derives_its_log_weights(self):
+    def test_a_set_built_from_its_weights_alone_resamples(self):
         w = np.array([0.5, 0.25, 0.25, 0.0])
         p = ParticleSet._trusted(np.arange(4.0)[:, None], weights=w.copy())
-        assert "log_weights" not in vars(p)
-        with np.errstate(divide="ignore"):
-            assert np.array_equal(p.log_weights, np.log(w))
-        assert vars(p)["log_weights"] is p.log_weights and not p.log_weights.flags.writeable
         assert np.array_equal(residual_resample(p, np.random.default_rng(0)).states[:, 0], [0.0, 0.0, 1.0, 2.0])
-        with pytest.raises(AttributeError, match="no attribute 'other'"):
-            p.other
-        # without weights there is nothing to derive the log-weights from
-        with pytest.raises(AttributeError, match="no attribute 'log_weights'"):
-            ParticleSet._trusted(np.zeros((2, 1))).log_weights
 
     def test_resampled_sets_share_one_read_only_uniform_row(self, rng):
         p = make_set(np.arange(5.0), [0.4, 0.3, 0.15, 0.1, 0.05])
         a, b = residual_resample(p, rng), residual_resample(residual_resample(p, rng), rng)
         assert a.log_weights is b.log_weights and not a.log_weights.flags.writeable
         assert np.array_equal(a.log_weights, uniform_log_weights(5))
-        # the public function still hands out a fresh, writable array
-        fresh = uniform_log_weights(5)
-        assert fresh.flags.writeable and fresh is not uniform_log_weights(5)
+        # an initial set holds the same row
+        assert init_particles(point_prior([0.0]), 5, rng).log_weights is a.log_weights
 
     # N * w_i: whole numbers, some 0; N = 16 scales the weights exactly
     WHOLE = np.array([4, 3, 0, 2, 1, 1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0])
@@ -341,7 +339,7 @@ class TestUniformWeightsCopyOnce:
 
     def test_pf_step_with_every_reading_lost(self):
         models = tracking_model_2d().modalities
-        frame = ObservationFrame.of(1, [None, None])
+        frame = ObservationFrame(1, [None, None])
         for n in self.NS:
             states = np.arange(4.0 * n).reshape(n, 4)
             out, _ = pf_step(ParticleSet(states, uniform_log_weights(n)), frame, StillTransition(), models,

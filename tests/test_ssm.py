@@ -349,8 +349,8 @@ class TestAngleLoglikFastPath:
 
 
 class TestObservationFrame:
-    def test_of_and_accessors(self):
-        frame = ObservationFrame.of(3, [0.5, None])
+    def test_constructor_and_accessors(self):
+        frame = ObservationFrame(3, [0.5, None])
         assert frame.time_index == 3
         assert len(frame.observations) == 2
         assert frame.observations[0].value == 0.5
@@ -360,11 +360,18 @@ class TestObservationFrame:
 
     def test_time_index_starts_at_one(self):
         with pytest.raises(ValueError):
-            ObservationFrame.of(0, [0.5, 0.7])
+            ObservationFrame(0, [0.5, 0.7])
+
+    @pytest.mark.parametrize("time_index", [1.0, 1.5, True, "1", None])
+    def test_time_index_not_an_integer_rejected(self, time_index):
+        # a float or bool time index was accepted, and "1" and None failed
+        # with a bare TypeError from the comparison
+        with pytest.raises(ValueError, match=f"^time_index must be an integer, got {re.escape(repr(time_index))}$"):
+            ObservationFrame(time_index, [0.5, 0.7])
 
     def test_non_finite_value_rejected(self):
         with pytest.raises(ValueError):
-            ObservationFrame.of(1, [np.inf, 0.7])
+            ObservationFrame(1, [np.inf, 0.7])
         with pytest.raises(ValueError):
             ModalityObservation(np.nan)
 
@@ -386,24 +393,23 @@ class TestObservationFrame:
         with pytest.raises(ValueError, match="is not a real number"):
             ModalityObservation(value)
         with pytest.raises(ValueError, match="is not a real number"):
-            ObservationFrame.of(1, [0.5, value])
+            ObservationFrame(1, [0.5, value])
 
-    def test_of_builds_the_observations_the_constructor_builds(self):
+    def test_constructor_builds_one_observation_per_value(self):
         values = [0.5, None, np.float64(-3.0), 7]
-        frame = ObservationFrame.of(2, values)
-        assert frame == ObservationFrame(2, tuple(ModalityObservation(v) for v in values))
+        frame = ObservationFrame(2, values)
+        assert frame.observations == tuple(ModalityObservation(v) for v in values)
         assert [type(o) for o in frame.observations] == [ModalityObservation] * 4
         assert [o.value for o in frame.observations] == values
 
-    @pytest.mark.parametrize("entry", [283.0, None, (283.0,)], ids=["float", "none", "tuple"])
-    def test_entry_that_is_not_an_observation_rejected(self, entry):
-        # the raw constructor used to accept it, and the run then failed
-        # with "'float' object has no attribute 'present'"
-        with pytest.raises(ValueError, match=r"observation 1 is .*, not a ModalityObservation"):
-            ObservationFrame(1, (ModalityObservation(0.78), entry))
+    def test_entry_that_is_not_an_observation_rejected(self):
+        # a frame takes raw values: an observation in their place is not a
+        # reading, and fails as one
+        with pytest.raises(ValueError, match="is not a real number"):
+            ObservationFrame(1, (0.78, ModalityObservation(283.0)))
 
     def test_restrict_to(self):
-        frame = ObservationFrame.of(2, [0.5, 0.7])
+        frame = ObservationFrame(2, [0.5, 0.7])
         only1 = restrict_to(frame, 1)
         assert only1.observations[0].value is None
         assert only1.observations[1].value == 0.7

@@ -85,6 +85,13 @@ class TestScenarioSpecValidation:
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             ScenarioSpec(horizon=0)
 
+    @pytest.mark.parametrize("horizon", [2.5, True, 300.0])
+    def test_horizon_not_an_integer_rejected(self, horizon):
+        # it was accepted, and the run failed inside script with numpy's bare
+        # "'float' object cannot be interpreted as an integer"
+        with pytest.raises(ValueError, match=f"^horizon must be an integer, got {re.escape(repr(horizon))}$"):
+            ScenarioSpec(horizon)
+
     @pytest.mark.parametrize("window", [FailureWindow(-1, 2, 4, 0.5), LossWindow(-1, 2, 4)], ids=repr)
     def test_window_on_negative_modality_rejected(self, window):
         kind = "loss_windows" if isinstance(window, LossWindow) else "failure_windows"
@@ -277,13 +284,13 @@ def _replace_frame6(frames, frame):
 # mismatch the error must name
 MALFORMED = {
     "time index out of order": (
-        lambda s, f, log: (s, _replace_frame6(f, ObservationFrame(99, f[5].observations)), log),
+        lambda s, f, log: (s, _replace_frame6(f, ObservationFrame(99, [o.value for o in f[5].observations])), log),
         "frame 6 has time index 99"),
     "states not (T, d)": (lambda s, f, log: (s[:-1], f, log), r"states are shaped \(9, 4\)"),
     "failure_log not (T, n)": (lambda s, f, log: (s, f, log[:, 0]), r"failure_log is shaped \(10,\)"),
     "failure_log code not a status": (lambda s, f, log: (s, f, log + 3), r"failure_log holds a code outside 0\.\.2"),
     "frame one reading short": (
-        lambda s, f, log: (s, _replace_frame6(f, ObservationFrame.of(6, [f[5].observations[0].value])), log),
+        lambda s, f, log: (s, _replace_frame6(f, ObservationFrame(6, [f[5].observations[0].value])), log),
         "frame 6 has 1 readings"),
     "states not finite": (lambda s, f, log: (_with(s, [(5, 2, np.nan), (7, 0, np.inf)]), f, log),
                           r"state at step 6 is not finite: \[.*nan"),
@@ -401,7 +408,7 @@ def ground_truth_runs(draw):
     T, d, n = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
     states = np.array(draw(st.lists(st.lists(STATE_ENTRIES, min_size=d, max_size=d), min_size=T, max_size=T)),
                       dtype=float).reshape(T, d)
-    frames = tuple(ObservationFrame.of(t, draw(st.lists(READINGS, min_size=n, max_size=n))) for t in range(1, T + 1))
+    frames = tuple(ObservationFrame(t, draw(st.lists(READINGS, min_size=n, max_size=n))) for t in range(1, T + 1))
     log = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=T, max_size=T)),
                    dtype=np.int64).reshape(T, n)
     return GroundTruthRun(states, frames, log)
@@ -414,9 +421,9 @@ class TestSaveMatchesJsonDumps:
     @settings(max_examples=300, deadline=None)
     @given(run=ground_truth_runs())
     @example(run=GroundTruthRun(np.array([EDGE_FLOATS[:7], EDGE_FLOATS[7:]]),
-                                (ObservationFrame.of(1, [None, 3, -0.0]), ObservationFrame.of(2, [5e-324, None, 1e16])),
+                                (ObservationFrame(1, [None, 3, -0.0]), ObservationFrame(2, [5e-324, None, 1e16])),
                                 np.array([[2, 0, 1], [0, 2, 1]])))
-    @example(run=GroundTruthRun(np.array([[2.0 ** 53]]), (ObservationFrame.of(1, []),), np.empty((1, 0), dtype=np.int64)))
+    @example(run=GroundTruthRun(np.array([[2.0 ** 53]]), (ObservationFrame(1, []),), np.empty((1, 0), dtype=np.int64)))
     def test_bytes_equal_the_reference(self, tmp_path_factory, run):
         tmp = tmp_path_factory.mktemp("save")
         run.save(tmp / "run.ndjson")
