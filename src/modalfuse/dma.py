@@ -105,6 +105,10 @@ def candidate_label(bits) -> str:
     return "".join(str(int(b)) for b in np.asarray(bits).ravel())
 
 
+# one slot: (models, group_of, null_row) for the last models tuple modality_logliks was given
+_last_plan = [((), (), None)]
+
+
 def modality_logliks(frame, states: np.ndarray, models):
     """``(present, L, nulls)``: the present modalities' indices, their
     (P, N) log-likelihoods at ``states`` and their (P,) null
@@ -112,14 +116,42 @@ def modality_logliks(frame, states: np.ndarray, models):
     from here (SMA calls ``loglik`` itself, one reading per member); a
     lost reading gets no row, since a missing value supports no
     hypothesis.
+
+    Each model object is called once per step. An object listed at one
+    position gets its reading as a float, as does an object listed at
+    several positions (redundant sensors sharing one observation model)
+    with one of its readings present; with k > 1 present, it gets them as
+    one (k, 1) column, and its (k, N) result fills their rows of L in
+    ``present`` order. The rows equal, bit for bit, one call per reading.
+
+    The plan, which positions share an object and the read-only (n,) row
+    of null log-likelihoods that ``nulls`` is taken from, depends only on
+    the models, so it is kept for the last models tuple given, the one a
+    run steps with: the kept tuple cannot change, and while it is kept no
+    other object can take its id. Any other sequence is planned per call.
     """
     if len(frame.observations) != len(models):
         raise ValueError(f"frame has {len(frame.observations)} modality readings, model has {len(models)}")
+    models = tuple(models)  # a tuple as it is, so a run's models are planned once
+    plan = _last_plan[0]  # one read, so a plan is never paired with another tuple
+    if plan[0] is not models:
+        ids = [id(m) for m in models]
+        # group_of[i]: the first position of the object at i if it is listed again, else None
+        group_of = tuple(ids.index(k) if ids.count(k) > 1 else None for k in ids)
+        plan = _last_plan[0] = (models, group_of, _read_only(np.array([null_loglik(m) for m in models])))
+    _, group_of, null_row = plan
     present = [i for i, obs in enumerate(frame.observations) if obs.present]
     L = np.empty((len(present), states.shape[0]))
+    shared = {}  # first position of a listed-again object -> its present (row, reading) pairs
     for row, i in enumerate(present):
-        L[row] = models[i].loglik(frame.observations[i].value, states)
-    return present, L, np.array([null_loglik(models[i]) for i in present], dtype=float)
+        if group_of[i] is None:
+            L[row] = models[i].loglik(frame.observations[i].value, states)
+        else:
+            shared.setdefault(group_of[i], []).append((row, frame.observations[i].value))
+    for g, readings in shared.items():
+        rows, ys = zip(*readings)
+        L[list(rows)] = models[g].loglik(ys[0] if len(ys) == 1 else np.array(ys)[:, None], states)
+    return present, L, null_row if len(present) == len(models) else null_row[present]
 
 
 def candidate_loglik_matrix(candidates: np.ndarray, frame, states: np.ndarray, models) -> np.ndarray:

@@ -10,10 +10,18 @@ the batch dimension and pure given an explicitly passed
 A modality model is any object exposing
 
     value_space    -- (low, high): the closed interval a reading lies in
-    loglik(y, x)   -- log p(y | x), vectorised over a batch of states
+    loglik(y, x)   -- log p(y | x), vectorised over a batch of states; a
+                      (k, 1) column of readings y broadcasts against an
+                      (N, d) batch, giving (k, N), row j equal to the call
+                      with reading j alone
     reading(x, z)  -- the reading at state(s) x for standard-normal noise z,
                       one z per state; vectorised like loglik
     sample_failed(rng) -- draw from the uniform failure distribution
+
+One model object may be listed at several positions of a model's
+modalities (redundant sensors of one kind). The filters call it once per
+step: ``dma.modality_logliks`` passes such an object a (k, 1) column of
+its k present readings, or one float when only one of them is present.
 
 ``reading(x, rng.standard_normal())`` equals, bit for bit, a draw of
 ``rng.normal(mean(x), sigma)`` passed through the modality's fold into
@@ -134,12 +142,15 @@ class AngleModality:
     def loglik(self, y, x):
         """log p(y | x), with the residual wrapped as ``wrap_angle`` wraps
         it, bit for bit. For a batch of states and a float reading y in
-        [-pi, pi], m = pi - (y - mean) lies in [-pi/2, 5 pi/2], since the
-        mean lies in [-pi/2, pi/2]; there ``mod(m, 2 pi)`` is one exact
-        fold by +-2 pi, taken here in m's buffer. Any other reading, and a
-        single state, go through ``wrap_angle``."""
+        [-pi, pi], or an array of such readings such as a (k, 1) column,
+        m = pi - (y - mean) lies in [-pi/2, 5 pi/2], since the mean lies in
+        [-pi/2, pi/2]; there ``mod(m, 2 pi)`` is one exact fold by +-2 pi,
+        taken here in m's buffer. An array with any reading outside
+        [-pi, pi] (or NaN), a reading of any other type, and a single
+        state go through ``wrap_angle``."""
         mean = self.mean(x)
-        if mean.ndim and isinstance(y, float) and -np.pi <= y <= np.pi:
+        if mean.ndim and (-np.pi <= y <= np.pi if isinstance(y, float)
+                          else isinstance(y, np.ndarray) and (np.abs(y) <= np.pi).all()):
             # fmod is exact there, and m + 2 pi is the rounding np.mod does for m < 0.
             # The fold pays: through wrap_angle, runs read 1.04 (replay-n1k PF),
             # 1.13 (wide-6mod PF) and 1.12 (track-n10k PF) times as long (tools/ab.py)
@@ -185,8 +196,7 @@ class RangeModality:
         return np.hypot(x[..., 2], x[..., 3])
 
     def loglik(self, y, x):
-        resid = np.asarray(y, dtype=float) - self.mean(x)
-        return _gauss_loglik(resid, self.sigma)
+        return _gauss_loglik(np.asarray(y, dtype=float) - self.mean(x), self.sigma)
 
     def reading(self, x, z):
         # np.clip gives the same values; on one reading its set-up costs

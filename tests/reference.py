@@ -1,6 +1,7 @@
 """Test-side references: ``logsumexp`` and the log-domain reweighting
-oracle built on it, the reweighting kernel's general path, SMA's
-per-member reference, the per-step simulator and per-record NDJSON codec
+oracle built on it, the per-reading modality log-likelihood loop and a
+modality double that records its ``loglik`` calls, the reweighting
+kernel's general path, SMA's per-member reference, the per-step simulator and per-record NDJSON codec
 that pin a dataset's random stream and bytes, and thin one-row and
 one-set wrappers over production code that the tests share.
 """
@@ -11,7 +12,7 @@ import numpy as np
 
 from modalfuse.baselines import SmaState, _failure_prob, pf_step
 from modalfuse.dma import candidate_loglik_matrix, mix_and_resample
-from modalfuse.ssm import ObservationFrame
+from modalfuse.ssm import ObservationFrame, null_loglik
 from modalfuse.tracksim import GroundTruthRun, ObservationStatus
 
 
@@ -41,6 +42,39 @@ def log_domain_reweight(p, row_ll):
         log_g[j] = g
         log_w[j] = lw - g if np.isfinite(g) else p.log_weights
     return log_g, log_w
+
+
+def as_bits(a):
+    """``a``'s float64 values as int64 bit patterns, for bit-for-bit comparisons."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def modality_logliks_per_reading(frame, states, models):
+    """Reference for ``dma.modality_logliks``: one ``loglik`` call per
+    present reading, with its float, and one ``null_loglik`` per present
+    reading, whether or not a model object is listed at several positions."""
+    present = [i for i, obs in enumerate(frame.observations) if obs.present]
+    L = np.empty((len(present), states.shape[0]))
+    for row, i in enumerate(present):
+        L[row] = models[i].loglik(frame.observations[i].value, states)
+    return present, L, np.array([null_loglik(models[i]) for i in present], dtype=float)
+
+
+class CountingModality:
+    """Test double: delegates to a real modality and records the shape of
+    the reading of each ``loglik`` call (() for a float)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.shapes = []
+
+    def loglik(self, y, x):
+        self.shapes.append(np.shape(y))
+        return self.inner.loglik(y, x)
+
+    @property
+    def value_space(self):
+        return self.inner.value_space
 
 
 def reweight_rows_with_dead_rows(log_weights, ll):

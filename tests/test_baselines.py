@@ -40,7 +40,8 @@ from modalfuse.ssm import null_loglik
 
 from conftest import point_prior
 import reference
-from reference import estimate_failure_prob, log_domain_reweight, logsumexp, mix_one, restrict_to, sma_by_member
+from reference import (CountingModality, estimate_failure_prob, log_domain_reweight, logsumexp, mix_one, restrict_to,
+                       sma_by_member)
 
 
 class ConstantModality:
@@ -441,22 +442,6 @@ class TestTsStep:
                     rng)
 
 
-class CountingModality:
-    """Test double: delegates to a real modality and counts loglik calls."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def loglik(self, y, x):
-        self.calls += 1
-        return self.inner.loglik(y, x)
-
-    @property
-    def value_space(self):
-        return self.inner.value_space
-
-
 def _step_once(name, p0, frame, transition, models, rng):
     if name == "pf":
         return pf_step(p0, frame, transition, models, rng)
@@ -482,7 +467,7 @@ class TestSharedReweightPath:
         p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 20, rng)
         counting = tuple(CountingModality(m) for m in model.modalities)
         _step_once(step, p0, ObservationFrame(1, values), model.transition, counting, rng)
-        assert [m.calls for m in counting] == [int(v is not None) for v in values]
+        assert [len(m.shapes) for m in counting] == [int(v is not None) for v in values]
 
 
 class SpawnCounter:

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import modalfuse.dma as dma_mod
+import modalfuse.ssm as ssm_mod
 from modalfuse import (
+    AngleModality,
     ModelUpdateDegenerate,
     ObservationFrame,
     ParticleSet,
@@ -21,20 +23,24 @@ from modalfuse import (
     init_ts,
     pf_step,
     propagate,
+    ts_step,
     update_model_posterior,
 )
 from modalfuse.bench import run_filter
 from modalfuse.diagnostics import RunTrace
-from modalfuse.dma import DmaState, candidate_label, candidate_loglik_matrix, reweight_rows
+from modalfuse.dma import DmaState, candidate_label, candidate_loglik_matrix, modality_logliks, reweight_rows
 from modalfuse.ssm import null_loglik
 
 from conftest import point_prior
 from reference import (
+    CountingModality,
+    as_bits,
     candidate_loglik,
     log_domain_mixture,
     log_domain_reweight,
     logsumexp,
     mix_one,
+    modality_logliks_per_reading,
     reweight_rows_with_dead_rows,
 )
 
@@ -539,6 +545,102 @@ class TestMinusInfLoglik:
         # [1,1] and [0,1] trust the dead reading: demoted to the floor
         assert post[0] + post[2] < 1e-5
         assert np.isfinite(log_g[[1, 3]]).all()
+
+
+class TestSharedModelObjects:
+    """wide-6mod's layout lists one bearing and one range model object
+    three times each: ``modality_logliks`` calls each object once, with a
+    (k, 1) column of its k present readings, and gives the rows and nulls
+    of one call per reading, bit for bit."""
+
+    FRAMES = {
+        "all_present": [0.8, 285.0, 0.79, 284.0, 0.81, 283.0],
+        # the bearing model's middle reading lost: its readings at positions 0 and 4 fill rows 0 and 3
+        "one_lost": [0.8, 285.0, None, 284.0, 0.81, 283.0],
+        "two_of_a_model_lost": [None, 285.0, 0.79, None, None, 283.0],
+        "first_lost": [None, 285.0, 0.79, 284.0, 0.81, 283.0],
+        "all_lost": [None] * 6,
+        "bearings_at_pi": [np.pi, 285.0, -np.pi, 284.0, 0.0, 283.0],
+        "bearing_outside_pi": [0.8, 285.0, 7.0, 284.0, -0.8, 283.0],
+    }
+
+    @staticmethod
+    def _states(rng, n=257):
+        # bearings across (-pi/2, pi/2], d_y = 0 and 0/0 included
+        states = rng.normal([1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 300.0, 300.0], (n, 4))
+        states[:4, 2:] = [[0.0, 0.0], [5.0, 0.0], [-5.0, 0.0], [3.0, 3.0]]
+        return states
+
+    @pytest.mark.parametrize("name", list(FRAMES))
+    def test_equals_the_per_reading_loop(self, model, rng, name):
+        models = model.modalities * 3
+        frame = ObservationFrame(1, self.FRAMES[name])
+        states = self._states(rng)
+        present, L, nulls = modality_logliks(frame, states, models)
+        want_present, want_L, want_nulls = modality_logliks_per_reading(frame, states, models)
+        assert present == want_present
+        assert L.shape == want_L.shape and np.array_equal(as_bits(L), as_bits(want_L))
+        assert np.array_equal(as_bits(nulls), as_bits(want_nulls))
+
+    def test_bearing_outside_pi_goes_through_wrap_angle(self, model, rng, monkeypatch):
+        # the column holding 7.0 takes wrap_angle's path, and still matches
+        wrapped = []
+        wrap = ssm_mod.wrap_angle
+        monkeypatch.setattr(ssm_mod, "wrap_angle", lambda theta: wrapped.append(np.shape(theta)) or wrap(theta))
+        models = model.modalities * 3
+        states = self._states(rng)
+        modality_logliks(ObservationFrame(1, self.FRAMES["bearing_outside_pi"]), states, models)
+        assert wrapped == [(3, len(states))]
+        wrapped.clear()
+        modality_logliks(ObservationFrame(1, self.FRAMES["bearings_at_pi"]), states, models)
+        assert wrapped == []
+
+    @pytest.mark.parametrize("step", ["pf", "ts", "dma"])
+    @pytest.mark.parametrize("name, angle_shapes, range_shapes", [
+        ("all_present", [(3, 1)], [(3, 1)]),
+        ("one_lost", [(2, 1)], [(3, 1)]),
+        ("two_of_a_model_lost", [()], [(2, 1)]),
+        ("all_lost", [], []),
+    ])
+    def test_each_object_called_once_per_step(self, model, rng, step, name, angle_shapes, range_shapes):
+        angle, range_ = (CountingModality(m) for m in model.modalities)
+        models = (angle, range_) * 3
+        p0 = init_particles(point_prior([1.0, 1.0, 200.0, 200.0]), 20, rng)
+        frame = ObservationFrame(1, self.FRAMES[name])
+        if step == "pf":
+            pf_step(p0, frame, model.transition, models, rng)
+        elif step == "ts":
+            ts_step(init_ts(p0, 6), frame, model.transition, models, rng)
+        else:
+            dma_step(init_dma(p0, 6), frame, model.transition, models, rng)
+        assert angle.shapes == angle_shapes and range_.shapes == range_shapes
+
+    def test_nulls_built_once_per_models_tuple(self, model, rng):
+        reads = []
+
+        class Counted(CountingModality):
+            @property
+            def value_space(self):
+                reads.append(1)
+                return self.inner.value_space
+
+        models = tuple(Counted(m) for m in model.modalities) * 3
+        frame = ObservationFrame(1, self.FRAMES["one_lost"])
+        for _ in range(3):
+            modality_logliks(frame, self._states(rng), models)
+        assert len(reads) == 6
+
+    def test_a_list_is_planned_per_call(self, model, rng):
+        # a list can change between calls; each call plans the list as it is then
+        angle, range_ = model.modalities
+        models = [angle, range_] * 3
+        frame = ObservationFrame(1, self.FRAMES["one_lost"])
+        states = self._states(rng)
+        modality_logliks(frame, states, models)
+        models[2] = AngleModality(0.3)
+        _, L, nulls = modality_logliks(frame, states, models)
+        _, want_L, want_nulls = modality_logliks_per_reading(frame, states, models)
+        assert np.array_equal(as_bits(L), as_bits(want_L)) and np.array_equal(as_bits(nulls), as_bits(want_nulls))
 
 
 class TestDmaStateValidates:

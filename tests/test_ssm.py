@@ -19,7 +19,7 @@ from modalfuse import (
 import modalfuse.ssm as ssm_mod
 from modalfuse.ssm import DEFAULT_A, DEFAULT_Q, DEFAULT_SIGMA_ANGLE, _gauss_loglik, null_loglik
 
-from reference import restrict_to
+from reference import as_bits, restrict_to
 
 A = DEFAULT_A
 Q = DEFAULT_Q
@@ -264,10 +264,6 @@ def test_angle_loglik_periodic_property(y, k, dx, dy):
     assert mod.loglik(y, x) == pytest.approx(mod.loglik(y + 2 * np.pi * k, x), abs=1e-9)
 
 
-def _bits(a):
-    return np.asarray(a, dtype=float).view(np.int64)
-
-
 class TestGaussLoglik:
     @staticmethod
     def _expression(resid, sigma):
@@ -277,7 +273,7 @@ class TestGaussLoglik:
     def test_scalar_residual_gives_a_numpy_scalar(self, resid):
         got = _gauss_loglik(resid, 0.7)
         assert type(got) is np.float64
-        assert _bits(got) == _bits(self._expression(resid, 0.7))
+        assert as_bits(got) == as_bits(self._expression(resid, 0.7))
 
 
 # bearing-sensor coordinates, with d_y = 0 (a bearing of +-pi/2) and 0/0 (a bearing of 0)
@@ -303,7 +299,7 @@ class TestAngleLoglikFastPath:
         want = _gauss_loglik(wrap_angle(np.asarray(y, dtype=float) - mod.mean(x)), sigma)
         got = mod.loglik(y, x)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
-        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(as_bits(got), as_bits(want))
 
     @settings(max_examples=300, deadline=None)
     @given(y=READINGS, x=hnp.arrays(float, st.tuples(st.integers(1, 20), st.just(4)), elements=COORDS))
@@ -346,6 +342,63 @@ class TestAngleLoglikFastPath:
                 mod.loglik(y, x)
         with pytest.raises(AssertionError, match="wrap_angle called"):
             mod.loglik(0.25, x[0])
+
+
+# bearings of 0, +-pi/4, +-pi/2 and 0/0, then spread states
+COLUMN_STATES = np.vstack([
+    [[0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 3.0, 3.0], [0.0, 0.0, -3.0, 3.0], [0.0, 0.0, 5.0, 0.0],
+     [0.0, 0.0, -5.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+    np.random.default_rng(29).normal(0.0, 300.0, (40, 4)),
+])
+# the value space's ends, 0, and the fold's seams y = mean +- pi for the
+# bearings above (pi, -pi, +-3 pi/4, +-pi/2), each with its neighbours
+_SEAMS = [np.pi, -np.pi, 0.0, 0.75 * np.pi, -0.75 * np.pi, 0.5 * np.pi, -0.5 * np.pi]
+BEARING_GRID = np.unique([v for s in _SEAMS for v in (np.nextafter(s, -4.0), s, np.nextafter(s, 4.0))
+                          if -np.pi <= v <= np.pi])
+
+
+class TestColumnOfReadings:
+    """``loglik`` of a (k, 1) column of readings equals, row for row and
+    bit for bit, k calls with one float reading each; a bearing column
+    folds in place when every reading lies in [-pi, pi], and otherwise
+    goes through ``wrap_angle``."""
+
+    @staticmethod
+    def _assert_rows_as_floats(mod, ys, x):
+        got = mod.loglik(ys[:, None], x)
+        want = np.stack([mod.loglik(float(y), x) for y in ys])
+        assert got.shape == want.shape == (len(ys), len(x))
+        assert np.array_equal(as_bits(got), as_bits(want))
+
+    def test_bearing_grid(self):
+        self._assert_rows_as_floats(AngleModality(), BEARING_GRID, COLUMN_STATES)
+
+    @pytest.mark.parametrize("outside", [7.0, -np.nextafter(np.pi, 4.0), 1e3])
+    def test_bearing_column_with_a_reading_outside_pi(self, outside):
+        self._assert_rows_as_floats(AngleModality(), np.append(BEARING_GRID, outside), COLUMN_STATES)
+
+    def test_range_grid(self):
+        ys = np.array([0.0, 1e-300, 1.0, 285.0, 424.26406871192853, 1999.0, 2000.0])
+        self._assert_rows_as_floats(RangeModality(), ys, COLUMN_STATES)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ys=hnp.arrays(float, st.integers(1, 6), elements=READINGS),
+           x=hnp.arrays(float, st.tuples(st.integers(1, 20), st.just(4)), elements=COORDS))
+    def test_any_column_equals_its_floats(self, ys, x):
+        self._assert_rows_as_floats(AngleModality(), ys, x)
+        self._assert_rows_as_floats(RangeModality(), ys, x)
+
+    def test_wrap_angle_only_for_a_column_outside_pi(self, monkeypatch):
+        wrapped = []
+        wrap = ssm_mod.wrap_angle
+        monkeypatch.setattr(ssm_mod, "wrap_angle", lambda theta: wrapped.append(np.shape(theta)) or wrap(theta))
+        mod = AngleModality()
+        mod.loglik(BEARING_GRID[:, None], COLUMN_STATES)
+        assert wrapped == []
+        for outside in (7.0, np.nan):
+            mod.loglik(np.append(BEARING_GRID, outside)[:, None], COLUMN_STATES)
+            assert wrapped == [(len(BEARING_GRID) + 1, len(COLUMN_STATES))]
+            wrapped.clear()
 
 
 class TestObservationFrame:
