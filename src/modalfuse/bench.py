@@ -23,11 +23,9 @@ and I/O.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -75,7 +73,12 @@ class GaussianPrior:
     def __call__(self, n, rng):
         mean = np.asarray(self.mean, dtype=float)
         scale = np.sqrt(np.asarray(self.cov_diag, dtype=float))
-        return mean + rng.standard_normal((n, mean.shape[0])) * scale
+        # in place: the same two IEEE operations as mean + z * scale,
+        # without its two (n, d) temporaries
+        draw = rng.standard_normal((n, mean.shape[0]))
+        draw *= scale
+        draw += mean
+        return draw
 
 
 def init_prior(mode: str, x0_true) -> GaussianPrior:
@@ -282,6 +285,8 @@ def _run_batch(algorithms, scenario, n_particles, runs, master_seed, prior, rmse
         outdir.mkdir(parents=True, exist_ok=True)
     run = partial(_single_run, algorithms, spec, cfg, n_particles, master_seed, prior, rmse_mode, outdir)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: importing the package needs no pool
+
         # a forking pool starts all its workers at once, so no more than runs or CPUs
         with ProcessPoolExecutor(max_workers=min(jobs, runs, os.cpu_count() or 1)) as pool:
             per_run = list(pool.map(run, range(runs)))
@@ -321,6 +326,8 @@ def _weight_header(algorithm: str, k: int) -> list[str]:
 
 
 def _write_csv(path, header, rows) -> None:
+    import csv  # deferred: importing the package writes no CSV
+
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)

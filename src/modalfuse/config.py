@@ -33,7 +33,6 @@ field, and its modality and times must be whole. Modality indices are
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import get_type_hints
@@ -146,6 +145,8 @@ def default_config() -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Parse a config file; any malformed content raises ConfigError."""
+    import configparser  # deferred: importing the package reads no config file
+
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path, encoding="utf-8"):

@@ -261,21 +261,28 @@ class LinearGaussianTransition:
         return out[0] if single else out
 
     def rollout(self, x0, horizon: int, rng) -> np.ndarray:
-        """(T, d) Markov path from one state (d,); row t-1 is the state at
-        time t. Bit for bit what T calls of ``sample`` give on the same
-        stream: the T x d normals are one draw, which yields the values of
-        T draws of 1 x d, and each step forms sample's (1, d) products. A
-        path that leaves the finite floats raises ValueError."""
+        """(T, d) Markov path from one state (d,) over ``horizon`` >= 1
+        steps; row t-1 is the state at time t. Bit for bit what T calls of
+        ``sample`` give on the same stream: the T x d normals are one draw,
+        which yields the values of T draws of 1 x d. Their noise products
+        are one stacked matmul of T (1, d) @ (d, d) items, which numpy
+        forms one 2-D product at a time, so item t is sample's (1, d)
+        product (one (T, d) @ (d, d) product takes another BLAS kernel and
+        differs at a full Q). Only the ``x @ A'`` product runs per step,
+        since each step needs the last. A path that leaves the finite
+        floats raises ValueError."""
+        _check_count("horizon", horizon)
         x = np.asarray(x0, dtype=float)
         if x.shape != (self.dim,) or not np.all(np.isfinite(x)):
             raise ValueError(f"start state must be finite with {self.dim} entries, got {x}")
         noise = rng.standard_normal((horizon, self.dim))
+        # (T, 1, d): row t holds step t's noise product, then its state
+        path = np.matmul(noise[:, None, :], self._noise_factor_t)
         x = x[None]
-        path = np.empty((horizon, self.dim))
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the fault
-            for t in range(horizon):
-                x = x @ self._A_t + noise[t:t + 1] @ self._noise_factor_t
-                path[t] = x[0]
+            for row in path:
+                x = np.add(x @ self._A_t, row, out=row)
+        path = path[:, 0]
         if not np.all(np.isfinite(path)):
             raise ValueError("non-finite state in the transition's rollout")
         return path

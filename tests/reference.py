@@ -2,8 +2,9 @@
 oracle built on it, the per-reading modality log-likelihood loop and a
 modality double that records its ``loglik`` calls, the reweighting
 kernel's general path, SMA's per-member reference, the per-step simulator and per-record NDJSON codec
-that pin a dataset's random stream and bytes, and thin one-row and
-one-set wrappers over production code that the tests share.
+that pin a dataset's random stream and bytes, the out-of-place prior draw
+that pins the initial particles, and thin one-row and one-set wrappers
+over production code that the tests share.
 """
 
 import json
@@ -139,7 +140,8 @@ def sma_by_member(state, frame, transition, models):
 # a (T, n) table, forms each modality's readings in one call from a table of
 # noise and writes a file in one go; these are the per-step forms it must
 # match bit for bit, kept as they were written before those changes (one
-# scalar normal per reading).
+# scalar normal per reading). The initial-particle prior scales and shifts
+# its draw in place; ``gaussian_prior_draw`` is its out-of-place form.
 
 
 def run_values(run):
@@ -170,6 +172,14 @@ def simulate_truth(horizon, x0, transition, rng):
         x = transition.sample(x, rng)
         states[t] = x
     return states
+
+
+def gaussian_prior_draw(mean, cov_diag, n, rng):
+    """``bench.GaussianPrior``'s draw as it was written before it scaled
+    and shifted in place: ``mean + z * scale`` with two (n, d) temporaries."""
+    mean = np.asarray(mean, dtype=float)
+    scale = np.sqrt(np.asarray(cov_diag, dtype=float))
+    return mean + rng.standard_normal((n, mean.shape[0])) * scale
 
 
 def observe(t, x, statuses, models, rng):

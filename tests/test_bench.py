@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import importlib.util
 import os
@@ -38,13 +39,15 @@ from modalfuse.bench import (
 from modalfuse.ssm import DEFAULT_Q, LinearGaussianTransition
 from modalfuse.tracksim import FailureWindow, ScenarioSpec, builtin_scenario, generate_run
 
+import reference
 from conftest import point_prior
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replace bench's process pool with one that maps in this process;
-    returns the list of ``max_workers`` each pool was opened with."""
+    """Replace the process pool that bench imports when it runs with
+    jobs > 1 with one that maps in this process; returns the list of
+    ``max_workers`` each pool was opened with."""
     sizes = []
 
     class InlinePool:
@@ -60,7 +63,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(modalfuse.bench, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes
 
 
@@ -105,6 +108,18 @@ class TestInitPrior:
         prior = GaussianPrior(x0, np.zeros(4))
         draws = prior(50, rng)
         assert np.all(draws == x0)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("n", [1, 3, 1000])
+    def test_draw_matches_the_out_of_place_reference(self, seed, n):
+        # one zero-variance component, which must come out as its mean
+        prior = GaussianPrior(np.array([1.5, -2.0, 200.0, 37.25]), np.array([1.0, 0.0, 10.0, 0.3]))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = prior(n, rng)
+        ref = reference.gaussian_prior_draw(prior.mean, prior.cov_diag, n, ref_rng)
+        np.testing.assert_array_equal(reference.as_bits(draws), reference.as_bits(ref))
+        assert (draws[:, 1] == -2.0).all()
+        assert rng.random() == ref_rng.random()
 
     def test_bias_offset_by_construction(self):
         x0 = np.array([1.0, 1.0, 200.0, 200.0])
@@ -577,6 +592,17 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stdout.startswith("usage: bench")
+
+    def test_package_import_leaves_cli_modules_unloaded(self):
+        # the pool, the CSV writer and the config parser are imported where
+        # the CLI uses them, so a process that only filters loads none
+        src = str(Path(modalfuse.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, modalfuse; "
+                 "print(' '.join(m for m in ('concurrent.futures', 'csv', 'configparser') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     def test_rmse_position_flag(self, tmp_path):
         out = tmp_path / "res"

@@ -553,12 +553,19 @@ class TestSameStreamAsPerStep:
         np.testing.assert_array_equal(run.states, transition.rollout(DEFAULT_X0, 5, truth_rng))
         assert rng.random() == truth_rng.random()
 
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_truth_matches_the_per_step_reference(self, seed):
+    @pytest.mark.parametrize("horizon", [1, 2, 300])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_truth_matches_the_per_step_reference(self, seed, horizon):
+        # a full Q and an A off the identity: here one (T, d) noise product
+        # differs from T (1, d) products in the last bit of some rows, and
+        # the path shows it at 3 of these 10 seeds at T = 2 and 6 at T = 300
         _, transition, _ = _random_psd_q()
-        np.testing.assert_array_equal(transition.rollout(DEFAULT_X0, 200, np.random.default_rng(seed)),
-                                      reference.simulate_truth(200, DEFAULT_X0, transition,
-                                                               np.random.default_rng(seed)))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        path = transition.rollout(DEFAULT_X0, horizon, rng)
+        ref = reference.simulate_truth(horizon, DEFAULT_X0, transition, ref_rng)
+        assert path.shape == (horizon, 4)
+        np.testing.assert_array_equal(reference.as_bits(path), reference.as_bits(ref))
+        assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("horizon", [2, 3, 50])
     def test_overflowing_truth_raises(self, horizon):
@@ -574,6 +581,14 @@ class TestSameStreamAsPerStep:
     def test_bad_start_state_raises(self, x0):
         with pytest.raises(ValueError, match="start state must be finite with 4 entries"):
             LinearGaussianTransition(DEFAULT_A, DEFAULT_Q).rollout(x0, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("horizon, message", [(0, "horizon must be >= 1, got 0"),
+                                                  (-1, "horizon must be >= 1, got -1"),
+                                                  (2.5, "horizon must be an integer, got 2.5"),
+                                                  (True, "horizon must be an integer, got True")])
+    def test_bad_horizon_raises(self, horizon, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LinearGaussianTransition(DEFAULT_A, DEFAULT_Q).rollout(DEFAULT_X0, horizon, np.random.default_rng(0))
 
     @pytest.mark.parametrize("case", ["mixed_windows", "staggered_six", "builtin2", "builtin3"])
     def test_script_matches_the_per_window_reference(self, case):
